@@ -29,12 +29,25 @@ EXIT_IO = 3
 PROFILE_ENV = "EDSIM_PROFILE"
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (days, runs, workers)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", help=f"profile JSON (default: ${PROFILE_ENV} or packaged profile)")
     p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    p.add_argument("--replications", type=int, default=10, help="independent runs (default 10)")
-    p.add_argument("--days", type=int, default=30, help="simulated days per run (default 30)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--replications", type=_positive_int, default=10,
+                   help="independent runs (default 10)")
+    p.add_argument("--days", type=_positive_int, default=30,
+                   help="simulated days per run (default 30)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers (default 1)")
     p.add_argument("--out", default="edsim-out", help="output directory (default ./edsim-out)")
 
 
@@ -60,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="fit free profile parameters to the targets")
     _add_common(p_cal)
     p_cal.add_argument("--budget", type=int, default=120, help="max objective evaluations")
-    p_cal.add_argument("--probe-replications", type=int, default=3)
-    p_cal.add_argument("--probe-days", type=int, default=30)
+    p_cal.add_argument("--probe-replications", type=_positive_int, default=3)
+    p_cal.add_argument("--probe-days", type=_positive_int, default=30)
     return parser
 
 

@@ -7,6 +7,7 @@ import csv
 import heapq
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,7 +137,11 @@ class ShiftEntry:
 
 class ShiftCalendar:
     """Time-varying staffing of a pool; capacities change only at entry
-    boundaries. Offset shifts every band later by whole minutes (scenario t)."""
+    boundaries. Offset shifts every band later by whole minutes (scenario t).
+
+    `teams` lists every slot in entry order. The slots on shift at each
+    minute of the day are precomputed once, one shared tuple per stretch
+    between consecutive boundaries, so lookups build nothing."""
 
     def __init__(self, entries: list[ShiftEntry], offset: int = 0) -> None:
         for e in entries:
@@ -144,24 +149,29 @@ class ShiftCalendar:
                 raise ValueError(f"shift entry out of range: {e}")
         self.entries = list(entries)
         self.offset = offset
+        self.teams: tuple[str, ...] = tuple(t for e in self.entries for t in e.teams)
+        self.on_by_minute: list[tuple[str, ...]] = self._on_by_minute()
+
+    def _on_by_minute(self) -> list[tuple[str, ...]]:
+        table: list[tuple[str, ...]] = [()] * MINUTES_PER_DAY
+        bounds = self.boundaries()
+        for i, start in enumerate(bounds):
+            on = tuple(t for e in self.entries if e.covers(start, self.offset) for t in e.teams)
+            if i + 1 < len(bounds):
+                end = bounds[i + 1]
+                table[start:end] = [on] * (end - start)
+            else:  # the last stretch wraps midnight up to the first boundary
+                table[start:] = [on] * (MINUTES_PER_DAY - start)
+                table[:bounds[0]] = [on] * bounds[0]
+        return table
 
     def capacity_at(self, minute_of_day: int) -> int:
         if not 0 <= minute_of_day < MINUTES_PER_DAY:
             raise ValueError(f"minute-of-day out of range: {minute_of_day}")
-        return sum(len(e.teams) for e in self.entries if e.covers(minute_of_day, self.offset))
+        return len(self.on_by_minute[minute_of_day])
 
-    def teams_on(self, minute_of_day: int) -> list[str]:
-        on: list[str] = []
-        for e in self.entries:
-            if e.covers(minute_of_day % MINUTES_PER_DAY, self.offset):
-                on.extend(e.teams)
-        return on
-
-    def all_teams(self) -> list[str]:
-        teams: list[str] = []
-        for e in self.entries:
-            teams.extend(e.teams)
-        return teams
+    def teams_on(self, minute_of_day: int) -> tuple[str, ...]:
+        return self.on_by_minute[minute_of_day % MINUTES_PER_DAY]
 
     def boundaries(self) -> list[int]:
         """Distinct minutes-of-day at which capacity can change."""
@@ -186,7 +196,7 @@ class ResourcePool:
         self.busy: dict[str, tuple[object, int]] = {}  # slot -> (entity, end time)
 
     def on_shift(self, slot: str, now: int) -> bool:
-        return slot in self.calendar.teams_on(now % MINUTES_PER_DAY)
+        return slot in self.calendar.on_by_minute[now % MINUTES_PER_DAY]
 
     def idle_on_shift_slots(self, now: int) -> list[str]:
         return [s for s in self.calendar.teams_on(now % MINUTES_PER_DAY) if s not in self.busy]
@@ -290,8 +300,7 @@ class PromotionQueue:
         return item
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     rep_id: int
     time_min: int
     patient_id: int
@@ -313,8 +322,7 @@ class EventLog:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(LOG_HEADER)
-            for r in self.records:
-                w.writerow((r.rep_id, r.time_min, r.patient_id, r.event, r.detail))
+            w.writerows(self.records)  # field order is LOG_HEADER's
 
 
 def read_log_csv(path) -> list[LogRecord]:

@@ -43,6 +43,8 @@ GENERAL_POOLS = ("low_general", "high_general")
 LOW_RANKS = {CODE_RANK["GREEN"], CODE_RANK["WHITE"]}
 HIGH_RANKS = {CODE_RANK["RED"], CODE_RANK["YELLOW"]}
 ALL_RANKS = set(CODE_RANK.values())
+FIRST_QUEUE_OF = {"low_general": "general", "high_general": "general",
+                  "orthopaedic": "orthopaedic", "dermatological": "dermatological"}
 
 DEFAULT_WARMUP_DAYS = 1
 
@@ -144,15 +146,22 @@ class Replication:
         for pool_id, pool in self.pools.items():
             if pool_id == "last_visit":
                 continue
-            for team in pool.calendar.all_teams():
+            for team in pool.calendar.teams:
                 self.team_last[team] = PromotionQueue()
 
-        self.team_pool: dict[str, str] = {}
-        for pid_, pool in self.pools.items():
-            for team in pool.calendar.all_teams():
-                self.team_pool[team] = pid_
+        self.team_pool: dict[str, ResourcePool] = {}
+        for pool in self.pools.values():
+            for team in pool.calendar.teams:
+                self.team_pool[team] = pool
 
-        self.busy_service: dict[str, tuple[Patient, str]] = {}  # team -> (patient, "first"|"last")
+        # Dispatch visiting order: pools low -> high -> ortho -> derma -> LV,
+        # teams in calendar order, each with its first queue (None for LV).
+        self._dispatch_order = [
+            (self.pools[pool_id], self.first_queues.get(FIRST_QUEUE_OF.get(pool_id)))
+            for pool_id in ("low_general", "high_general", "orthopaedic",
+                            "dermatological", "last_visit")
+            if pool_id in self.pools
+        ]
         self.in_flight = 0
         self.arrivals_open = True
         self._arrival_real = 0.0
@@ -260,7 +269,8 @@ class Replication:
         for item in newly:
             self.log.add(now, item.entity.pid, "PROMOTED")
 
-    def _pick_task(self, pool: ResourcePool, team: str, now: int) -> bool:
+    def _pick_task(self, pool: ResourcePool, team: str, now: int,
+                   first_q: PromotionQueue | None) -> bool:
         """Assign the next visit to an idle team slot; True if work started.
 
         On-shift slots choose between the first-visit queue and the pending
@@ -268,16 +278,12 @@ class Replication:
         drains last visits of its own patients (a=0 affinity); with a shared
         last queue there is no ownership, so off-shift slots take nothing."""
         on_shift = pool.on_shift(team, now)
-        first_q = None
         first_item = None
-        if pool.pool_id != "last_visit" and on_shift:
-            key = {"low_general": "general", "high_general": "general",
-                   "orthopaedic": "orthopaedic", "dermatological": "dermatological"}[pool.pool_id]
-            first_q = self.first_queues[key]
+        if first_q is not None and on_shift:
             self._mark_promotions(first_q, now)
             ranks, include_promoted = self._eligible_ranks(pool.pool_id, now)
             first_item = first_q.peek_next(ranks, include_promoted)
-        if pool.pool_id == "last_visit":
+        if first_q is None:
             last_q, last_item = self._peek_union_last(now)
         else:
             last_q = self.team_last[team]
@@ -300,20 +306,29 @@ class Replication:
         return True
 
     def _dispatch(self, now: int) -> None:
+        """Poll idle teams until a full pass starts no visit.
+
+        A team is polled only if the poll can start work or log a promotion:
+        its own last queue waits, or it is on shift and its first queue
+        waits (an LV team: any last visit waits). Every other poll would
+        return False and change nothing, so skipping it keeps the log."""
+        minute = now % MINUTES_PER_DAY
+        team_last = self.team_last
         progress = True
         while progress and (self._waiting_first or self._waiting_last):
             progress = False
-            for pool_id in ("low_general", "high_general", "orthopaedic",
-                            "dermatological", "last_visit"):
-                pool = self.pools.get(pool_id)
-                if pool is None:
-                    continue
-                for team in pool.calendar.all_teams():
-                    if team in self.busy_service:
+            for pool, first_q in self._dispatch_order:
+                on = pool.calendar.on_by_minute[minute]
+                busy = pool.busy
+                for team in pool.calendar.teams:
+                    if team in busy:
                         continue
-                    if pool_id == "last_visit" and not pool.on_shift(team, now):
+                    if first_q is None:
+                        if not (self._waiting_last and team in on):
+                            continue
+                    elif not (team_last[team].items or (first_q.items and team in on)):
                         continue
-                    if self._pick_task(pool, team, now):
+                    if self._pick_task(pool, team, now, first_q):
                         progress = True
 
     # --------------------------------------------------------------- service
@@ -322,20 +337,17 @@ class Replication:
         p.first_team = team
         p.first_pool = pool.pool_id
         end = pool.seize(team, p, now, p.first_d)
-        self.busy_service[team] = (p, "first")
         self.log.add(now, p.pid, "START_FIRST", f"team={team} pool={pool.pool_id}")
         self.calendar.schedule(end, EV_FIRST_DONE, p)
 
     def _start_last(self, p: Patient, pool: ResourcePool, team: str, now: int) -> None:
         p.last_team = team
         end = pool.seize(team, p, now, p.last_d)
-        self.busy_service[team] = (p, "last")
         self.log.add(now, p.pid, "START_LAST", f"team={team} pool={pool.pool_id}")
         self.calendar.schedule(end, EV_LAST_DONE, p)
 
     def _release(self, team: str) -> None:
-        self.pools[self.team_pool[team]].release(team)
-        del self.busy_service[team]
+        self.team_pool[team].release(team)
 
     # ------------------------------------------------------------------- lab
 

@@ -2,6 +2,8 @@ import copy
 import json
 from pathlib import Path
 
+import pytest
+
 from edsim.cli import main
 from edsim.stochastics import default_profile_path
 
@@ -68,6 +70,30 @@ class TestRun:
                        "--out", str(out)) == 0
         svg = (out / "kpis.svg").read_text()
         assert svg.startswith("<svg") and "</svg>" in svg
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ("run", "--days", "0"),
+        ("run", "--days", "-1"),
+        ("run", "--replications", "0"),
+        ("run", "--jobs", "0"),
+        ("validate", "--jobs", "0"),
+    ])
+    def test_non_positive_count_is_a_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: edsim") and "must be a positive integer" in err
+        assert not out.exists()
+
+    def test_non_integer_count_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--days", "two")
+        assert exc.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
 
 
 class TestProfileHandling:

@@ -122,6 +122,21 @@ class TestShiftCalendar:
         cal = ShiftCalendar([DAY_TEAMS, NIGHT_TEAMS], offset=60)
         assert cal.boundaries() == [540, 1260]
 
+    def test_on_shift_table_matches_covers_every_minute(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            entries = []
+            for i in range(int(rng.integers(0, 5))):
+                start = int(rng.integers(0, 1440))
+                end = start if rng.random() < 0.1 else int(rng.integers(0, 1441))
+                entries.append(ShiftEntry(start, end, (f"E{i}a", f"E{i}b")[:int(rng.integers(1, 3))]))
+            offset = int(rng.integers(0, 3)) * 60
+            cal = ShiftCalendar(entries, offset=offset)
+            for m in range(1440):
+                want = [t for e in entries if e.covers(m, offset) for t in e.teams]
+                assert list(cal.teams_on(m)) == want, (entries, offset, m)
+            assert cal.teams == tuple(t for e in entries for t in e.teams)
+
 
 class TestResourcePool:
     def test_seize_release_cycle(self):

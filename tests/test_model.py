@@ -362,6 +362,37 @@ class TestCapacityAndShifts:
         assert crossing > 0  # drain rule: they exist and completed normally
 
 
+class TestDispatch:
+    def test_polls_only_teams_that_can_start_work(self, default_raw, monkeypatch):
+        from edsim.kernel import ResourcePool
+
+        counts = {"on_shift": 0, "seize": 0}
+        on_shift, seize = ResourcePool.on_shift, ResourcePool.seize
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ResourcePool, "on_shift", counted("on_shift", on_shift))
+        monkeypatch.setattr(ResourcePool, "seize", counted("seize", seize))
+        run_replication(default_raw, Scenario(), 0, 42, 3)
+        assert counts["seize"] > 1000
+        assert counts["on_shift"] <= 1.5 * counts["seize"]
+
+    def test_promotion_is_logged_by_the_poll_that_serves_it(self, bare_rep):
+        rep = bare_rep(scenario=Scenario(tau_g=30), teams={"low_general": [("T1", 0, 0)]})
+        rep._on_triage_done(600, make_patient(0, "GREEN", first_d=100))
+        rep._on_triage_done(601, make_patient(1, "GREEN"))
+        pump(rep)  # T1 frees at 700, when patient 1 has waited 99 > 30 minutes
+        assert events_of(rep.log, 1)[1:4] == [
+            (601, "ENQUEUE_FIRST", "queue=general"),
+            (700, "PROMOTED", ""),
+            (700, "START_FIRST", "team=T1 pool=low_general"),
+        ]
+
+
 class TestQueueingBasics:
     def test_two_slots_three_services_third_starts_at_sixty(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0), ("T2", 0, 0)]})
