@@ -12,7 +12,7 @@ import numpy as np
 from scipy import optimize
 
 from .harness import run_scenario
-from .kpi import KpiReport, collect_patients
+from .kpi import KpiReport, first_waits
 from .scenario import Scenario
 from .stochastics import Profile
 
@@ -81,16 +81,13 @@ class CalibrationResult:
         return {"converged": self.converged, "message": self.message, "evals": self.trace}
 
 
-def _fit_thresholds(logs, raw: dict, target: CalibrationTarget, warmup_min: int) -> dict:
+def _fit_thresholds(rows_per_rep, raw: dict, target: CalibrationTarget,
+                    warmup_min: int) -> dict:
     """Set outlier thresholds to the empirical wait quantiles that reproduce
-    the published outlier rates, clamped to stay above the promotion taus."""
-    waits: dict[str, list[int]] = {"GREEN": [], "WHITE": []}
-    for log in logs:
-        for p in collect_patients(log.records).values():
-            if (p.code in waits and not p.dismissed
-                    and p.get("ARRIVE") is not None and p.get("ARRIVE") >= warmup_min
-                    and p.get("START_FIRST") is not None):
-                waits[p.code].append(p.get("START_FIRST") - p.get("ENQUEUE_FIRST"))
+    the published outlier rates, clamped to stay above the promotion taus.
+    `rows_per_rep` holds each replication's KPI rows."""
+    waits = {code: [w for rows in rows_per_rep for w in first_waits(rows, code, warmup_min)]
+             for code in ("GREEN", "WHITE")}
     rates = {"GREEN": target.outlier_green, "WHITE": target.outlier_white}
     fitted = dict(raw["thresholds"])
     for code, ws in waits.items():
@@ -143,8 +140,7 @@ def calibrate(profile_raw: dict, target: CalibrationTarget | None = None,
             best["err"], best["x"] = err, np.array(x, dtype=float)
         if within_bands(agg, target):
             full, _, logs = run_scenario(Profile(raw2), Scenario(), seed,
-                                         final_replications, final_days,
-                                         jobs=jobs, keep_logs=True)
+                                         final_replications, final_days, jobs=jobs)
             record("full-scale", mult, full)
             if within_bands(full, target):
                 confirmed.update(x=np.array(x, dtype=float), report=full, logs=logs)
@@ -170,14 +166,14 @@ def calibrate(profile_raw: dict, target: CalibrationTarget | None = None,
         mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, final_x)}
         fitted_probe = apply_multipliers(profile_raw, mult)
         agg, _, logs = run_scenario(Profile(fitted_probe), Scenario(), seed,
-                                    final_replications, final_days, jobs=jobs,
-                                    keep_logs=True)
+                                    final_replications, final_days, jobs=jobs)
         record("full-scale", mult, agg)
         converged = within_bands(agg, target)
 
     mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, final_x)}
     fitted = apply_multipliers(profile_raw, mult)
-    fitted["thresholds"] = _fit_thresholds(logs, fitted, target, warmup_min=1440)
+    fitted["thresholds"] = _fit_thresholds([log.rows for log in logs], fitted, target,
+                                           warmup_min=1440)
     message = ("converged: all targets within tolerance" if converged
                else "FAILED: best-so-far outside tolerance bands")
     return CalibrationResult(fitted, converged, message, trace, agg)

@@ -29,20 +29,30 @@ EXIT_IO = 3
 PROFILE_ENV = "EDSIM_PROFILE"
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (days, runs, workers)."""
+def _int_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (days, runs, workers)."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _seed(text: str) -> int:
+    """argparse type for the master seed (numpy seeds must be >= 0)."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", help=f"profile JSON (default: ${PROFILE_ENV} or packaged profile)")
-    p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+    p.add_argument("--seed", type=_seed, default=42,
+                   help="master seed, a non-negative integer (default 42)")
     p.add_argument("--replications", type=_positive_int, default=10,
                    help="independent runs (default 10)")
     p.add_argument("--days", type=_positive_int, default=30,
@@ -127,6 +137,11 @@ def cmd_sweep(args) -> int:
     unknown = [n for n in names if n not in catalog]
     if unknown:
         print(f"error: unknown scenario name(s): {', '.join(unknown)}", file=sys.stderr)
+        return EXIT_CONFIG
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        print(f"error: scenario name(s) given more than once: {', '.join(repeated)}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
     out = Path(args.out)

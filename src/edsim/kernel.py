@@ -6,7 +6,8 @@ from __future__ import annotations
 import csv
 import heapq
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -24,24 +25,31 @@ RANK_WHITE = 4
 
 CODE_RANK = {"RED": RANK_RED, "YELLOW": RANK_YELLOW, "GREEN": RANK_GREEN, "WHITE": RANK_WHITE}
 
-# Event-log vocabulary (CSV schema: rep_id,time_min,patient_id,event,detail).
-LOG_EVENTS = (
-    "ARRIVE",
-    "TRIAGE_DONE",
-    "DISMISSED_AT_TRIAGE",
-    "ENQUEUE_FIRST",
-    "PROMOTED",
-    "START_FIRST",
-    "END_FIRST",
-    "LAB_DRAW",
-    "LAB_DISPATCH",
-    "LAB_RESULT",
-    "START_EXAM",
-    "END_EXAM",
-    "ENQUEUE_LAST",
-    "START_LAST",
-    "DISCHARGE",
-)
+# Event-log vocabulary (CSV schema: rep_id,time_min,patient_id,event,detail):
+# each event's detail template, filled in order from the raw fields the model
+# passes to EventLog.add. "{+}" takes a list of names and renders it
+# "+"-joined, "-" when empty.
+LOG_TEMPLATES = {
+    "ARRIVE": "mode={} code={}",
+    "TRIAGE_DONE": "code={} type={} lab={:d} labtriage={:d} exams={+}",
+    "DISMISSED_AT_TRIAGE": "",
+    "ENQUEUE_FIRST": "queue={}",
+    "PROMOTED": "",
+    "START_FIRST": "team={} pool={}",
+    "END_FIRST": "team={}",
+    "LAB_DRAW": "",
+    "LAB_DISPATCH": "",
+    "LAB_RESULT": "",
+    "START_EXAM": "kind={} pool={}",
+    "END_EXAM": "kind={} pool={}",
+    "ENQUEUE_LAST": "",
+    "START_LAST": "team={} pool={}",
+    "DISCHARGE": "",
+}
+# event -> (str.format of its template, field count, has a "{+}" field)
+_LOG_RENDER = {event: (template.replace("{+}", "{}").format, template.count("{"),
+                       "{+}" in template)
+               for event, template in LOG_TEMPLATES.items()}
 
 LOG_HEADER = ("rep_id", "time_min", "patient_id", "event", "detail")
 
@@ -216,18 +224,21 @@ class ResourcePool:
         del self.busy[slot]
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality: list.remove finds the item itself
 class QueueItem:
     entity: object
     rank: int            # static priority rank at enqueue
     enqueue_time: int
     seq: int
     promoted_at: int | None = None  # threshold-crossing minute, sticky
+    key: tuple[int, int, int, int] = field(init=False)  # dequeue order, lowest first
 
-    def sort_key(self) -> tuple[int, int, int, int]:
-        if self.promoted_at is not None:
-            return (RANK_PROMOTED, self.promoted_at, self.enqueue_time, self.seq)
-        return (self.rank, self.enqueue_time, self.seq, 0)
+    def __post_init__(self) -> None:
+        self.key = (self.rank, self.enqueue_time, self.seq, 0)
+
+    def promote(self, at: int) -> None:
+        self.promoted_at = at
+        self.key = (RANK_PROMOTED, at, self.enqueue_time, self.seq)
 
 
 class PromotionQueue:
@@ -265,7 +276,7 @@ class PromotionQueue:
                 continue
             tau = tau_g if it.rank == RANK_GREEN else tau_w if it.rank == RANK_WHITE else None
             if tau is not None and now - it.enqueue_time > tau:
-                it.promoted_at = it.enqueue_time + tau
+                it.promote(it.enqueue_time + tau)
                 newly.append(it)
         return newly
 
@@ -281,7 +292,7 @@ class PromotionQueue:
             if (eligible_ranks is not None and it.rank not in eligible_ranks
                     and not (include_promoted and it.promoted_at is not None)):
                 continue
-            key = it.sort_key()
+            key = it.key
             if best_key is None or key < best_key:
                 best, best_key = it, key
         return best
@@ -308,17 +319,40 @@ class LogRecord(NamedTuple):
     detail: str = ""
 
 
+_new_record = partial(tuple.__new__, LogRecord)  # LogRecord from one tuple, no checks
+
+
 class EventLog:
-    """Ordered record of every state transition; sole input to KPI work."""
+    """Sink for every state transition of one replication.
 
-    def __init__(self, rep_id: int) -> None:
+    A kept log (`keep=True`) appends one record per `add`, its detail
+    rendered from LOG_TEMPLATES; a log that is not kept returns from `add`
+    at once and holds no records. `rows` holds the replication's KPI rows
+    (kpi.ROW_FIELDS, one per patient) either way."""
+
+    def __init__(self, rep_id: int, keep: bool = True) -> None:
         self.rep_id = rep_id
+        self.keep = keep
         self.records: list[LogRecord] = []
+        self.rows: list[tuple[int, ...]] = []
 
-    def add(self, time_min: int, patient_id: int, event: str, detail: str = "") -> None:
-        self.records.append(LogRecord(self.rep_id, time_min, patient_id, event, detail))
+    def add(self, time_min: int, patient_id: int, event: str, *fields) -> None:
+        if not self.keep:
+            return
+        try:
+            render, arity, joins = _LOG_RENDER[event]
+        except KeyError:
+            raise ValueError(f"unknown log event {event!r}") from None
+        if len(fields) != arity:
+            raise ValueError(f"log event {event} takes {arity} fields, got {len(fields)}")
+        if joins:
+            fields = [("+".join(f) or "-") if isinstance(f, list) else f for f in fields]
+        self.records.append(_new_record((self.rep_id, time_min, patient_id, event,
+                                         render(*fields))))
 
     def write_csv(self, path) -> None:
+        if not self.keep:
+            raise ValueError(f"event log of replication {self.rep_id} was not kept")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(LOG_HEADER)

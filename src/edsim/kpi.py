@@ -1,6 +1,6 @@
-"""Turn event logs into per-run indicators, aggregate over replications and
-compare a candidate configuration against the baseline with significance
-flags."""
+"""Turn per-patient KPI rows into per-run indicators, aggregate over
+replications and compare a candidate configuration against the baseline with
+significance flags. `rows_from_log` rebuilds the same rows from an event log."""
 
 from __future__ import annotations
 
@@ -9,11 +9,21 @@ from dataclasses import dataclass, field
 
 from scipy import stats
 
-from .kernel import MINUTES_PER_DAY, LogRecord
+from .kernel import CODE_RANK, MINUTES_PER_DAY, LogRecord
 
 KPI_NAMES = ("in_per_day", "wt_first", "wt_last", "los", "outlier_GREEN", "outlier_WHITE")
 ALPHA = 0.05
 DEFAULT_WARMUP_MIN = MINUTES_PER_DAY  # first simulated day is cold-start bias
+
+# One KPI row per patient, all integers: the static urgency rank, then the
+# minute of each event the KPIs read (the first one of each), NO_TIME if the
+# replication stopped before it. `dismissed` is 1 for a patient sent away at
+# triage.
+ROW_FIELDS = ("rank", "arrive", "triage", "dismissed", "enqueue_first", "start_first",
+              "enqueue_last", "start_last", "discharge")
+NO_TIME = -1
+(_RANK, _ARRIVE, _TRIAGE, _DISMISSED, _ENQ_FIRST, _START_FIRST,
+ _ENQ_LAST, _START_LAST, _DISCHARGE) = range(len(ROW_FIELDS))
 
 
 class UsageError(ValueError):
@@ -36,6 +46,14 @@ class PatientTrace:
     def get(self, event: str):
         return self.times.get(event)
 
+    def row(self) -> tuple[int, ...]:
+        """This patient's KPI row (ROW_FIELDS order)."""
+        t = self.times.get
+        return (CODE_RANK.get(self.code, NO_TIME), t("ARRIVE", NO_TIME),
+                t("TRIAGE_DONE", NO_TIME), int(self.dismissed), t("ENQUEUE_FIRST", NO_TIME),
+                t("START_FIRST", NO_TIME), t("ENQUEUE_LAST", NO_TIME),
+                t("START_LAST", NO_TIME), t("DISCHARGE", NO_TIME))
+
 
 def parse_detail(detail: str) -> dict[str, str]:
     out = {}
@@ -47,6 +65,7 @@ def parse_detail(detail: str) -> dict[str, str]:
 
 
 def collect_patients(records: list[LogRecord]) -> dict[int, PatientTrace]:
+    """Per-patient view of an event log, in order of first appearance."""
     patients: dict[int, PatientTrace] = {}
     for r in records:
         p = patients.get(r.patient_id)
@@ -54,7 +73,9 @@ def collect_patients(records: list[LogRecord]) -> dict[int, PatientTrace]:
             p = patients[r.patient_id] = PatientTrace(r.patient_id)
         if r.event not in p.times:  # keep the first occurrence of repeatable events
             p.times[r.event] = r.time_min
-        if r.event == "TRIAGE_DONE":
+        if r.event == "ARRIVE":
+            p.code = parse_detail(r.detail).get("code")
+        elif r.event == "TRIAGE_DONE":
             p.triage_detail = parse_detail(r.detail)
             p.code = p.triage_detail.get("code")
         elif r.event == "DISMISSED_AT_TRIAGE":
@@ -66,6 +87,12 @@ def collect_patients(records: list[LogRecord]) -> dict[int, PatientTrace]:
         elif r.event == "START_LAST":
             p.last_team = parse_detail(r.detail).get("team")
     return patients
+
+
+def rows_from_log(records: list[LogRecord]) -> list[tuple[int, ...]]:
+    """KPI rows rebuilt from an event log, one per patient in pid order: the
+    log-side oracle for the rows a replication stamps while it runs."""
+    return [p.row() for p in collect_patients(records).values()]
 
 
 @dataclass
@@ -109,37 +136,48 @@ def _mean(xs: list[float]) -> float:
     return sum(xs) / len(xs) if xs else float("nan")
 
 
-def compute_kpis(records: list[LogRecord], days: int, thresholds: dict[str, float],
+def _admitted(rows: list[tuple[int, ...]],
+              warmup_min: int) -> tuple[list[tuple[int, ...]], int]:
+    """Rows of the patients the KPIs count (arrived after the warm-up,
+    triaged, not dismissed), and how many were dismissed."""
+    admitted = []
+    dismissed = 0
+    for row in rows:
+        if row[_ARRIVE] < warmup_min or row[_TRIAGE] == NO_TIME:
+            continue
+        if row[_DISMISSED]:
+            dismissed += 1
+        else:
+            admitted.append(row)
+    return admitted, dismissed
+
+
+def _first_waits(admitted, rank: int | None) -> list[int]:
+    return [r[_START_FIRST] - r[_ENQ_FIRST] for r in admitted
+            if r[_RANK] == rank and r[_START_FIRST] != NO_TIME]
+
+
+def first_waits(rows: list[tuple[int, ...]], code: str,
+                warmup_min: int = DEFAULT_WARMUP_MIN) -> list[int]:
+    """Completed first-visit waits of the admitted patients with one code."""
+    return _first_waits(_admitted(rows, warmup_min)[0], CODE_RANK[code])
+
+
+def compute_kpis(rows: list[tuple[int, ...]], days: int, thresholds: dict[str, float],
                  warmup_min: int = DEFAULT_WARMUP_MIN) -> KpiReport:
-    """KPIs of one complete replication.
+    """KPIs of one complete replication from its KPI rows (ROW_FIELDS).
 
     Patients arriving during the warm-up window are excluded from all
     accounting; admitted patients lacking DISCHARGE within the horizon are
     censored out of LoS but keep their completed waits."""
-    patients = collect_patients(records)
-    admitted: list[PatientTrace] = []
-    dismissed = 0
-    for p in patients.values():
-        arrive = p.get("ARRIVE")
-        if arrive is None or arrive < warmup_min or p.get("TRIAGE_DONE") is None:
-            continue
-        if p.dismissed:
-            dismissed += 1
-            continue
-        admitted.append(p)
-
-    wt_first = [p.get("START_FIRST") - p.get("ENQUEUE_FIRST")
-                for p in admitted if p.get("START_FIRST") is not None]
-    wt_last = [p.get("START_LAST") - p.get("ENQUEUE_LAST")
-               for p in admitted if p.get("START_LAST") is not None]
-    los = [p.get("DISCHARGE") - p.get("ARRIVE")
-           for p in admitted if p.get("DISCHARGE") is not None]
-    censored = sum(1 for p in admitted if p.get("DISCHARGE") is None)
+    admitted, dismissed = _admitted(rows, warmup_min)
+    wt_first = [r[_START_FIRST] - r[_ENQ_FIRST] for r in admitted if r[_START_FIRST] != NO_TIME]
+    wt_last = [r[_START_LAST] - r[_ENQ_LAST] for r in admitted if r[_START_LAST] != NO_TIME]
+    los = [r[_DISCHARGE] - r[_ARRIVE] for r in admitted if r[_DISCHARGE] != NO_TIME]
 
     outlier_pct: dict[str, float] = {}
     for code, threshold in sorted(thresholds.items()):
-        waits = [p.get("START_FIRST") - p.get("ENQUEUE_FIRST")
-                 for p in admitted if p.code == code and p.get("START_FIRST") is not None]
+        waits = _first_waits(admitted, CODE_RANK.get(code))
         outlier_pct[code] = (100.0 * sum(1 for w in waits if w > threshold) / len(waits)
                              if waits else float("nan"))
 
@@ -151,7 +189,7 @@ def compute_kpis(records: list[LogRecord], days: int, thresholds: dict[str, floa
         outlier_pct=outlier_pct,
         n_admitted=len(admitted),
         n_dismissed=dismissed,
-        n_censored=censored,
+        n_censored=len(admitted) - len(los),
     )
     report.vectors = {name: [report.value(name)] for name in KPI_NAMES}
     return report

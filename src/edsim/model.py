@@ -19,6 +19,7 @@ from .kernel import (
     SimClock,
     round_half_up,
 )
+from .kpi import NO_TIME
 from .scenario import Scenario
 from .stochastics import (
     ArrivalSampler,
@@ -53,13 +54,17 @@ class Patient:
     """One entity flowing triage -> visits -> exams -> discharge.
 
     All stochastic attributes are drawn up front in a fixed order, so common
-    random numbers stay synchronized across scenarios."""
+    random numbers stay synchronized across scenarios. The minutes the KPIs
+    need are stamped as the events happen (NO_TIME until then); `kpi_row`
+    packs them in kpi.ROW_FIELDS order."""
 
     __slots__ = (
         "pid", "code", "rank", "mode", "visit_type", "needs_lab", "lab_at_triage",
         "exam_kinds", "triage_d", "first_d", "last_d", "exam_ds", "lab_z",
         "u_dismiss", "u_lab_triage", "t_arrive", "t_end_first", "lab_done",
         "exam_idx", "first_team", "first_pool", "last_team",
+        "t_triage", "dismissed", "t_enq_first", "t_start_first", "t_enq_last",
+        "t_start_last", "t_discharge",
     )
 
     def __init__(self, pid: int, code: str):
@@ -73,6 +78,14 @@ class Patient:
         self.first_team = None
         self.first_pool = None
         self.last_team = None
+        self.t_triage = self.t_enq_first = self.t_start_first = NO_TIME
+        self.t_enq_last = self.t_start_last = self.t_discharge = NO_TIME
+        self.dismissed = False
+
+    def kpi_row(self) -> tuple[int, ...]:
+        return (self.rank, self.t_arrive, self.t_triage, int(self.dismissed),
+                self.t_enq_first, self.t_start_first, self.t_enq_last,
+                self.t_start_last, self.t_discharge)
 
 
 class CountedPool:
@@ -100,7 +113,7 @@ class Replication:
 
     def __init__(self, profile: Profile, scenario: Scenario, rep_id: int,
                  master_seed: int, days: int, warmup_days: int = DEFAULT_WARMUP_DAYS,
-                 drain: bool = False):
+                 drain: bool = False, keep_log: bool = True):
         self.profile = profile
         self.scenario = scenario
         self.rep_id = rep_id
@@ -111,7 +124,8 @@ class Replication:
 
         self.clock = SimClock()
         self.calendar = EventCalendar(self.clock)
-        self.log = EventLog(rep_id)
+        self.log = EventLog(rep_id, keep=keep_log)
+        self.patients: list[Patient] = []
         self.arr_rng = RngStream(master_seed, "arrivals", rep_id).gen
         self.attr_rng = RngStream(master_seed, "attributes", rep_id).gen
         self.sampler = ArrivalSampler(profile)
@@ -165,7 +179,6 @@ class Replication:
         self.in_flight = 0
         self.arrivals_open = True
         self._arrival_real = 0.0
-        self._patients = 0
         self._waiting_first = 0
         self._waiting_last = 0
 
@@ -194,8 +207,8 @@ class Replication:
 
     def _make_patient(self, code: str, now: int) -> Patient:
         ag = self.attr_rng
-        p = Patient(self._patients, code)
-        self._patients += 1
+        p = Patient(len(self.patients), code)
+        self.patients.append(p)
         p.t_arrive = now
         u_mode = ag.random()
         nw_yellow = self.profile.mixes.get("nonwalking_yellow", 0.5)
@@ -259,7 +272,7 @@ class Replication:
             if not len(q):
                 continue
             item = q.peek_next()
-            key = item.sort_key()
+            key = item.key
             if best_key is None or key < best_key:
                 best_q, best_item, best_key = q, item, key
         return best_q, best_item
@@ -294,7 +307,7 @@ class Replication:
         if last_item is not None and (
             first_item is None
             or self.scenario.p == 1
-            or last_item.sort_key() < first_item.sort_key()
+            or last_item.key < first_item.key
         ):
             last_q.remove(last_item)
             self._waiting_last -= 1
@@ -337,13 +350,15 @@ class Replication:
         p.first_team = team
         p.first_pool = pool.pool_id
         end = pool.seize(team, p, now, p.first_d)
-        self.log.add(now, p.pid, "START_FIRST", f"team={team} pool={pool.pool_id}")
+        p.t_start_first = now
+        self.log.add(now, p.pid, "START_FIRST", team, pool.pool_id)
         self.calendar.schedule(end, EV_FIRST_DONE, p)
 
     def _start_last(self, p: Patient, pool: ResourcePool, team: str, now: int) -> None:
         p.last_team = team
         end = pool.seize(team, p, now, p.last_d)
-        self.log.add(now, p.pid, "START_LAST", f"team={team} pool={pool.pool_id}")
+        p.t_start_last = now
+        self.log.add(now, p.pid, "START_LAST", team, pool.pool_id)
         self.calendar.schedule(end, EV_LAST_DONE, p)
 
     def _release(self, team: str) -> None:
@@ -374,7 +389,7 @@ class Replication:
     def _start_exam(self, p: Patient, pool: CountedPool, now: int) -> None:
         pool.count += 1
         kind = p.exam_kinds[p.exam_idx]
-        self.log.add(now, p.pid, "START_EXAM", f"kind={kind} pool={pool.pool_id}")
+        self.log.add(now, p.pid, "START_EXAM", kind, pool.pool_id)
         self.calendar.schedule(now + p.exam_ds[p.exam_idx], EV_EXAM_DONE, p)
 
     def _proceed_after_first_and_lab(self, p: Patient, now: int) -> None:
@@ -392,6 +407,7 @@ class Replication:
         return p.rank
 
     def _enqueue_last(self, p: Patient, now: int) -> None:
+        p.t_enq_last = now
         self.log.add(now, p.pid, "ENQUEUE_LAST")
         self.team_last[p.first_team].enqueue(p, self._last_rank(p), now)
         self._waiting_last += 1
@@ -402,36 +418,35 @@ class Replication:
     def _on_arrival(self, now: int, code: str) -> None:
         p = self._make_patient(code, now)
         self.in_flight += 1
-        self.log.add(now, p.pid, "ARRIVE", f"mode={p.mode} code={p.code}")
+        self.log.add(now, p.pid, "ARRIVE", p.mode, p.code)
         self.calendar.schedule(now + p.triage_d, EV_TRIAGE_DONE, p)
         if self.arrivals_open:
             self._schedule_next_arrival()
 
     def _on_triage_done(self, now: int, p: Patient) -> None:
-        exams = "+".join(p.exam_kinds) if p.exam_kinds else "-"
         dismissed = (p.code == "WHITE" and bool(self.scenario.e)
                      and p.u_dismiss < self.scenario.e / 100.0)
         if not dismissed and p.needs_lab and self.scenario.l:
             p.lab_at_triage = p.u_lab_triage < self.scenario.l / 100.0
-        self.log.add(
-            now, p.pid, "TRIAGE_DONE",
-            f"code={p.code} type={p.visit_type} lab={int(p.needs_lab)} "
-            f"labtriage={int(p.lab_at_triage)} exams={exams}",
-        )
+        p.t_triage = now
+        self.log.add(now, p.pid, "TRIAGE_DONE", p.code, p.visit_type, p.needs_lab,
+                     p.lab_at_triage, p.exam_kinds)
         if dismissed:
+            p.dismissed = True
             self.log.add(now, p.pid, "DISMISSED_AT_TRIAGE")
             self.in_flight -= 1
             return
         if p.lab_at_triage:
             self._start_lab(p, now)
         queue_key = self._first_queue_key(p)
-        self.log.add(now, p.pid, "ENQUEUE_FIRST", f"queue={queue_key}")
+        p.t_enq_first = now
+        self.log.add(now, p.pid, "ENQUEUE_FIRST", queue_key)
         self.first_queues[queue_key].enqueue(p, p.rank, now)
         self._waiting_first += 1
         self._dispatch(now)
 
     def _on_first_done(self, now: int, p: Patient) -> None:
-        self.log.add(now, p.pid, "END_FIRST", f"team={p.first_team}")
+        self.log.add(now, p.pid, "END_FIRST", p.first_team)
         self._release(p.first_team)
         p.t_end_first = now
         if p.needs_lab and not p.lab_at_triage:
@@ -449,7 +464,7 @@ class Replication:
     def _on_exam_done(self, now: int, p: Patient) -> None:
         kind = p.exam_kinds[p.exam_idx]
         pool = self._exam_pool(kind)
-        self.log.add(now, p.pid, "END_EXAM", f"kind={kind} pool={pool.pool_id}")
+        self.log.add(now, p.pid, "END_EXAM", kind, pool.pool_id)
         pool.count -= 1
         if pool.fifo:
             self._start_exam(pool.fifo.popleft(), pool, now)
@@ -460,6 +475,7 @@ class Replication:
             self._enqueue_last(p, now)
 
     def _on_last_done(self, now: int, p: Patient) -> None:
+        p.t_discharge = now
         self.log.add(now, p.pid, "DISCHARGE")
         self._release(p.last_team)
         self.in_flight -= 1
@@ -485,6 +501,8 @@ class Replication:
         }
 
     def run(self) -> EventLog:
+        """Run to the horizon (or empty, with `drain`); the returned log
+        holds the KPI rows and, if kept, the event records."""
         self._schedule_kicks()
         self._schedule_next_arrival()
         handlers = self._handlers()
@@ -494,14 +512,17 @@ class Replication:
                 break
             now, _seq, kind, entity = self.calendar.pop()
             handlers[kind](now, entity)
+        self.log.rows = [p.kpi_row() for p in self.patients]
         return self.log
 
 
 def run_replication(profile_raw: dict, scenario: Scenario, rep_id: int, master_seed: int,
                     days: int, warmup_days: int = DEFAULT_WARMUP_DAYS,
-                    drain: bool = False) -> EventLog:
-    """Worker-safe entry point: rebuilds the profile from its raw dict."""
+                    drain: bool = False, keep_log: bool = True) -> EventLog:
+    """Worker-safe entry point: rebuilds the profile from its raw dict.
+    The returned log always holds the KPI rows; its event records only
+    with `keep_log`."""
     profile = Profile(profile_raw)
     rep = Replication(profile, scenario, rep_id, master_seed, days,
-                      warmup_days=warmup_days, drain=drain)
+                      warmup_days=warmup_days, drain=drain, keep_log=keep_log)
     return rep.run()

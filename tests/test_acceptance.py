@@ -52,6 +52,7 @@ def sweep_results(default_profile):
     return out
 
 
+@pytest.mark.slow
 class TestAC1Calibration:
     def test_calibration_targets(self, ac1_result):
         fit, agg, _elapsed = ac1_result
@@ -75,6 +76,7 @@ class TestAC1Calibration:
         verdict("AC1 runtime", elapsed < 300.0, f"10x30-day validation took {elapsed:.0f}s < 300s")
 
 
+@pytest.mark.slow
 class TestAC2DirectionalScenarios:
     def test_f1_largest_single_letter_los_reduction(self, sweep_results):
         base = sweep_results["baseline"]

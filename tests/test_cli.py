@@ -95,6 +95,24 @@ class TestCountFlags:
         assert exc.value.code == 2
         assert "invalid int value: 'two'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--seed", "-1"),
+        ("validate", "--seed", "-3"),
+        ("sweep", "--seed", "-1"),
+    ])
+    def test_negative_seed_is_a_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: edsim") and "must be a non-negative integer" in err
+        assert not out.exists()
+
+    def test_seed_zero_is_accepted(self, tmp_path):
+        assert run_cli("run", "--seed", "0", "--days", "1", "--replications", "1",
+                       "--out", str(tmp_path / "o")) == 0
+
 
 class TestProfileHandling:
     def test_missing_profile_exits_2(self, tmp_path):
@@ -137,6 +155,12 @@ class TestSweep:
     def test_unknown_name_rejected_before_running(self, tmp_path):
         out = tmp_path / "sweep"
         assert run_cli("sweep", "--scenarios", "E.4", "NOPE", "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_repeated_name_rejected_before_running(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--scenarios", "C.4", "F.1", "C.4", "--out", str(out)) == 2
+        assert "given more than once: C.4" in capsys.readouterr().err
         assert not out.exists()
 
     def test_full_catalog_sweep_row_count(self, tmp_path):

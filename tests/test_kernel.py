@@ -3,8 +3,10 @@ import pytest
 
 from edsim.kernel import (
     CODE_RANK,
+    RANK_PROMOTED,
     EventCalendar,
     PromotionQueue,
+    QueueItem,
     ResourcePool,
     RngStream,
     ShiftCalendar,
@@ -217,6 +219,23 @@ class TestPromotionQueue:
     def test_fifo_within_class(self):
         q, _ = q_with([("GREEN", 5), ("GREEN", 3)])
         assert q.dequeue_next(10).enqueue_time == 3
+
+    def test_items_compare_by_identity(self):
+        q = PromotionQueue()
+        a = q.enqueue("GREEN", CODE_RANK["GREEN"], 0)
+        twin = QueueItem("GREEN", CODE_RANK["GREEN"], 0, a.seq)
+        assert a != twin
+        q.items.append(twin)
+        q.remove(twin)
+        assert q.items == [a] and q.items[0] is a
+
+    def test_sort_key_is_stored_at_enqueue_and_at_promotion(self):
+        q, items = q_with([("GREEN", 10), ("YELLOW", 20)])
+        assert items[0].key == (CODE_RANK["GREEN"], 10, 0, 0)
+        assert items[1].key == (CODE_RANK["YELLOW"], 20, 1, 0)
+        q.mark_promotions(100, 60, None)
+        assert items[0].key == (RANK_PROMOTED, 70, 10, 0)
+        assert items[1].key == (CODE_RANK["YELLOW"], 20, 1, 0)
 
     def test_eligibility_filter_and_promoted_override(self):
         q, _ = q_with([("GREEN", 0), ("YELLOW", 10)])

@@ -185,10 +185,10 @@ class TestExtraTeamScenario:
     def test_wt_last_drops_with_extra_team(self, default_profile, default_raw):
         from edsim.kpi import compute_kpis
 
-        base = run_replication(default_raw, Scenario(), 0, 5, 8)
-        extra = run_replication(default_raw, Scenario(a=1), 0, 5, 8)
-        k_base = compute_kpis(base.records, 8, default_profile.thresholds)
-        k_extra = compute_kpis(extra.records, 8, default_profile.thresholds)
+        base = run_replication(default_raw, Scenario(), 0, 5, 8, keep_log=False)
+        extra = run_replication(default_raw, Scenario(a=1), 0, 5, 8, keep_log=False)
+        k_base = compute_kpis(base.rows, 8, default_profile.thresholds)
+        k_extra = compute_kpis(extra.rows, 8, default_profile.thresholds)
         assert k_extra.wt_last < 0.7 * k_base.wt_last
 
 
