@@ -132,14 +132,14 @@ def calibrate(profile_raw: dict, target: CalibrationTarget | None = None,
         if confirmed["x"] is not None:
             return best["err"]
         mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, x)}
-        raw2 = apply_multipliers(profile_raw, mult)
-        agg, _, _ = run_scenario(Profile(raw2), Scenario(), seed, replications, days, jobs=jobs)
+        probe = Profile(apply_multipliers(profile_raw, mult))
+        agg, _, _ = run_scenario(probe, Scenario(), seed, replications, days, jobs=jobs)
         err = weighted_error(agg, target)
         record(len(trace) + 1, mult, agg)
         if err < best["err"]:
             best["err"], best["x"] = err, np.array(x, dtype=float)
         if within_bands(agg, target):
-            full, _, logs = run_scenario(Profile(raw2), Scenario(), seed,
+            full, _, logs = run_scenario(probe, Scenario(), seed,
                                          final_replications, final_days, jobs=jobs)
             record("full-scale", mult, full)
             if within_bands(full, target):

@@ -34,12 +34,12 @@ def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
 def _run_all(profile: Profile, scen: Scenario, seed: int, replications: int,
              days: int, jobs: int, warmup_days: int, keep_logs: bool) -> list[EventLog]:
     if jobs <= 1 or replications == 1:
-        return [run_replication(profile.raw, scen, rep, seed, days, warmup_days,
+        return [run_replication(profile, scen, rep, seed, days, warmup_days,
                                 keep_log=keep_logs)
                 for rep in range(replications)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
-            pool.submit(run_replication, profile.raw, scen, rep, seed, days, warmup_days,
+            pool.submit(run_replication, profile, scen, rep, seed, days, warmup_days,
                         keep_log=keep_logs)
             for rep in range(replications)
         ]

@@ -3,11 +3,14 @@ streams, shift-calendared resource pools and priority queues with promotion."""
 
 from __future__ import annotations
 
+import bisect
 import csv
 import heapq
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +27,7 @@ RANK_GREEN = 3
 RANK_WHITE = 4
 
 CODE_RANK = {"RED": RANK_RED, "YELLOW": RANK_YELLOW, "GREEN": RANK_GREEN, "WHITE": RANK_WHITE}
+STATIC_RANKS = (RANK_RED, RANK_YELLOW, RANK_GREEN, RANK_WHITE)
 
 # Event-log vocabulary (CSV schema: rep_id,time_min,patient_id,event,detail):
 # each event's detail template, filled in order from the raw fields the model
@@ -241,6 +245,15 @@ class QueueItem:
         self.key = (RANK_PROMOTED, at, self.enqueue_time, self.seq)
 
 
+def _insert_sorted(bucket: deque[QueueItem], item: QueueItem) -> None:
+    """Keep `bucket` sorted by key: append in the usual case, where the item
+    sorts after the tail, else insert in place."""
+    if not bucket or bucket[-1].key < item.key:
+        bucket.append(item)
+    else:
+        bucket.insert(bisect.bisect(bucket, item.key, key=attrgetter("key")), item)
+
+
 class PromotionQueue:
     """Waiting queue with static priority classes and dynamic promotion.
 
@@ -248,11 +261,18 @@ class PromotionQueue:
     (white) item whose wait strictly exceeds tau_g (tau_w) is promoted; the
     promotion instant is the crossing time enqueue+tau, the status is sticky,
     and promoted items are served FIFO by that instant, behind RED only.
+
+    Each static class keeps two buckets, waiting and promoted, each sorted by
+    `key`. The overdue items of a class are then a prefix of its waiting
+    bucket, and the best item is one of the bucket heads. `items` lists
+    every waiting item in enqueue order.
     """
 
     def __init__(self) -> None:
         self.items: list[QueueItem] = []
         self._seq = 0
+        self._waiting: dict[int, deque[QueueItem]] = {rank: deque() for rank in STATIC_RANKS}
+        self._promoted: dict[int, deque[QueueItem]] = {RANK_GREEN: deque(), RANK_WHITE: deque()}
 
     def __len__(self) -> int:
         return len(self.items)
@@ -261,23 +281,34 @@ class PromotionQueue:
         item = QueueItem(entity, rank, now, self._seq)
         self._seq += 1
         self.items.append(item)
+        _insert_sorted(self._waiting[rank], item)
         return item
 
     def has_rank_at_most(self, rank: int) -> bool:
         """True if any waiting item's static class outranks or equals `rank`
         (promotion status is ignored: this is the yellow/red screen)."""
-        return any(it.rank <= rank for it in self.items)
+        for r in STATIC_RANKS:  # ascending
+            if r > rank:
+                return False
+            if self._waiting[r] or self._promoted.get(r):
+                return True
+        return False
 
     def mark_promotions(self, now: int, tau_g: int | None, tau_w: int | None) -> list[QueueItem]:
-        """Promote overdue green/white items; returns newly promoted items."""
+        """Promote overdue green/white items; returns newly promoted items
+        in enqueue order."""
         newly: list[QueueItem] = []
-        for it in self.items:
-            if it.promoted_at is not None:
+        for rank, tau in ((RANK_GREEN, tau_g), (RANK_WHITE, tau_w)):
+            if tau is None:
                 continue
-            tau = tau_g if it.rank == RANK_GREEN else tau_w if it.rank == RANK_WHITE else None
-            if tau is not None and now - it.enqueue_time > tau:
+            waiting, promoted = self._waiting[rank], self._promoted[rank]
+            while waiting and now - waiting[0].enqueue_time > tau:
+                it = waiting.popleft()
                 it.promote(it.enqueue_time + tau)
+                _insert_sorted(promoted, it)
                 newly.append(it)
+        if len(newly) > 1:
+            newly.sort(key=attrgetter("seq"))
         return newly
 
     def peek_next(self, eligible_ranks: set[int] | None = None,
@@ -287,18 +318,25 @@ class PromotionQueue:
         makes it eligible regardless of its static class. Promotions must
         already be marked for the current time."""
         best: QueueItem | None = None
-        best_key = None
-        for it in self.items:
-            if (eligible_ranks is not None and it.rank not in eligible_ranks
-                    and not (include_promoted and it.promoted_at is not None)):
+        for rank in STATIC_RANKS:
+            if eligible_ranks is None or rank in eligible_ranks:
+                bucket = self._waiting[rank]
+                if bucket and (best is None or bucket[0].key < best.key):
+                    best = bucket[0]
+            elif not include_promoted:
                 continue
-            key = it.key
-            if best_key is None or key < best_key:
-                best, best_key = it, key
+            bucket = self._promoted.get(rank)
+            if bucket and (best is None or bucket[0].key < best.key):
+                best = bucket[0]
         return best
 
     def remove(self, item: QueueItem) -> None:
         self.items.remove(item)
+        bucket = (self._waiting if item.promoted_at is None else self._promoted)[item.rank]
+        if bucket[0] is item:
+            bucket.popleft()
+        else:
+            bucket.remove(item)
 
     def dequeue_next(self, now: int, tau_g: int | None = None, tau_w: int | None = None,
                      eligible_ranks: set[int] | None = None,

@@ -210,27 +210,28 @@ class Replication:
         p = Patient(len(self.patients), code)
         self.patients.append(p)
         p.t_arrive = now
+        # Four batched draws, in the stream order of one scalar draw per
+        # attribute, so every attribute keeps its value bit for bit.
         u_mode = ag.random()
         nw_yellow = self.profile.mixes.get("nonwalking_yellow", 0.5)
         p.mode = "nonwalking" if code == "RED" or (code == "YELLOW" and u_mode < nw_yellow) else "walking"
         svc = self.profile.service
         p.triage_d = max(1, round_half_up(svc["triage"].from_normal(ag.standard_normal())))
-        p.visit_type = draw_visit_type(ag.random(), self.profile)
-        p.needs_lab = ag.random() < self.profile.mixes["needs_lab"]
-        p.u_lab_triage = ag.random()
-        p.exam_kinds = draw_exam_list(ag.random(), ag.random(), self.profile)
-        p.u_dismiss = ag.random()
+        u_visit, u_lab, p.u_lab_triage, u_xray, u_count, p.u_dismiss = ag.random(6).tolist()
+        p.visit_type = draw_visit_type(u_visit, self.profile)
+        p.needs_lab = u_lab < self.profile.mixes["needs_lab"]
+        p.exam_kinds = draw_exam_list(u_xray, u_count, self.profile)
+        z_first, z_last, *z_lab_exams = ag.standard_normal(5 + len(p.exam_kinds)).tolist()
         first_spec = {"GENERAL": "first_general", "ORTHOPAEDIC": "first_ortho",
                       "DERMATOLOGICAL": "first_derma"}[p.visit_type]
         if code == "RED":
             first_spec = "first_general"  # reds are treated in the high urgency room
-        p.first_d = max(1, round_half_up(svc[first_spec].from_normal(ag.standard_normal())))
-        p.last_d = max(1, round_half_up(svc["last_visit"].from_normal(ag.standard_normal())))
-        p.lab_z = (ag.standard_normal(), ag.standard_normal(), ag.standard_normal())
+        p.first_d = max(1, round_half_up(svc[first_spec].from_normal(z_first)))
+        p.last_d = max(1, round_half_up(svc["last_visit"].from_normal(z_last)))
+        p.lab_z = tuple(z_lab_exams[:3])
         p.exam_ds = [
-            max(1, round_half_up(svc["exam_xray" if kind == "xray" else "exam_misc"]
-                                 .from_normal(ag.standard_normal())))
-            for kind in p.exam_kinds
+            max(1, round_half_up(svc["exam_xray" if kind == "xray" else "exam_misc"].from_normal(z)))
+            for kind, z in zip(p.exam_kinds, z_lab_exams[3:])
         ]
         return p
 
@@ -516,13 +517,12 @@ class Replication:
         return self.log
 
 
-def run_replication(profile_raw: dict, scenario: Scenario, rep_id: int, master_seed: int,
+def run_replication(profile: Profile, scenario: Scenario, rep_id: int, master_seed: int,
                     days: int, warmup_days: int = DEFAULT_WARMUP_DAYS,
                     drain: bool = False, keep_log: bool = True) -> EventLog:
-    """Worker-safe entry point: rebuilds the profile from its raw dict.
-    The returned log always holds the KPI rows; its event records only
+    """Worker-safe entry point: the validated profile pickles to workers as
+    is. The returned log always holds the KPI rows; its event records only
     with `keep_log`."""
-    profile = Profile(profile_raw)
     rep = Replication(profile, scenario, rep_id, master_seed, days,
                       warmup_days=warmup_days, drain=drain, keep_log=keep_log)
     return rep.run()

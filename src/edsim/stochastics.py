@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import jsonschema
@@ -124,19 +124,29 @@ PROFILE_SCHEMA = {
     },
 }
 
+# The schema is a constant: check it once, not on every profile build.
+jsonschema.Draft7Validator.check_schema(PROFILE_SCHEMA)
+_PROFILE_VALIDATOR = jsonschema.Draft7Validator(PROFILE_SCHEMA)
+
 
 @dataclass(frozen=True)
 class ServiceSpec:
     family: str
     mean: float
     cv: float
+    # lognormal parameters of the underlying normal, computed once
+    mu: float = field(init=False, repr=False, compare=False)
+    sigma: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sigma2 = math.log(1.0 + self.cv * self.cv)
+        object.__setattr__(self, "mu", math.log(self.mean) - 0.5 * sigma2)
+        object.__setattr__(self, "sigma", math.sqrt(sigma2))
 
     def from_normal(self, z: float) -> float:
         """Map a standard-normal draw to a duration in real minutes."""
         if self.family == "lognormal":
-            sigma2 = math.log(1.0 + self.cv * self.cv)
-            mu = math.log(self.mean) - 0.5 * sigma2
-            return math.exp(mu + math.sqrt(sigma2) * z)
+            return math.exp(self.mu + self.sigma * z)
         # triangular: symmetric around the mean, half-width from the cv
         u = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
         half = self.mean * self.cv * math.sqrt(6.0)
@@ -153,11 +163,10 @@ class Profile:
     """Immutable, schema-validated stochastic profile."""
 
     def __init__(self, raw: dict):
-        try:
-            jsonschema.validate(raw, PROFILE_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ProfileError(f"profile schema violation at {path}: {exc.message}") from exc
+        error = jsonschema.exceptions.best_match(_PROFILE_VALIDATOR.iter_errors(raw))
+        if error is not None:
+            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+            raise ProfileError(f"profile schema violation at {path}: {error.message}") from error
         self.raw = raw
         self.version: int = raw["version"]
         self.arrival_rates: dict[str, list[float]] = {c: list(raw["arrival_rates"][c]) for c in CODES}
@@ -171,6 +180,12 @@ class Profile:
         self.lab_effective = [float(x) for x in lab["effective"]]
         self.lab_misc = [float(x) for x in lab["misc"]]
         self.lab_cv = float(lab["cv"])
+        # (waiting, effective, misc) in-lab time specs per dispatch hour
+        self.lab_specs: list[tuple[ServiceSpec, ServiceSpec, ServiceSpec]] = [
+            tuple(ServiceSpec("lognormal", max(means[h], 0.1), self.lab_cv)
+                  for means in (self.lab_waiting, self.lab_effective, self.lab_misc))
+            for h in range(24)
+        ]
         self.thresholds: dict[str, float] = {k: float(v) for k, v in raw["thresholds"].items()}
         self.resources: dict = raw["resources"]
         self.pull_low_into_high: str = raw.get("routing", {}).get("pull_low_into_high", "always")
@@ -307,25 +322,6 @@ def draw_exam_list(u_xray: float, u_count: float, profile: Profile) -> list[str]
     return ["misc"] * count
 
 
-def draw_urgency_marginal(u: float, profile: Profile) -> str:
-    acc = 0.0
-    total = profile.daily_arrivals()
-    for c in CODES:
-        acc += sum(profile.arrival_rates[c]) / total
-        if u < acc:
-            return c
-    return CODES[-1]
-
-
-def draw_patient_attributes(rng: np.random.Generator, profile: Profile):
-    """One joint attribute draw: (urgency, visit type, needs-lab, exam list)."""
-    urgency = draw_urgency_marginal(rng.random(), profile)
-    visit_type = draw_visit_type(rng.random(), profile)
-    needs_lab = rng.random() < profile.mixes["needs_lab"]
-    exams = draw_exam_list(rng.random(), rng.random(), profile)
-    return urgency, visit_type, needs_lab, exams
-
-
 def lab_components(profile: Profile, hour: int, z_wait: float, z_eff: float,
                    z_misc: float, r: int | None) -> tuple[int, int, int]:
     """In-lab time composition at the dispatch hour, in whole minutes.
@@ -333,10 +329,10 @@ def lab_components(profile: Profile, hour: int, z_wait: float, z_eff: float,
     The waiting+transport component absorbs the scenario-r reduction, floored
     at LAB_WAIT_FLOOR minutes; the two peaks (7:00/19:00 shift changes) live
     in the profile arrays."""
-    h = hour % 24
-    wait = ServiceSpec("lognormal", max(profile.lab_waiting[h], 0.1), profile.lab_cv).from_normal(z_wait)
-    eff = ServiceSpec("lognormal", max(profile.lab_effective[h], 0.1), profile.lab_cv).from_normal(z_eff)
-    misc = ServiceSpec("lognormal", max(profile.lab_misc[h], 0.1), profile.lab_cv).from_normal(z_misc)
+    wait_spec, eff_spec, misc_spec = profile.lab_specs[hour % 24]
+    wait = wait_spec.from_normal(z_wait)
+    eff = eff_spec.from_normal(z_eff)
+    misc = misc_spec.from_normal(z_misc)
     if r:
         wait = max(float(LAB_WAIT_FLOOR), wait - r)
     return (int(wait + 0.5), int(eff + 0.5), int(misc + 0.5))

@@ -210,10 +210,11 @@ class TestAC4QueueOracle:
             for h in (8, 9, 10, 11):
                 raw["arrival_rates"][c][h] = 5.0 * share  # ~20 patients per day
         scen = Scenario(tau_g=45, tau_w=90)
+        profile = Profile(raw)
         total_starts = 0
         total_mismatches = 0
         for s in range(100):
-            log = run_replication(raw, scen, s, 1000 + s, 1, drain=True)
+            log = run_replication(profile, scen, s, 1000 + s, 1, drain=True)
             mism, starts = replay_first_visit_order(log.records, 45, 90)
             total_mismatches += mism
             total_starts += starts
@@ -243,7 +244,7 @@ def on_shift(window, minute):
 
 
 class TestAC5InvariantSuite:
-    def test_invariants_over_a_million_events(self, default_profile, default_raw):
+    def test_invariants_over_a_million_events(self, default_profile):
         runs = [
             (Scenario(), 6, True, True),          # baseline: affinity + red checks
             (Scenario(tau_g=60, tau_w=120), 3, True, True),
@@ -259,7 +260,7 @@ class TestAC5InvariantSuite:
 
         for scen, reps, check_affinity, check_red in runs:
             for rep in range(reps):
-                log = run_replication(default_raw, scen, rep, SEED, 30)
+                log = run_replication(default_profile, scen, rep, SEED, 30)
                 total_events += len(log.records)
                 patients = collect_patients(log.records)
 

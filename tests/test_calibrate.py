@@ -76,10 +76,11 @@ class TestCalibrate:
         heavier = copy.deepcopy(default_raw)
         for name in ("first_general", "first_ortho", "first_derma", "last_visit"):
             heavier["service"][name]["mean"] *= 2.0
-        base = run_replication(default_raw, Scenario(), 0, 4242, 8, keep_log=False)
+        heavier = Profile(heavier)
+        base = run_replication(default_profile, Scenario(), 0, 4242, 8, keep_log=False)
         slow = run_replication(heavier, Scenario(), 0, 4242, 8, keep_log=False)
         k_base = compute_kpis(base.rows, 8, default_profile.thresholds)
-        k_slow = compute_kpis(slow.rows, 8, Profile(heavier).thresholds)
+        k_slow = compute_kpis(slow.rows, 8, heavier.thresholds)
         assert k_slow.los > k_base.los
 
     def test_trace_is_deterministic(self, default_raw):

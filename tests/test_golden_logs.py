@@ -24,7 +24,7 @@ import pytest
 
 from edsim.model import run_replication
 from edsim.scenario import parse
-from edsim.stochastics import default_profile_path
+from edsim.stochastics import Profile, default_profile_path
 
 GOLDEN = Path(__file__).parent / "data" / "golden_logs.json"
 SEEDS = (42, 2020, 7)
@@ -54,7 +54,7 @@ def _raw_profile(routing: str | None) -> dict:
 
 def log_digest(case: str, seed: int, workdir: Path) -> str:
     spec, routing = CASES[case]
-    log = run_replication(_raw_profile(routing), parse(spec), 0, seed, DAYS)
+    log = run_replication(Profile(_raw_profile(routing)), parse(spec), 0, seed, DAYS)
     path = workdir / f"rep_{log.rep_id:02d}.csv"
     log.write_csv(path)
     return hashlib.sha256(path.read_bytes()).hexdigest()

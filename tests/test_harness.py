@@ -1,0 +1,25 @@
+from edsim.harness import run_scenario
+from edsim.scenario import Scenario
+from edsim.stochastics import Profile
+
+
+def test_run_scenario_builds_no_profile(default_profile, monkeypatch):
+    builds = []
+    build = Profile.__init__
+
+    def counting_build(self, raw):
+        builds.append(raw)
+        build(self, raw)
+
+    monkeypatch.setattr(Profile, "__init__", counting_build)
+    _, reports, _ = run_scenario(default_profile, Scenario(), 5, 3, 1, jobs=1)
+    assert len(reports) == 3 and builds == []
+
+
+def test_jobs_do_not_change_kpi_rows(default_profile):
+    scen = Scenario(tau_g=90, l=20)
+    agg1, reports1, logs1 = run_scenario(default_profile, scen, 5, 3, 1, jobs=1)
+    agg2, reports2, logs2 = run_scenario(default_profile, scen, 5, 3, 1, jobs=2)
+    assert [log.rows for log in logs1] == [log.rows for log in logs2]
+    assert [r.to_dict() for r in reports1] == [r.to_dict() for r in reports2]
+    assert agg1.to_dict() == agg2.to_dict()

@@ -225,9 +225,12 @@ class TestPromotionQueue:
         a = q.enqueue("GREEN", CODE_RANK["GREEN"], 0)
         twin = QueueItem("GREEN", CODE_RANK["GREEN"], 0, a.seq)
         assert a != twin
-        q.items.append(twin)
-        q.remove(twin)
+        with pytest.raises(ValueError):
+            q.remove(twin)  # an equal item that was never enqueued
+        b = q.enqueue("GREEN", CODE_RANK["GREEN"], 0)
+        q.remove(b)
         assert q.items == [a] and q.items[0] is a
+        assert q.peek_next() is a
 
     def test_sort_key_is_stored_at_enqueue_and_at_promotion(self):
         q, items = q_with([("GREEN", 10), ("YELLOW", 20)])

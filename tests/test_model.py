@@ -140,8 +140,8 @@ class TestLastVisitDiscipline:
         assert first_event(rep.log, 1, "START_FIRST").time_min == 150
         assert first_event(rep.log, 2, "START_LAST").time_min > 150
 
-    def test_same_team_affinity_in_baseline(self, default_raw):
-        log = run_replication(default_raw, Scenario(), 0, 11, 4)
+    def test_same_team_affinity_in_baseline(self, default_profile):
+        log = run_replication(default_profile, Scenario(), 0, 11, 4)
         for p in collect_patients(log.records).values():
             if p.last_team is not None:
                 assert p.last_team == p.first_team
@@ -182,11 +182,11 @@ class TestExtraTeamScenario:
         start = first_event(rep.log, 0, "START_LAST")
         assert parse_detail(start.detail)["team"] == "T1"
 
-    def test_wt_last_drops_with_extra_team(self, default_profile, default_raw):
+    def test_wt_last_drops_with_extra_team(self, default_profile):
         from edsim.kpi import compute_kpis
 
-        base = run_replication(default_raw, Scenario(), 0, 5, 8, keep_log=False)
-        extra = run_replication(default_raw, Scenario(a=1), 0, 5, 8, keep_log=False)
+        base = run_replication(default_profile, Scenario(), 0, 5, 8, keep_log=False)
+        extra = run_replication(default_profile, Scenario(a=1), 0, 5, 8, keep_log=False)
         k_base = compute_kpis(base.rows, 8, default_profile.thresholds)
         k_extra = compute_kpis(extra.rows, 8, default_profile.thresholds)
         assert k_extra.wt_last < 0.7 * k_base.wt_last
@@ -198,19 +198,19 @@ class TestTriageOutcomes:
                                teams={"low_general": [(f"T{i}", 0, 0) for i in range(6)],
                                       "high_general": [("H1", 0, 0)]},
                                first_mean=1.0, last_mean=1.0)
-        log = run_replication(raw, Scenario(e=20), 0, 3, 28)
+        log = run_replication(Profile(raw), Scenario(e=20), 0, 3, 28)
         pts = collect_patients(log.records)
         whites = [p for p in pts.values() if p.get("TRIAGE_DONE") is not None]
         assert len(whites) > 100_000
         frac = sum(p.dismissed for p in whites) / len(whites)
         assert abs(frac - 0.20) < 0.01
 
-    def test_no_dismissals_without_scenario_e(self, default_raw):
-        log = run_replication(default_raw, Scenario(), 0, 5, 3)
+    def test_no_dismissals_without_scenario_e(self, default_profile):
+        log = run_replication(default_profile, Scenario(), 0, 5, 3)
         assert all(r.event != "DISMISSED_AT_TRIAGE" for r in log.records)
 
-    def test_dismissed_have_no_further_events(self, default_raw):
-        log = run_replication(default_raw, Scenario(e=50), 0, 5, 4)
+    def test_dismissed_have_no_further_events(self, default_profile):
+        log = run_replication(default_profile, Scenario(e=50), 0, 5, 4)
         by_pid = defaultdict(list)
         for r in log.records:
             by_pid[r.patient_id].append(r.event)
@@ -219,10 +219,10 @@ class TestTriageOutcomes:
         for evs in dismissed:
             assert evs == ["ARRIVE", "TRIAGE_DONE", "DISMISSED_AT_TRIAGE"]
 
-    def test_raising_e_never_increases_admitted_whites(self, default_raw):
+    def test_raising_e_never_increases_admitted_whites(self, default_profile):
         def admitted_whites(e):
             scen = Scenario(e=e) if e else Scenario()
-            log = run_replication(default_raw, scen, 0, 17, 6)
+            log = run_replication(default_profile, scen, 0, 17, 6)
             return {p.pid for p in collect_patients(log.records).values()
                     if p.code == "WHITE" and not p.dismissed and p.get("TRIAGE_DONE")}
 
@@ -231,15 +231,15 @@ class TestTriageOutcomes:
 
 
 class TestLabPipeline:
-    def test_lab_never_at_triage_when_l_zero(self, default_raw):
-        log = run_replication(default_raw, Scenario(l=0), 0, 5, 3)
+    def test_lab_never_at_triage_when_l_zero(self, default_profile):
+        log = run_replication(default_profile, Scenario(l=0), 0, 5, 3)
         for p in collect_patients(log.records).values():
             draw, end_first = p.get("LAB_DRAW"), p.get("END_FIRST")
             if draw is not None:
                 assert end_first is not None and draw == end_first
 
-    def test_lab_at_triage_when_l_hundred(self, default_raw):
-        log = run_replication(default_raw, Scenario(l=100), 0, 5, 3)
+    def test_lab_at_triage_when_l_hundred(self, default_profile):
+        log = run_replication(default_profile, Scenario(l=100), 0, 5, 3)
         seen = 0
         for p in collect_patients(log.records).values():
             draw = p.get("LAB_DRAW")
@@ -248,17 +248,17 @@ class TestLabPipeline:
                 seen += 1
         assert seen > 50
 
-    def test_dispatch_on_half_hour_boundary(self, default_raw):
-        log = run_replication(default_raw, Scenario(), 0, 5, 3)
+    def test_dispatch_on_half_hour_boundary(self, default_profile):
+        log = run_replication(default_profile, Scenario(), 0, 5, 3)
         for p in collect_patients(log.records).values():
             draw, dispatch = p.get("LAB_DRAW"), p.get("LAB_DISPATCH")
             if draw is not None and dispatch is not None:
                 assert dispatch % 30 == 0
                 assert 0 <= dispatch - draw < 30 or dispatch == draw
 
-    def test_reduction_shrinks_lab_turnaround_by_r(self, default_raw):
+    def test_reduction_shrinks_lab_turnaround_by_r(self, default_profile):
         def mean_turnaround(scen):
-            log = run_replication(default_raw, scen, 0, 5, 10)
+            log = run_replication(default_profile, scen, 0, 5, 10)
             spans = []
             for p in collect_patients(log.records).values():
                 draw, result = p.get("LAB_DRAW"), p.get("LAB_RESULT")
@@ -271,8 +271,8 @@ class TestLabPipeline:
 
 
 class TestExamsAndFlow:
-    def test_exams_wait_for_lab_result(self, default_raw):
-        log = run_replication(default_raw, Scenario(), 0, 5, 4)
+    def test_exams_wait_for_lab_result(self, default_profile):
+        log = run_replication(default_profile, Scenario(), 0, 5, 4)
         for p in collect_patients(log.records).values():
             result, exam = p.get("LAB_RESULT"), p.get("START_EXAM")
             if result is not None and exam is not None:
@@ -299,8 +299,8 @@ class TestExamsAndFlow:
         assert len(starts) == len(ends) == 2
         assert starts[1] == ends[0]  # serial execution
 
-    def test_flow_conservation_under_drain(self, default_raw):
-        log = run_replication(default_raw, Scenario(e=10), 0, 5, 2, drain=True)
+    def test_flow_conservation_under_drain(self, default_profile):
+        log = run_replication(default_profile, Scenario(e=10), 0, 5, 2, drain=True)
         by_pid = defaultdict(list)
         for r in log.records:
             by_pid[r.patient_id].append(r.event)
@@ -311,8 +311,8 @@ class TestExamsAndFlow:
             else:
                 assert evs.count("DISCHARGE") == 1
 
-    def test_timestamp_chain(self, default_raw):
-        log = run_replication(default_raw, Scenario(), 0, 5, 4)
+    def test_timestamp_chain(self, default_profile):
+        log = run_replication(default_profile, Scenario(), 0, 5, 4)
         order = ["ARRIVE", "TRIAGE_DONE", "ENQUEUE_FIRST", "START_FIRST",
                  "END_FIRST", "ENQUEUE_LAST", "START_LAST", "DISCHARGE"]
         for p in collect_patients(log.records).values():
@@ -320,15 +320,15 @@ class TestExamsAndFlow:
             present = [t for t in times if t is not None]
             assert present == sorted(present)
 
-    def test_log_times_non_decreasing(self, default_raw):
-        log = run_replication(default_raw, Scenario(tau_g=60), 0, 5, 3)
+    def test_log_times_non_decreasing(self, default_profile):
+        log = run_replication(default_profile, Scenario(tau_g=60), 0, 5, 3)
         times = [r.time_min for r in log.records]
         assert times == sorted(times)
 
 
 class TestCapacityAndShifts:
-    def test_teams_never_overlap_and_firsts_only_on_shift(self, default_profile, default_raw):
-        log = run_replication(default_raw, Scenario(), 0, 5, 4)
+    def test_teams_never_overlap_and_firsts_only_on_shift(self, default_profile):
+        log = run_replication(default_profile, Scenario(), 0, 5, 4)
         pools = {pid_: default_profile.resources[pid_]["teams"]
                  for pid_ in ("low_general", "high_general")}
         windows = {t["id"]: (t["start"], t["end"]) for ts in pools.values() for t in ts}
@@ -352,8 +352,8 @@ class TestCapacityAndShifts:
                 on = (start <= m < stop) if start < stop else (m >= start or m < stop)
                 assert on, f"off-shift first visit by {team} at {r.time_min}"
 
-    def test_services_cross_shift_change_and_complete(self, default_raw):
-        log = run_replication(default_raw, Scenario(), 0, 5, 4)
+    def test_services_cross_shift_change_and_complete(self, default_profile):
+        log = run_replication(default_profile, Scenario(), 0, 5, 4)
         crossing = 0
         for p in collect_patients(log.records).values():
             s, e = p.get("START_FIRST"), p.get("END_FIRST")
@@ -363,7 +363,7 @@ class TestCapacityAndShifts:
 
 
 class TestDispatch:
-    def test_polls_only_teams_that_can_start_work(self, default_raw, monkeypatch):
+    def test_polls_only_teams_that_can_start_work(self, default_profile, monkeypatch):
         from edsim.kernel import ResourcePool
 
         counts = {"on_shift": 0, "seize": 0}
@@ -377,7 +377,7 @@ class TestDispatch:
 
         monkeypatch.setattr(ResourcePool, "on_shift", counted("on_shift", on_shift))
         monkeypatch.setattr(ResourcePool, "seize", counted("seize", seize))
-        run_replication(default_raw, Scenario(), 0, 42, 3)
+        run_replication(default_profile, Scenario(), 0, 42, 3)
         assert counts["seize"] > 1000
         assert counts["on_shift"] <= 1.5 * counts["seize"]
 
@@ -402,8 +402,8 @@ class TestQueueingBasics:
         times = sorted(first_event(rep.log, pid, "START_FIRST").time_min for pid in range(3))
         assert times == [0, 0, 60]
 
-    def test_fifo_within_class_without_promotions(self, default_raw):
-        log = run_replication(default_raw, Scenario(), 0, 23, 4)
+    def test_fifo_within_class_without_promotions(self, default_profile):
+        log = run_replication(default_profile, Scenario(), 0, 23, 4)
         queue_of = {}
         for r in log.records:
             if r.event == "ENQUEUE_FIRST":
@@ -419,27 +419,27 @@ class TestQueueingBasics:
             starts = [s for _, s in pairs]
             assert starts == sorted(starts), f"FIFO broken within {group}"
 
-    def test_event_log_csv_round_trip(self, default_raw, tmp_path):
+    def test_event_log_csv_round_trip(self, default_profile, tmp_path):
         from edsim.kernel import read_log_csv
 
-        log = run_replication(default_raw, Scenario(), 3, 17, 1)
+        log = run_replication(default_profile, Scenario(), 3, 17, 1)
         path = tmp_path / "events.csv"
         log.write_csv(path)
         assert read_log_csv(path) == log.records
 
 
 class TestDeterminism:
-    def test_same_seed_identical_log(self, default_raw):
-        a = run_replication(default_raw, Scenario(tau_g=90, l=20), 0, 7, 3)
-        b = run_replication(default_raw, Scenario(tau_g=90, l=20), 0, 7, 3)
+    def test_same_seed_identical_log(self, default_profile):
+        a = run_replication(default_profile, Scenario(tau_g=90, l=20), 0, 7, 3)
+        b = run_replication(default_profile, Scenario(tau_g=90, l=20), 0, 7, 3)
         assert a.records == b.records
 
-    def test_different_reps_differ(self, default_raw):
-        a = run_replication(default_raw, Scenario(), 0, 7, 2)
-        b = run_replication(default_raw, Scenario(), 1, 7, 2)
+    def test_different_reps_differ(self, default_profile):
+        a = run_replication(default_profile, Scenario(), 0, 7, 2)
+        b = run_replication(default_profile, Scenario(), 1, 7, 2)
         assert a.records != b.records
 
-    def test_baseline_scenario_equals_no_scenario(self, default_raw):
-        a = run_replication(default_raw, Scenario(), 0, 7, 3)
-        b = run_replication(default_raw, Scenario(t=None, p=None), 0, 7, 3)
+    def test_baseline_scenario_equals_no_scenario(self, default_profile):
+        a = run_replication(default_profile, Scenario(), 0, 7, 3)
+        b = run_replication(default_profile, Scenario(t=None, p=None), 0, 7, 3)
         assert a.records == b.records

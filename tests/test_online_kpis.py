@@ -44,25 +44,24 @@ def _assert_online_matches_log(log: EventLog, thresholds: dict, warmup_min: int)
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", list(SCENARIOS))
-def test_online_kpis_equal_log_kpis(name, seed, default_raw, default_profile):
+def test_online_kpis_equal_log_kpis(name, seed, default_profile):
     scenario, exercised = SCENARIOS[name]
-    log = run_replication(default_raw, scenario, 0, seed, DAYS)
+    log = run_replication(default_profile, scenario, 0, seed, DAYS)
     if exercised is not None:
         assert exercised(log), f"{name} seed {seed} did not exercise its lever"
     _assert_online_matches_log(log, default_profile.thresholds, 1440)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_online_kpis_equal_log_kpis_when_draining(seed, default_raw, default_profile):
-    log = run_replication(default_raw, Scenario(e=10, tau_g=90), 0, seed, DAYS, drain=True)
+def test_online_kpis_equal_log_kpis_when_draining(seed, default_profile):
+    log = run_replication(default_profile, Scenario(e=10, tau_g=90), 0, seed, DAYS, drain=True)
     assert all(p.get("DISCHARGE") is not None or p.dismissed
                for p in collect_patients(log.records).values())
     _assert_online_matches_log(log, default_profile.thresholds, 1440)
 
 
-def test_patient_arriving_at_the_warmup_boundary_counts_on_both_paths(default_raw,
-                                                                       default_profile):
-    log = run_replication(default_raw, Scenario(), 0, 42, DAYS)
+def test_patient_arriving_at_the_warmup_boundary_counts_on_both_paths(default_profile):
+    log = run_replication(default_profile, Scenario(), 0, 42, DAYS)
     # the first triaged, not dismissed patient after the first day sets the boundary
     boundary = next(p.get("ARRIVE") for p in collect_patients(log.records).values()
                     if p.get("ARRIVE") >= 1440 and p.get("TRIAGE_DONE") is not None
@@ -73,9 +72,9 @@ def test_patient_arriving_at_the_warmup_boundary_counts_on_both_paths(default_ra
     assert at.n_admitted > after.n_admitted
 
 
-def test_log_not_kept_holds_no_records_and_same_kpis(default_raw, default_profile):
-    kept = run_replication(default_raw, Scenario(tau_g=90), 1, 7, DAYS)
-    bare = run_replication(default_raw, Scenario(tau_g=90), 1, 7, DAYS, keep_log=False)
+def test_log_not_kept_holds_no_records_and_same_kpis(default_profile):
+    kept = run_replication(default_profile, Scenario(tau_g=90), 1, 7, DAYS)
+    bare = run_replication(default_profile, Scenario(tau_g=90), 1, 7, DAYS, keep_log=False)
     assert kept.records and bare.records == []
     assert bare.rows == kept.rows
     thresholds = default_profile.thresholds

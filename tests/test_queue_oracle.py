@@ -1,0 +1,110 @@
+"""Differential test: PromotionQueue against the linear-scan queue it
+replaced, over random operation sequences."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edsim.kernel import (
+    CODE_RANK,
+    RANK_GREEN,
+    RANK_WHITE,
+    PromotionQueue,
+    QueueItem,
+)
+
+STATIC = sorted(CODE_RANK.values())
+
+
+class LinearPromotionQueue:
+    """Reference oracle: every operation scans every waiting item."""
+
+    def __init__(self) -> None:
+        self.items: list[QueueItem] = []
+        self._seq = 0
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def enqueue(self, entity, rank: int, now: int) -> QueueItem:
+        item = QueueItem(entity, rank, now, self._seq)
+        self._seq += 1
+        self.items.append(item)
+        return item
+
+    def has_rank_at_most(self, rank: int) -> bool:
+        return any(it.rank <= rank for it in self.items)
+
+    def mark_promotions(self, now: int, tau_g: int | None, tau_w: int | None) -> list[QueueItem]:
+        newly: list[QueueItem] = []
+        for it in self.items:
+            if it.promoted_at is not None:
+                continue
+            tau = tau_g if it.rank == RANK_GREEN else tau_w if it.rank == RANK_WHITE else None
+            if tau is not None and now - it.enqueue_time > tau:
+                it.promote(it.enqueue_time + tau)
+                newly.append(it)
+        return newly
+
+    def peek_next(self, eligible_ranks: set[int] | None = None,
+                  include_promoted: bool = False) -> QueueItem | None:
+        best: QueueItem | None = None
+        best_key = None
+        for it in self.items:
+            if (eligible_ranks is not None and it.rank not in eligible_ranks
+                    and not (include_promoted and it.promoted_at is not None)):
+                continue
+            if best_key is None or it.key < best_key:
+                best, best_key = it, it.key
+        return best
+
+    def remove(self, item: QueueItem) -> None:
+        self.items.remove(item)
+
+
+def state(item: QueueItem | None):
+    return None if item is None else (item.seq, item.key, item.promoted_at)
+
+
+taus = st.one_of(st.none(), st.integers(0, 30))
+ops = st.one_of(
+    # enqueue `back` minutes before the clock: out of order when back > 0
+    st.tuples(st.just("enqueue"), st.sampled_from(STATIC), st.integers(0, 10),
+              st.just(0) | st.integers(0, 30)),
+    st.tuples(st.just("promote"), st.integers(0, 20), taus, taus),
+    st.tuples(st.just("peek"), st.none() | st.sets(st.sampled_from(STATIC)), st.booleans(),
+              st.booleans()),
+    st.tuples(st.just("rank"), st.integers(0, 4)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(ops, min_size=10, max_size=120))
+def test_bucketed_queue_matches_linear_scan(operations):
+    queue, oracle = PromotionQueue(), LinearPromotionQueue()
+    now = 0
+    for op in operations:
+        if op[0] == "enqueue":
+            _, rank, step, back = op
+            now += step
+            got = queue.enqueue(None, rank, now - back)
+            want = oracle.enqueue(None, rank, now - back)
+            assert state(got) == state(want)
+        elif op[0] == "promote":
+            _, step, tau_g, tau_w = op
+            now += step
+            got = queue.mark_promotions(now, tau_g, tau_w)
+            want = oracle.mark_promotions(now, tau_g, tau_w)
+            assert [state(it) for it in got] == [state(it) for it in want]
+        elif op[0] == "peek":
+            _, ranks, include_promoted, take = op
+            got = queue.peek_next(ranks, include_promoted)
+            want = oracle.peek_next(ranks, include_promoted)
+            assert state(got) == state(want)
+            if take and got is not None:
+                queue.remove(got)
+                oracle.remove(want)
+        else:
+            assert queue.has_rank_at_most(op[1]) == oracle.has_rank_at_most(op[1])
+        assert [state(it) for it in queue.items] == [state(it) for it in oracle.items]

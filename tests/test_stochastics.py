@@ -6,6 +6,8 @@ import pytest
 from scipy import stats
 
 from edsim.kernel import RngStream
+from edsim.model import Replication
+from edsim.scenario import Scenario
 from edsim.stochastics import (
     CODES,
     ArrivalSampler,
@@ -14,7 +16,6 @@ from edsim.stochastics import (
     ServiceSpec,
     draw_exam_count,
     draw_exam_list,
-    draw_patient_attributes,
     lab_components,
     next_dispatch,
 )
@@ -22,6 +23,14 @@ from edsim.stochastics import (
 
 def rng(seed=1, label="test"):
     return RngStream(seed, label).gen
+
+
+def model_patients(profile, n, seed):
+    """n patients with attributes drawn as the model draws them."""
+    rep = Replication(profile, Scenario(), rep_id=0, master_seed=seed, days=1)
+    for _ in range(n):
+        yield rep._make_patient("GREEN", 0)
+        rep.patients.clear()
 
 
 class TestProfileValidation:
@@ -113,15 +122,13 @@ class TestArrivalSampler:
 
 class TestAttributeDraws:
     def test_published_shares(self, default_profile):
-        g = rng(7)
         n = 100_000
         general = lab = xray = lt4 = 0
-        for _ in range(n):
-            _, visit, needs_lab, exams = draw_patient_attributes(g, default_profile)
-            general += visit == "GENERAL"
-            lab += needs_lab
-            xray += "xray" in exams
-            lt4 += len(exams) < 4
+        for p in model_patients(default_profile, n, seed=7):
+            general += p.visit_type == "GENERAL"
+            lab += p.needs_lab
+            xray += "xray" in p.exam_kinds
+            lt4 += len(p.exam_kinds) < 4
         assert abs(general / n - 0.79) < 0.01
         assert abs(lab / n - 0.54) < 0.01
         assert abs(xray / n - 0.57) < 0.01
@@ -137,12 +144,10 @@ class TestAttributeDraws:
         assert exams[0] == "xray"
 
     def test_visit_mix_chi_square(self, default_profile):
-        g = rng(8)
         n = 100_000
         observed = {"GENERAL": 0, "ORTHOPAEDIC": 0, "DERMATOLOGICAL": 0}
-        for _ in range(n):
-            _, visit, _, _ = draw_patient_attributes(g, default_profile)
-            observed[visit] += 1
+        for p in model_patients(default_profile, n, seed=8):
+            observed[p.visit_type] += 1
         expected = [n * default_profile.mixes["visit_type"][v] for v in observed]
         res = stats.chisquare(list(observed.values()), expected)
         assert res.pvalue > 0.01
@@ -163,6 +168,28 @@ class TestServiceSpec:
         half = 10.0 * 0.3 * math.sqrt(6.0)
         assert all(10.0 - half - 1e-9 <= x <= 10.0 + half + 1e-9 for x in xs)
         assert abs(np.mean(xs) - 10.0) / 10.0 < 0.02
+
+    def test_from_normal_equals_closed_form_bit_for_bit(self):
+        def closed_form(family, mean, cv, z):
+            if family == "lognormal":
+                sigma2 = math.log(1.0 + cv * cv)
+                mu = math.log(mean) - 0.5 * sigma2
+                return math.exp(mu + math.sqrt(sigma2) * z)
+            u = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+            half = mean * cv * math.sqrt(6.0)
+            low, high = max(0.0, mean - half), mean + half
+            if high <= low:
+                return mean
+            if u < (mean - low) / (high - low):
+                return low + math.sqrt(u * (high - low) * (mean - low))
+            return high - math.sqrt((1 - u) * (high - low) * (high - mean))
+
+        for family in ("lognormal", "triangular"):
+            for mean, cv in ((0.1, 0.0), (2.0, 0.2), (15.0, 0.5), (42.7, 1.3), (7.3, 0.45)):
+                spec = ServiceSpec(family, mean, cv)
+                for z in np.linspace(-6.0, 6.0, 481).tolist():
+                    assert spec.from_normal(z).hex() == closed_form(family, mean, cv, z).hex(), \
+                        (family, mean, cv, z)
 
 
 class TestLab:
