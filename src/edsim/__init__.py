@@ -1,7 +1,7 @@
 """Seedable discrete-event simulation of emergency-department patient flow,
 with a scenario catalog, KPI replication statistics and a calibration harness."""
 
-from .kernel import EventCalendar, EventLog, PromotionQueue, ResourcePool, RngStream, ShiftCalendar, SimClock
+from .kernel import EventCalendar, EventLog, PromotionQueue, ResourcePool, ShiftCalendar, rng_stream
 from .kpi import KpiReport, aggregate, compare, compute_kpis
 from .model import Replication, run_replication
 from .scenario import Scenario, catalog, parse
@@ -10,8 +10,8 @@ from .stochastics import Profile, default_profile_path, load_profile
 __version__ = "0.1.0"
 
 __all__ = [
-    "EventCalendar", "EventLog", "PromotionQueue", "ResourcePool", "RngStream",
-    "ShiftCalendar", "SimClock", "KpiReport", "aggregate", "compare", "compute_kpis",
+    "EventCalendar", "EventLog", "PromotionQueue", "ResourcePool", "rng_stream",
+    "ShiftCalendar", "KpiReport", "aggregate", "compare", "compute_kpis",
     "Replication", "run_replication", "Scenario", "catalog", "parse",
     "Profile", "default_profile_path", "load_profile", "__version__",
 ]

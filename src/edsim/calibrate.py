@@ -81,12 +81,11 @@ class CalibrationResult:
         return {"converged": self.converged, "message": self.message, "evals": self.trace}
 
 
-def _fit_thresholds(rows_per_rep, raw: dict, target: CalibrationTarget,
-                    warmup_min: int) -> dict:
+def _fit_thresholds(rows_per_rep, raw: dict, target: CalibrationTarget) -> dict:
     """Set outlier thresholds to the empirical wait quantiles that reproduce
     the published outlier rates, clamped to stay above the promotion taus.
     `rows_per_rep` holds each replication's KPI rows."""
-    waits = {code: [w for rows in rows_per_rep for w in first_waits(rows, code, warmup_min)]
+    waits = {code: [w for rows in rows_per_rep for w in first_waits(rows, code)]
              for code in ("GREEN", "WHITE")}
     rates = {"GREEN": target.outlier_green, "WHITE": target.outlier_white}
     fitted = dict(raw["thresholds"])
@@ -172,8 +171,7 @@ def calibrate(profile_raw: dict, target: CalibrationTarget | None = None,
 
     mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, final_x)}
     fitted = apply_multipliers(profile_raw, mult)
-    fitted["thresholds"] = _fit_thresholds([log.rows for log in logs], fitted, target,
-                                           warmup_min=1440)
+    fitted["thresholds"] = _fit_thresholds([log.rows for log in logs], fitted, target)
     message = ("converged: all targets within tolerance" if converged
                else "FAILED: best-so-far outside tolerance bands")
     return CalibrationResult(fitted, converged, message, trace, agg)

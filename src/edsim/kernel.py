@@ -1,4 +1,4 @@
-"""Generic discrete-event machinery: clock, event calendar, seeded random
+"""Generic discrete-event machinery: event calendar and clock, seeded random
 streams, shift-calendared resource pools and priority queues with promotion."""
 
 from __future__ import annotations
@@ -67,29 +67,17 @@ def round_half_up(x: float) -> int:
     return int(x + 0.5)
 
 
-class SimClock:
-    """Simulation time in integer minutes; advances only via the calendar."""
+class EventCalendar:
+    """Future event list ordered by (time, insertion sequence), and the
+    simulation time `now` in integer minutes, which only `pop` advances.
 
-    __slots__ = ("now",)
+    The insertion counter is global, so ties at one minute pop in schedule
+    order and runs are reproducible without RNG-based tie-breaking. Nothing
+    can be scheduled before `now`, so `pop` never moves time backwards.
+    """
 
     def __init__(self) -> None:
         self.now = 0
-
-    def _advance(self, to: int) -> None:
-        if to < self.now:
-            raise SimulationError(f"clock moved backwards: {self.now} -> {to}")
-        self.now = to
-
-
-class EventCalendar:
-    """Future event list ordered by (time, insertion sequence).
-
-    The insertion counter is global, so ties at one minute pop in schedule
-    order and runs are reproducible without RNG-based tie-breaking.
-    """
-
-    def __init__(self, clock: SimClock) -> None:
-        self.clock = clock
         self._heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
 
@@ -97,8 +85,8 @@ class EventCalendar:
         return len(self._heap)
 
     def schedule(self, at: int, kind: int, entity=None) -> None:
-        if at < self.clock.now:
-            raise SimulationError(f"schedule at t={at} before now={self.clock.now}")
+        if at < self.now:
+            raise SimulationError(f"schedule at t={at} before now={self.now}")
         heapq.heappush(self._heap, (at, self._seq, kind, entity))
         self._seq += 1
 
@@ -108,24 +96,20 @@ class EventCalendar:
     def pop(self) -> tuple[int, int, int, object]:
         if not self._heap:
             raise SimulationError("pop from empty calendar")
-        time, seq, kind, entity = heapq.heappop(self._heap)
-        self.clock._advance(time)
-        return time, seq, kind, entity
+        event = heapq.heappop(self._heap)
+        self.now = event[0]
+        return event
 
 
-class RngStream:
+def rng_stream(seed: int, stream_id: str, rep_id: int = 0) -> np.random.Generator:
     """Named random stream derived from a master seed.
 
-    Equal (seed, stream_id) always reproduces the same draw sequence; distinct
-    labels give independent substreams (SeedSequence entropy includes a stable
-    hash of the label).
+    Equal (seed, stream_id, rep_id) always reproduces the same draw sequence;
+    distinct labels give independent substreams (SeedSequence entropy
+    includes a stable hash of the label).
     """
-
-    def __init__(self, seed: int, stream_id: str, rep_id: int = 0) -> None:
-        self.seed = seed
-        self.stream_id = stream_id
-        key = zlib.crc32(stream_id.encode("utf-8"))
-        self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, rep_id, key])))
+    key = zlib.crc32(stream_id.encode("utf-8"))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, rep_id, key])))
 
 
 @dataclass(frozen=True)
@@ -209,9 +193,6 @@ class ResourcePool:
 
     def on_shift(self, slot: str, now: int) -> bool:
         return slot in self.calendar.on_by_minute[now % MINUTES_PER_DAY]
-
-    def idle_on_shift_slots(self, now: int) -> list[str]:
-        return [s for s in self.calendar.teams_on(now % MINUTES_PER_DAY) if s not in self.busy]
 
     def seize(self, slot: str, entity, now: int, duration: int) -> int:
         """Mark the slot busy until now+duration; returns the end time.
@@ -338,16 +319,6 @@ class PromotionQueue:
         else:
             bucket.remove(item)
 
-    def dequeue_next(self, now: int, tau_g: int | None = None, tau_w: int | None = None,
-                     eligible_ranks: set[int] | None = None,
-                     include_promoted: bool = False) -> QueueItem | None:
-        """Mark promotions at `now`, then pop the head of the discipline."""
-        self.mark_promotions(now, tau_g, tau_w)
-        item = self.peek_next(eligible_ranks, include_promoted)
-        if item is not None:
-            self.remove(item)
-        return item
-
 
 class LogRecord(NamedTuple):
     rep_id: int
@@ -395,15 +366,3 @@ class EventLog:
             w = csv.writer(fh)
             w.writerow(LOG_HEADER)
             w.writerows(self.records)  # field order is LOG_HEADER's
-
-
-def read_log_csv(path) -> list[LogRecord]:
-    records: list[LogRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != LOG_HEADER:
-            raise ValueError(f"unexpected event-log header: {header}")
-        for row in reader:
-            records.append(LogRecord(int(row[0]), int(row[1]), int(row[2]), row[3], row[4]))
-    return records

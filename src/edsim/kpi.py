@@ -1,6 +1,6 @@
 """Turn per-patient KPI rows into per-run indicators, aggregate over
 replications and compare a candidate configuration against the baseline with
-significance flags. `rows_from_log` rebuilds the same rows from an event log."""
+significance flags."""
 
 from __future__ import annotations
 
@@ -9,11 +9,13 @@ from dataclasses import dataclass, field
 
 from scipy import stats
 
-from .kernel import CODE_RANK, MINUTES_PER_DAY, LogRecord
+from .kernel import CODE_RANK, MINUTES_PER_DAY
 
 KPI_NAMES = ("in_per_day", "wt_first", "wt_last", "los", "outlier_GREEN", "outlier_WHITE")
 ALPHA = 0.05
-DEFAULT_WARMUP_MIN = MINUTES_PER_DAY  # first simulated day is cold-start bias
+# The first simulated day is warm-up: replications run it on top of `days`,
+# and the KPIs skip the patients who arrive in it (empty-ED start bias).
+WARMUP_MIN = MINUTES_PER_DAY
 
 # One KPI row per patient, all integers: the static urgency rank, then the
 # minute of each event the KPIs read (the first one of each), NO_TIME if the
@@ -28,71 +30,6 @@ NO_TIME = -1
 
 class UsageError(ValueError):
     """KPI operation called with unusable inputs."""
-
-
-@dataclass
-class PatientTrace:
-    """Per-patient timestamps extracted from one replication's log."""
-
-    pid: int
-    code: str | None = None
-    times: dict = field(default_factory=dict)
-    dismissed: bool = False
-    first_team: str | None = None
-    first_pool: str | None = None
-    last_team: str | None = None
-    triage_detail: dict | None = None
-
-    def get(self, event: str):
-        return self.times.get(event)
-
-    def row(self) -> tuple[int, ...]:
-        """This patient's KPI row (ROW_FIELDS order)."""
-        t = self.times.get
-        return (CODE_RANK.get(self.code, NO_TIME), t("ARRIVE", NO_TIME),
-                t("TRIAGE_DONE", NO_TIME), int(self.dismissed), t("ENQUEUE_FIRST", NO_TIME),
-                t("START_FIRST", NO_TIME), t("ENQUEUE_LAST", NO_TIME),
-                t("START_LAST", NO_TIME), t("DISCHARGE", NO_TIME))
-
-
-def parse_detail(detail: str) -> dict[str, str]:
-    out = {}
-    for token in detail.split():
-        if "=" in token:
-            k, v = token.split("=", 1)
-            out[k] = v
-    return out
-
-
-def collect_patients(records: list[LogRecord]) -> dict[int, PatientTrace]:
-    """Per-patient view of an event log, in order of first appearance."""
-    patients: dict[int, PatientTrace] = {}
-    for r in records:
-        p = patients.get(r.patient_id)
-        if p is None:
-            p = patients[r.patient_id] = PatientTrace(r.patient_id)
-        if r.event not in p.times:  # keep the first occurrence of repeatable events
-            p.times[r.event] = r.time_min
-        if r.event == "ARRIVE":
-            p.code = parse_detail(r.detail).get("code")
-        elif r.event == "TRIAGE_DONE":
-            p.triage_detail = parse_detail(r.detail)
-            p.code = p.triage_detail.get("code")
-        elif r.event == "DISMISSED_AT_TRIAGE":
-            p.dismissed = True
-        elif r.event == "START_FIRST":
-            detail = parse_detail(r.detail)
-            p.first_team = detail.get("team")
-            p.first_pool = detail.get("pool")
-        elif r.event == "START_LAST":
-            p.last_team = parse_detail(r.detail).get("team")
-    return patients
-
-
-def rows_from_log(records: list[LogRecord]) -> list[tuple[int, ...]]:
-    """KPI rows rebuilt from an event log, one per patient in pid order: the
-    log-side oracle for the rows a replication stamps while it runs."""
-    return [p.row() for p in collect_patients(records).values()]
 
 
 @dataclass
@@ -157,14 +94,13 @@ def _first_waits(admitted, rank: int | None) -> list[int]:
             if r[_RANK] == rank and r[_START_FIRST] != NO_TIME]
 
 
-def first_waits(rows: list[tuple[int, ...]], code: str,
-                warmup_min: int = DEFAULT_WARMUP_MIN) -> list[int]:
+def first_waits(rows: list[tuple[int, ...]], code: str) -> list[int]:
     """Completed first-visit waits of the admitted patients with one code."""
-    return _first_waits(_admitted(rows, warmup_min)[0], CODE_RANK[code])
+    return _first_waits(_admitted(rows, WARMUP_MIN)[0], CODE_RANK[code])
 
 
 def compute_kpis(rows: list[tuple[int, ...]], days: int, thresholds: dict[str, float],
-                 warmup_min: int = DEFAULT_WARMUP_MIN) -> KpiReport:
+                 warmup_min: int = WARMUP_MIN) -> KpiReport:
     """KPIs of one complete replication from its KPI rows (ROW_FIELDS).
 
     Patients arriving during the warm-up window are excluded from all

@@ -13,13 +13,12 @@ from .kernel import (
     EventLog,
     PromotionQueue,
     ResourcePool,
-    RngStream,
     ShiftCalendar,
     ShiftEntry,
-    SimClock,
     round_half_up,
+    rng_stream,
 )
-from .kpi import NO_TIME
+from .kpi import NO_TIME, WARMUP_MIN
 from .scenario import Scenario
 from .stochastics import (
     ArrivalSampler,
@@ -47,8 +46,6 @@ ALL_RANKS = set(CODE_RANK.values())
 FIRST_QUEUE_OF = {"low_general": "general", "high_general": "general",
                   "orthopaedic": "orthopaedic", "dermatological": "dermatological"}
 
-DEFAULT_WARMUP_DAYS = 1
-
 
 class Patient:
     """One entity flowing triage -> visits -> exams -> discharge.
@@ -62,7 +59,7 @@ class Patient:
         "pid", "code", "rank", "mode", "visit_type", "needs_lab", "lab_at_triage",
         "exam_kinds", "triage_d", "first_d", "last_d", "exam_ds", "lab_z",
         "u_dismiss", "u_lab_triage", "t_arrive", "t_end_first", "lab_done",
-        "exam_idx", "first_team", "first_pool", "last_team",
+        "exam_idx", "first_team", "last_team",
         "t_triage", "dismissed", "t_enq_first", "t_start_first", "t_enq_last",
         "t_start_last", "t_discharge",
     )
@@ -76,7 +73,6 @@ class Patient:
         self.exam_idx = 0
         self.t_end_first = None
         self.first_team = None
-        self.first_pool = None
         self.last_team = None
         self.t_triage = self.t_enq_first = self.t_start_first = NO_TIME
         self.t_enq_last = self.t_start_last = self.t_discharge = NO_TIME
@@ -112,22 +108,19 @@ class Replication:
     """Single seeded run of the ED model; strictly single-threaded."""
 
     def __init__(self, profile: Profile, scenario: Scenario, rep_id: int,
-                 master_seed: int, days: int, warmup_days: int = DEFAULT_WARMUP_DAYS,
-                 drain: bool = False, keep_log: bool = True):
+                 master_seed: int, days: int, drain: bool = False, keep_log: bool = True):
         self.profile = profile
         self.scenario = scenario
         self.rep_id = rep_id
         self.days = days
-        self.warmup_days = warmup_days
         self.drain = drain
-        self.horizon = (warmup_days + days) * MINUTES_PER_DAY
+        self.horizon = WARMUP_MIN + days * MINUTES_PER_DAY
 
-        self.clock = SimClock()
-        self.calendar = EventCalendar(self.clock)
+        self.calendar = EventCalendar()
         self.log = EventLog(rep_id, keep=keep_log)
         self.patients: list[Patient] = []
-        self.arr_rng = RngStream(master_seed, "arrivals", rep_id).gen
-        self.attr_rng = RngStream(master_seed, "attributes", rep_id).gen
+        self.arr_rng = rng_stream(master_seed, "arrivals", rep_id)
+        self.attr_rng = rng_stream(master_seed, "attributes", rep_id)
         self.sampler = ArrivalSampler(profile)
 
         offset = 60 * (scenario.t or 0)
@@ -349,7 +342,6 @@ class Replication:
 
     def _start_first(self, p: Patient, pool: ResourcePool, team: str, now: int) -> None:
         p.first_team = team
-        p.first_pool = pool.pool_id
         end = pool.seize(team, p, now, p.first_d)
         p.t_start_first = now
         self.log.add(now, p.pid, "START_FIRST", team, pool.pool_id)
@@ -518,11 +510,10 @@ class Replication:
 
 
 def run_replication(profile: Profile, scenario: Scenario, rep_id: int, master_seed: int,
-                    days: int, warmup_days: int = DEFAULT_WARMUP_DAYS,
-                    drain: bool = False, keep_log: bool = True) -> EventLog:
+                    days: int, drain: bool = False, keep_log: bool = True) -> EventLog:
     """Worker-safe entry point: the validated profile pickles to workers as
     is. The returned log always holds the KPI rows; its event records only
     with `keep_log`."""
     rep = Replication(profile, scenario, rep_id, master_seed, days,
-                      warmup_days=warmup_days, drain=drain, keep_log=keep_log)
+                      drain=drain, keep_log=keep_log)
     return rep.run()

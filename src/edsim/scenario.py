@@ -4,11 +4,12 @@ catalog of proposed what-if configurations, and spec parsing/validation."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 
 
 class ParseError(ValueError):
-    """Malformed scenario tuple literal."""
+    """Malformed scenario tuple literal or scenario JSON file."""
 
 
 class ValidationError(ValueError):
@@ -56,9 +57,6 @@ class Scenario:
         if self.p is not None and self.p not in (0, 1):
             raise ValidationError(f"p must be 0 or 1, got {self.p}")
 
-    def is_baseline(self) -> bool:
-        return all(getattr(self, f.name) is None for f in fields(self))
-
     def render(self) -> str:
         def fmt(v):
             if v is None:
@@ -69,19 +67,19 @@ class Scenario:
 
         return "(" + ",".join(fmt(getattr(self, n)) for n in FIELD_ORDER) + ")"
 
-    def to_json_dict(self, name: str | None = None) -> dict:
-        d = {n: getattr(self, n) for n in FIELD_ORDER}
-        d["name"] = name
-        return d
 
-
-def _parse_field(name: str, token: str):
-    token = token.strip()
-    if token in ("-", "--", ""):
+def _parse_field(name: str, token):
+    """One field from a tuple token or a JSON value: None, "-", "--" and ""
+    mean unchanged; e and l take any finite number, the rest whole numbers."""
+    if isinstance(token, str):
+        token = token.strip()
+    if token in (None, "-", "--", ""):
         return None
     try:
-        value = float(token)
-    except ValueError:
+        value = math.nan if isinstance(token, bool) else float(token)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
         raise ParseError(f"field {name}: not a number: {token!r}")
     if name in ("e", "l"):
         return value
@@ -117,18 +115,20 @@ def parse(spec: str) -> Scenario:
 
 
 def from_json_dict(d: dict) -> Scenario:
-    values = {}
-    for name in FIELD_ORDER:
-        v = d.get(name)
-        if v is not None and name not in ("e", "l"):
-            v = int(v)
-        values[name] = v
-    return Scenario(**values)
+    """Scenario from a JSON object keyed by field name; a missing or null
+    field is unchanged and other keys are ignored."""
+    if not isinstance(d, dict):
+        raise ParseError(f"scenario JSON must be an object, got {type(d).__name__}")
+    return Scenario(**{name: _parse_field(name, d.get(name)) for name in FIELD_ORDER})
 
 
 def load_json(path) -> Scenario:
     with open(path) as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    return from_json_dict(d)
 
 
 def catalog() -> dict[str, Scenario]:

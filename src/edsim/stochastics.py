@@ -209,9 +209,6 @@ class Profile:
     def daily_arrivals(self) -> float:
         return sum(sum(self.arrival_rates[c]) for c in CODES)
 
-    def code_share(self, code: str) -> float:
-        return sum(self.arrival_rates[code]) / self.daily_arrivals()
-
 
 def _fit_truncated_geometric(p_lt4: float) -> list[float]:
     """CDF of the extra-exam count: geometric truncated at EXAM_COUNT_MAX with

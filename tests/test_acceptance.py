@@ -14,12 +14,12 @@ import pytest
 from edsim.cli import main as cli_main
 from edsim.harness import run_scenario
 from edsim.kernel import CODE_RANK, MINUTES_PER_DAY
-from edsim.kpi import collect_patients, parse_detail
 from edsim.model import run_replication
 from edsim.scenario import Scenario, catalog, parse, parse_tuple
 from edsim.stochastics import Profile
 
 from conftest import make_mini_raw
+from log_oracle import collect_patients, parse_detail
 
 SEED = 42
 FIXTURE = Path(__file__).parent / "data" / "table3_scenarios.json"
@@ -42,13 +42,14 @@ def ac1_result(default_raw):
 
 @pytest.fixture(scope="session")
 def sweep_results(default_profile):
-    """Baseline + every single-letter scenario + Cb.15 at 6x30, paired seeds."""
+    """Baseline + every single-letter scenario + Cb.15 at 6x30, paired seeds,
+    on two workers (results do not depend on `jobs`: AC3)."""
     cat = catalog()
     names = [n for n in cat if not n.startswith("Cb")] + ["Cb.15"]
     out = {}
-    out["baseline"], _, _ = run_scenario(default_profile, Scenario(), SEED, 6, 30)
+    out["baseline"], _, _ = run_scenario(default_profile, Scenario(), SEED, 6, 30, jobs=2)
     for name in names:
-        out[name], _, _ = run_scenario(default_profile, cat[name], SEED, 6, 30)
+        out[name], _, _ = run_scenario(default_profile, cat[name], SEED, 6, 30, jobs=2)
     return out
 
 

@@ -64,6 +64,16 @@ class TestRun:
         assert run_cli("run", "--scenario", "Q.7", "--out", str(out)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["{bad", "[1,2]", '{"tau_g": "abc"}', '{"tau_g": 1.5}'])
+    def test_bad_scenario_json_file_exits_2(self, text, tmp_path, capsys):
+        spec = tmp_path / "bad.json"
+        spec.write_text(text)
+        out = tmp_path / "never"
+        assert run_cli("run", "--scenario", str(spec), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_svg_written(self, tmp_path):
         out = tmp_path / "s"
         assert run_cli("run", "--days", "2", "--replications", "1", "--svg",

@@ -1,4 +1,7 @@
 from edsim.harness import run_scenario
+from edsim.kernel import MINUTES_PER_DAY
+from edsim.kpi import NO_TIME, ROW_FIELDS, WARMUP_MIN
+from edsim.model import Replication
 from edsim.scenario import Scenario
 from edsim.stochastics import Profile
 
@@ -23,3 +26,18 @@ def test_jobs_do_not_change_kpi_rows(default_profile):
     assert [log.rows for log in logs1] == [log.rows for log in logs2]
     assert [r.to_dict() for r in reports1] == [r.to_dict() for r in reports2]
     assert agg1.to_dict() == agg2.to_dict()
+
+
+def test_horizon_is_warmup_plus_days(default_profile):
+    rep = Replication(default_profile, Scenario(), 0, 5, days=2)
+    assert rep.horizon == WARMUP_MIN + 2 * MINUTES_PER_DAY
+
+
+def test_n_admitted_counts_triaged_rows_after_the_warmup(default_profile):
+    arrive, triage, dismissed = (ROW_FIELDS.index(f) for f in ("arrive", "triage", "dismissed"))
+    _, reports, logs = run_scenario(default_profile, Scenario(e=20), 5, 2, 1)
+    for report, log in zip(reports, logs):
+        assert any(row[arrive] < WARMUP_MIN for row in log.rows)
+        admitted = [row for row in log.rows if row[arrive] >= WARMUP_MIN
+                    and row[triage] != NO_TIME and not row[dismissed]]
+        assert report.n_admitted == len(admitted) > 0

@@ -8,46 +8,40 @@ from edsim.kernel import (
     PromotionQueue,
     QueueItem,
     ResourcePool,
-    RngStream,
     ShiftCalendar,
     ShiftEntry,
-    SimClock,
     SimulationError,
+    rng_stream,
     round_half_up,
 )
 
 
-def make_calendar():
-    clock = SimClock()
-    return clock, EventCalendar(clock)
-
-
 class TestEventCalendar:
     def test_equal_times_pop_in_insertion_order(self):
-        _, cal = make_calendar()
+        cal = EventCalendar()
         cal.schedule(10, 1, "a")
         cal.schedule(10, 2, "b")
         assert cal.pop()[2:] == (1, "a")
         assert cal.pop()[2:] == (2, "b")
 
     def test_time_order(self):
-        _, cal = make_calendar()
+        cal = EventCalendar()
         cal.schedule(5, 0, "later")
         cal.schedule(3, 0, "sooner")
         assert cal.pop()[0] == 3
         assert cal.pop()[0] == 5
 
     def test_pop_advances_clock_monotonically(self):
-        clock, cal = make_calendar()
+        cal = EventCalendar()
         cal.schedule(7, 0)
         cal.schedule(7, 1)
         cal.schedule(9, 2)
         times = [cal.pop()[0] for _ in range(3)]
         assert times == sorted(times)
-        assert clock.now == 9
+        assert cal.now == 9
 
     def test_schedule_in_past_is_a_fault(self):
-        _, cal = make_calendar()
+        cal = EventCalendar()
         cal.schedule(5, 0)
         cal.pop()
         with pytest.raises(SimulationError):
@@ -55,7 +49,7 @@ class TestEventCalendar:
 
     def test_million_random_schedules_pop_sorted(self):
         # oracle: sorting the insertion list by (time, seq) must equal pop order
-        _, cal = make_calendar()
+        cal = EventCalendar()
         rng = np.random.Generator(np.random.PCG64(7))
         times = rng.integers(0, 50_000, size=1_000_000)
         inserted = []
@@ -69,14 +63,14 @@ class TestEventCalendar:
 
 class TestRngStream:
     def test_same_seed_same_stream_identical(self):
-        a = RngStream(123, "arrivals").gen.random(100)
-        b = RngStream(123, "arrivals").gen.random(100)
+        a = rng_stream(123, "arrivals").random(100)
+        b = rng_stream(123, "arrivals").random(100)
         assert np.array_equal(a, b)
 
     def test_streams_differ_by_label_and_rep(self):
-        base = RngStream(123, "arrivals").gen.random(50)
-        other = RngStream(123, "service").gen.random(50)
-        rep1 = RngStream(123, "arrivals", rep_id=1).gen.random(50)
+        base = rng_stream(123, "arrivals").random(50)
+        other = rng_stream(123, "service").random(50)
+        rep1 = rng_stream(123, "arrivals", rep_id=1).random(50)
         assert not np.array_equal(base, other)
         assert not np.array_equal(base, rep1)
 
@@ -140,15 +134,20 @@ class TestShiftCalendar:
             assert cal.teams == tuple(t for e in entries for t in e.teams)
 
 
+def idle_on_shift(pool, now):
+    """Slots of `pool` that could take work at `now`: on shift and idle."""
+    return [s for s in pool.calendar.teams if pool.on_shift(s, now) and s not in pool.busy]
+
+
 class TestResourcePool:
     def test_seize_release_cycle(self):
         pool = ResourcePool("p", ShiftCalendar([DAY_TEAMS]))
-        assert pool.idle_on_shift_slots(600) == ["A", "B"]
+        assert idle_on_shift(pool, 600) == ["A", "B"]
         end = pool.seize("A", "patient", 600, 30)
         assert end == 630
-        assert pool.idle_on_shift_slots(600) == ["B"]
+        assert idle_on_shift(pool, 600) == ["B"]
         pool.release("A")
-        assert pool.idle_on_shift_slots(600) == ["A", "B"]
+        assert idle_on_shift(pool, 600) == ["A", "B"]
 
     def test_seizing_busy_slot_is_a_fault(self):
         pool = ResourcePool("p", ShiftCalendar([DAY_TEAMS]))
@@ -169,7 +168,7 @@ class TestResourcePool:
         assert end == 1210
         assert pool.busy["A"][1] == 1210
         pool.release("A")
-        assert pool.idle_on_shift_slots(1210) == []  # off shift: no further work
+        assert idle_on_shift(pool, 1210) == []  # off shift: no further work
 
 
 def q_with(items):
@@ -180,30 +179,39 @@ def q_with(items):
     return q, out
 
 
+def dequeue(q, now, tau_g=None, tau_w=None):
+    """Mark promotions at `now`, then take the head of the discipline."""
+    q.mark_promotions(now, tau_g, tau_w)
+    item = q.peek_next()
+    if item is not None:
+        q.remove(item)
+    return item
+
+
 class TestPromotionQueue:
     def test_static_priority_beats_waiting_time(self):
         # green waited 130', yellow 10' -> yellow first under the static rule
         q, _ = q_with([("GREEN", 0), ("YELLOW", 120)])
-        item = q.dequeue_next(130)
+        item = dequeue(q, 130)
         assert item.entity == "YELLOW"
 
     def test_promotion_sends_green_ahead_of_yellow(self):
         q, _ = q_with([("GREEN", 0), ("YELLOW", 120)])
-        item = q.dequeue_next(130, tau_g=120)
+        item = dequeue(q, 130, tau_g=120)
         assert item.entity == "GREEN"
 
     def test_empty_queue_returns_none(self):
         q = PromotionQueue()
-        assert q.dequeue_next(10) is None
+        assert dequeue(q, 10) is None
 
     def test_threshold_is_strict(self):
         q, _ = q_with([("GREEN", 0), ("YELLOW", 100)])
-        assert q.dequeue_next(120, tau_g=120).entity == "YELLOW"  # 120 is not > 120
-        assert q.dequeue_next(121, tau_g=120).entity == "GREEN"
+        assert dequeue(q, 120, tau_g=120).entity == "YELLOW"  # 120 is not > 120
+        assert dequeue(q, 121, tau_g=120).entity == "GREEN"
 
     def test_red_never_overtaken_by_promoted(self):
         q, _ = q_with([("GREEN", 0), ("RED", 200)])
-        assert q.dequeue_next(201, tau_g=60).entity == "RED"
+        assert dequeue(q, 201, tau_g=60).entity == "RED"
 
     def test_promotion_is_sticky_and_ordered_by_crossing_time(self):
         q, items = q_with([("WHITE", 0), ("GREEN", 50)])
@@ -211,14 +219,14 @@ class TestPromotionQueue:
         q.mark_promotions(200, 60, 90)
         assert items[0].promoted_at == 90
         assert items[1].promoted_at == 110
-        first = q.dequeue_next(200, tau_g=60, tau_w=90)
+        first = dequeue(q, 200, tau_g=60, tau_w=90)
         assert first.entity == "WHITE"
         # stickiness: promoted_at survives further marking
         assert items[1].promoted_at == 110
 
     def test_fifo_within_class(self):
         q, _ = q_with([("GREEN", 5), ("GREEN", 3)])
-        assert q.dequeue_next(10).enqueue_time == 3
+        assert dequeue(q, 10).enqueue_time == 3
 
     def test_items_compare_by_identity(self):
         q = PromotionQueue()

@@ -1,7 +1,9 @@
 import pytest
 
 from edsim.kernel import LogRecord
-from edsim.kpi import UsageError, aggregate, compare, compute_kpis, rows_from_log
+from edsim.kpi import UsageError, aggregate, compare, compute_kpis
+
+from log_oracle import rows_from_log
 
 THRESHOLDS = {"GREEN": 120, "WHITE": 240}
 

@@ -2,10 +2,11 @@ from collections import defaultdict
 
 import pytest
 
-from edsim.kpi import collect_patients, parse_detail
 from edsim.model import Patient, Replication, run_replication
 from edsim.scenario import Scenario
 from edsim.stochastics import Profile
+
+from log_oracle import collect_patients, parse_detail, read_log_csv
 
 
 def make_patient(pid, code, *, visit_type="GENERAL", needs_lab=False, exams=(),
@@ -420,8 +421,6 @@ class TestQueueingBasics:
             assert starts == sorted(starts), f"FIFO broken within {group}"
 
     def test_event_log_csv_round_trip(self, default_profile, tmp_path):
-        from edsim.kernel import read_log_csv
-
         log = run_replication(default_profile, Scenario(), 3, 17, 1)
         path = tmp_path / "events.csv"
         log.write_csv(path)

@@ -8,9 +8,11 @@ import pytest
 
 from edsim.harness import run_scenario
 from edsim.kernel import EventLog
-from edsim.kpi import collect_patients, compute_kpis, rows_from_log
+from edsim.kpi import compute_kpis
 from edsim.model import run_replication
 from edsim.scenario import Scenario, parse
+
+from log_oracle import collect_patients, rows_from_log
 
 DAYS = 2
 SEEDS = (3, 42, 2020)

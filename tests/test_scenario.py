@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ class TestParse:
         assert s == Scenario(tau_g=120, e=5, r=10)
 
     def test_all_dashes_is_baseline(self):
-        assert parse("(-,-,-,-,-,-,-,-)").is_baseline()
+        assert parse("(-,-,-,-,-,-,-,-)") == Scenario()
 
     def test_double_dash_and_whitespace_accepted(self):
         assert parse(" ( --, -- , 120 , -, 5, --, -, 10 ) ") == Scenario(tau_g=120, e=5, r=10)
@@ -32,7 +33,7 @@ class TestParse:
         assert parse("Cb.15") == Scenario(tau_g=120, e=15, l=50, r=30)
 
     def test_baseline_name(self):
-        assert parse("baseline").is_baseline()
+        assert parse("baseline") == Scenario()
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ParseError):
@@ -49,6 +50,12 @@ class TestParse:
     def test_non_numeric_rejected(self):
         with pytest.raises(ParseError):
             parse_tuple("(-,-,abc,-,-,-,-,-)")
+
+    @pytest.mark.parametrize("literal", ["(-,-,nan,-,-,-,-,-)", "(-,-,inf,-,-,-,-,-)",
+                                         "(-,-,-,-,nan,-,-,-)"])
+    def test_non_finite_rejected(self, literal):
+        with pytest.raises(ParseError):
+            parse_tuple(literal)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(UnknownScenario):
@@ -91,6 +98,15 @@ class TestCatalog:
 class TestJson:
     def test_json_round_trip(self):
         s = Scenario(t=1, tau_w=180, l=25.0)
-        d = s.to_json_dict("X")
+        d = json.loads(json.dumps({**asdict(s), "name": "X"}))
         assert d["name"] == "X" and d["tau_w"] == 180 and d["p"] is None
         assert from_json_dict(d) == s
+
+    def test_json_fields_follow_the_tuple_rules(self):
+        assert from_json_dict({"e": 2.5, "tau_g": 90.0, "name": "X"}) == Scenario(e=2.5, tau_g=90)
+        for bad in ({"tau_g": 1.5}, {"tau_g": "abc"}, {"r": True}, {"a": [1]},
+                    {"l": float("nan")}, [1, 2]):
+            with pytest.raises(ParseError):
+                from_json_dict(bad)
+        with pytest.raises(ParseError):
+            parse_tuple("(-,-,1.5,-,-,-,-,-)")
