@@ -1,0 +1,69 @@
+"""Byte-for-byte gate on the report files of `edsim run` and `edsim sweep`.
+
+Each case runs the CLI once with a fixed seed and hashes the files it names
+with SHA-256. The recorded digests in `tests/data/golden_reports.json` pin
+the reported figures and their rendering: a change to the KPI arithmetic,
+aggregation, the Welch flags or the JSON/CSV writers shows here, even when
+the event logs stay the same.
+
+Re-record (only when a change to the reported figures or formats is intended):
+
+    PYTHONPATH=src python tests/test_golden_reports.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from edsim.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
+
+# case -> (CLI arguments without --out, glob patterns of the pinned files)
+CASES = {
+    "run": (["run", "--scenario", "Cb.15", "--replications", "2", "--days", "2",
+             "--seed", "42"], ("report.json",)),
+    "sweep": (["sweep", "--scenarios", "B.1", "C.4", "F.1", "--replications", "2",
+               "--days", "2", "--seed", "42"], ("comparison.csv", "reports/*.json")),
+}
+
+
+def report_digests(case: str, workdir: Path) -> dict[str, str]:
+    argv, patterns = CASES[case]
+    out = workdir / case
+    if main([*argv, "--out", str(out)]) != 0:
+        raise RuntimeError(f"edsim {' '.join(argv)} did not exit 0")
+    paths = sorted(p for pattern in patterns for p in out.glob(pattern))
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths}
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_report_files_match_golden_digests(case, tmp_path):
+    assert report_digests(case, tmp_path) == _golden()[case]
+
+
+def test_golden_file_covers_every_case():
+    assert sorted(_golden()) == sorted(CASES)
+
+
+def record() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {case: report_digests(case, Path(tmp)) for case in CASES}
+    GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    record()
