@@ -98,9 +98,8 @@ def _fit_thresholds(rows_per_rep, raw: dict, target: CalibrationTarget) -> dict:
     return fitted
 
 
-def calibrate(profile_raw: dict, target: CalibrationTarget | None = None,
-              budget: int = 120, seed: int = 20901, replications: int = 3,
-              days: int = 30, jobs: int = 1,
+def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
+              replications: int = 3, days: int = 30, jobs: int = 1,
               final_replications: int = 10, final_days: int = 30) -> CalibrationResult:
     """Nelder-Mead over log-multipliers of the free parameters.
 
@@ -110,7 +109,7 @@ def calibrate(profile_raw: dict, target: CalibrationTarget | None = None,
     stop, so a converged result is always full-scale true. Everything is
     seeded, so reruns give identical traces; failure returns the best-so-far
     profile flagged FAILED."""
-    target = target or CalibrationTarget()
+    target = CalibrationTarget()
     if budget <= 0:
         return CalibrationResult(profile_raw, False, "FAILED: zero search budget")
 

@@ -8,6 +8,7 @@ import csv
 import heapq
 import zlib
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -68,8 +69,9 @@ def round_half_up(x: float) -> int:
 
 
 class EventCalendar:
-    """Future event list ordered by (time, insertion sequence), and the
-    simulation time `now` in integer minutes, which only `pop` advances.
+    """Future event list of (time, insertion sequence, handler, entity)
+    entries, ordered by (time, insertion sequence), and the simulation time
+    `now` in integer minutes, which only `pop` advances.
 
     The insertion counter is global, so ties at one minute pop in schedule
     order and runs are reproducible without RNG-based tie-breaking. Nothing
@@ -78,22 +80,25 @@ class EventCalendar:
 
     def __init__(self) -> None:
         self.now = 0
-        self._heap: list[tuple[int, int, int, object]] = []
+        self._heap: list[tuple[int, int, Callable, object]] = []
         self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, at: int, kind: int, entity=None) -> None:
+    def schedule(self, at: int, handler: Callable, entity=None) -> None:
         if at < self.now:
             raise SimulationError(f"schedule at t={at} before now={self.now}")
-        heapq.heappush(self._heap, (at, self._seq, kind, entity))
+        heapq.heappush(self._heap, (at, self._seq, handler, entity))
         self._seq += 1
+
+    def clear(self) -> None:
+        self._heap.clear()
 
     def peek_time(self) -> int | None:
         return self._heap[0][0] if self._heap else None
 
-    def pop(self) -> tuple[int, int, int, object]:
+    def pop(self) -> tuple[int, int, Callable, object]:
         if not self._heap:
             raise SimulationError("pop from empty calendar")
         event = heapq.heappop(self._heap)

@@ -5,7 +5,7 @@ significance flags."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy import stats
 
@@ -32,25 +32,41 @@ class UsageError(ValueError):
     """KPI operation called with unusable inputs."""
 
 
+def _mean(xs: list[float]) -> float:
+    return sum(xs) / len(xs) if xs else float("nan")
+
+
+def _vector_mean(name: str) -> property:
+    return property(lambda self: self.value(name),
+                    doc=f"Mean of the per-replication {name} values.")
+
+
 @dataclass
 class KpiReport:
-    """Table-row shaped KPI set; per-replication vectors are retained so that
-    aggregation and significance testing stay honest."""
+    """KPIs of one or more replications: the per-replication vectors, keyed
+    by KPI_NAMES plus `outlier_<CODE>` for every threshold code, and the
+    patient counts summed over the replications. Every reported figure is
+    the mean of its vector, so aggregation and significance testing work
+    from the same numbers."""
 
-    in_per_day: float
-    wt_first: float
-    wt_last: float
-    los: float
-    outlier_pct: dict[str, float]
+    vectors: dict[str, list[float]]
     n_admitted: int = 0
     n_dismissed: int = 0
     n_censored: int = 0
-    vectors: dict[str, list[float]] = field(default_factory=dict)
+
+    in_per_day = _vector_mean("in_per_day")
+    wt_first = _vector_mean("wt_first")
+    wt_last = _vector_mean("wt_last")
+    los = _vector_mean("los")
+
+    @property
+    def outlier_pct(self) -> dict[str, float]:
+        """Mean outlier percentage per threshold code."""
+        return {name.split("_", 1)[1]: _mean(xs) for name, xs in self.vectors.items()
+                if name.startswith("outlier_")}
 
     def value(self, name: str) -> float:
-        if name.startswith("outlier_"):
-            return self.outlier_pct.get(name.split("_", 1)[1], float("nan"))
-        return getattr(self, name)
+        return _mean(self.vectors[name])
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -65,12 +81,8 @@ class KpiReport:
             "n_admitted": self.n_admitted,
             "n_dismissed": self.n_dismissed,
             "n_censored": self.n_censored,
-            "replications": {k: [clean(x) for x in v] for k, v in self.vectors.items()},
+            "replications": {k: [clean(x) for x in self.vectors[k]] for k in KPI_NAMES},
         }
-
-
-def _mean(xs: list[float]) -> float:
-    return sum(xs) / len(xs) if xs else float("nan")
 
 
 def _admitted(rows: list[tuple[int, ...]],
@@ -111,53 +123,31 @@ def compute_kpis(rows: list[tuple[int, ...]], days: int, thresholds: dict[str, f
     wt_last = [r[_START_LAST] - r[_ENQ_LAST] for r in admitted if r[_START_LAST] != NO_TIME]
     los = [r[_DISCHARGE] - r[_ARRIVE] for r in admitted if r[_DISCHARGE] != NO_TIME]
 
-    outlier_pct: dict[str, float] = {}
+    vectors = {"in_per_day": [len(admitted) / days], "wt_first": [_mean(wt_first)],
+               "wt_last": [_mean(wt_last)], "los": [_mean(los)]}
     for code, threshold in sorted(thresholds.items()):
         waits = _first_waits(admitted, CODE_RANK.get(code))
-        outlier_pct[code] = (100.0 * sum(1 for w in waits if w > threshold) / len(waits)
-                             if waits else float("nan"))
-
-    report = KpiReport(
-        in_per_day=len(admitted) / days,
-        wt_first=_mean(wt_first),
-        wt_last=_mean(wt_last),
-        los=_mean(los),
-        outlier_pct=outlier_pct,
-        n_admitted=len(admitted),
-        n_dismissed=dismissed,
-        n_censored=len(admitted) - len(los),
-    )
-    report.vectors = {name: [report.value(name)] for name in KPI_NAMES}
-    return report
+        vectors[f"outlier_{code}"] = [100.0 * sum(1 for w in waits if w > threshold) / len(waits)
+                                      if waits else float("nan")]
+    return KpiReport(vectors, n_admitted=len(admitted), n_dismissed=dismissed,
+                     n_censored=len(admitted) - len(los))
 
 
 def aggregate(reports: list[KpiReport]) -> KpiReport:
-    """Arithmetic mean per KPI across replications; vectors are concatenated."""
+    """Replication reports merged: vectors are concatenated, counts summed."""
     if not reports:
         raise UsageError("aggregate needs at least one report")
-    vectors: dict[str, list[float]] = {name: [] for name in KPI_NAMES}
+    vectors: dict[str, list[float]] = {}
     for r in reports:
-        for name in KPI_NAMES:
-            vectors[name].extend(r.vectors.get(name, [r.value(name)]))
-    codes = sorted({c for r in reports for c in r.outlier_pct})
-    return KpiReport(
-        in_per_day=_mean(vectors["in_per_day"]),
-        wt_first=_mean(vectors["wt_first"]),
-        wt_last=_mean(vectors["wt_last"]),
-        los=_mean(vectors["los"]),
-        outlier_pct={c: _mean([r.outlier_pct[c] for r in reports if c in r.outlier_pct])
-                     for c in codes},
-        n_admitted=sum(r.n_admitted for r in reports),
-        n_dismissed=sum(r.n_dismissed for r in reports),
-        n_censored=sum(r.n_censored for r in reports),
-        vectors=vectors,
-    )
+        for name, xs in r.vectors.items():
+            vectors.setdefault(name, []).extend(xs)
+    return KpiReport(vectors, n_admitted=sum(r.n_admitted for r in reports),
+                     n_dismissed=sum(r.n_dismissed for r in reports),
+                     n_censored=sum(r.n_censored for r in reports))
 
 
 @dataclass
 class Comparison:
-    baseline: KpiReport
-    candidate: KpiReport
     delta: dict[str, float]
     p_value: dict[str, float]
     significant: dict[str, bool]
@@ -166,7 +156,7 @@ class Comparison:
         return [name for name in KPI_NAMES if self.significant[name]]
 
 
-def compare(baseline: KpiReport, candidate: KpiReport, alpha: float = ALPHA) -> Comparison:
+def compare(baseline: KpiReport, candidate: KpiReport) -> Comparison:
     """Per-KPI two-sided Welch test over the retained replication vectors."""
     delta, p_value, significant = {}, {}, {}
     for name in KPI_NAMES:
@@ -192,5 +182,5 @@ def compare(baseline: KpiReport, candidate: KpiReport, alpha: float = ALPHA) -> 
         else:
             p = float(stats.ttest_ind(b, c, equal_var=False).pvalue)
         p_value[name] = p
-        significant[name] = bool(not math.isnan(p) and p < alpha)
-    return Comparison(baseline, candidate, delta, p_value, significant)
+        significant[name] = bool(not math.isnan(p) and p < ALPHA)
+    return Comparison(delta, p_value, significant)

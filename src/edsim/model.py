@@ -29,22 +29,17 @@ from .stochastics import (
     next_dispatch,
 )
 
-# internal calendar event kinds
-EV_ARRIVAL = 0
-EV_TRIAGE_DONE = 1
-EV_FIRST_DONE = 2
-EV_LAB_DISPATCH = 3
-EV_LAB_RESULT = 4
-EV_EXAM_DONE = 5
-EV_LAST_DONE = 6
-EV_SHIFT_KICK = 7
-
 GENERAL_POOLS = ("low_general", "high_general")
 LOW_RANKS = {CODE_RANK["GREEN"], CODE_RANK["WHITE"]}
 HIGH_RANKS = {CODE_RANK["RED"], CODE_RANK["YELLOW"]}
 ALL_RANKS = set(CODE_RANK.values())
 FIRST_QUEUE_OF = {"low_general": "general", "high_general": "general",
                   "orthopaedic": "orthopaedic", "dermatological": "dermatological"}
+# visit type -> (first-visit queue, first-visit service spec); a red patient
+# is routed as GENERAL, to the high urgency room
+VISIT_ROUTE = {"GENERAL": ("general", "first_general"),
+               "ORTHOPAEDIC": ("orthopaedic", "first_ortho"),
+               "DERMATOLOGICAL": ("dermatological", "first_derma")}
 
 
 class Patient:
@@ -126,10 +121,8 @@ class Replication:
         offset = 60 * (scenario.t or 0)
         res = profile.resources
         self.pools: dict[str, ResourcePool] = {
-            "low_general": ResourcePool("low_general", _calendar_from_teams(res["low_general"]["teams"], offset)),
-            "high_general": ResourcePool("high_general", _calendar_from_teams(res["high_general"]["teams"], offset)),
-            "orthopaedic": ResourcePool("orthopaedic", _calendar_from_teams(res["orthopaedic"]["teams"], offset)),
-            "dermatological": ResourcePool("dermatological", _calendar_from_teams(res["dermatological"]["teams"], offset)),
+            pool_id: ResourcePool(pool_id, _calendar_from_teams(res[pool_id]["teams"], offset))
+            for pool_id in FIRST_QUEUE_OF
         }
         self.extra_teams = int(scenario.a or 0)
         if self.extra_teams:
@@ -138,37 +131,25 @@ class Replication:
                      for i in range(self.extra_teams)]
             self.pools["last_visit"] = ResourcePool("last_visit", _calendar_from_teams(teams, offset))
 
-        self.xray = CountedPool("xray", res["xray"]["capacity"])
-        self.misc = CountedPool("misc_exam", res["misc_exam"]["capacity"])
+        self.exam_pools = {"xray": CountedPool("xray", res["xray"]["capacity"]),
+                           "misc": CountedPool("misc_exam", res["misc_exam"]["capacity"])}
 
         self.first_queues: dict[str, PromotionQueue] = {
-            "general": PromotionQueue(),
-            "orthopaedic": PromotionQueue(),
-            "dermatological": PromotionQueue(),
-        }
-        # Last visits queue per first-visit team (same-doctor affinity). With
-        # scenario a>=1 the dedicated pool draws from the union of these
-        # queues, waiving affinity for the patients it picks up.
-        self.team_last: dict[str, PromotionQueue] = {}
-        for pool_id, pool in self.pools.items():
-            if pool_id == "last_visit":
-                continue
-            for team in pool.calendar.teams:
-                self.team_last[team] = PromotionQueue()
-
-        self.team_pool: dict[str, ResourcePool] = {}
-        for pool in self.pools.values():
-            for team in pool.calendar.teams:
-                self.team_pool[team] = pool
+            queue_key: PromotionQueue() for queue_key, _spec in VISIT_ROUTE.values()}
+        self.team_pool: dict[str, ResourcePool] = {
+            team: pool for pool in self.pools.values() for team in pool.calendar.teams}
+        # Last visits queue per first-visit team (same-doctor affinity), in
+        # pool-then-calendar order. With scenario a>=1 the dedicated pool
+        # draws from the union of these queues, waiving affinity for the
+        # patients it picks up.
+        self.team_last: dict[str, PromotionQueue] = {
+            team: PromotionQueue() for team, pool in self.team_pool.items()
+            if pool.pool_id != "last_visit"}
 
         # Dispatch visiting order: pools low -> high -> ortho -> derma -> LV,
         # teams in calendar order, each with its first queue (None for LV).
-        self._dispatch_order = [
-            (self.pools[pool_id], self.first_queues.get(FIRST_QUEUE_OF.get(pool_id)))
-            for pool_id in ("low_general", "high_general", "orthopaedic",
-                            "dermatological", "last_visit")
-            if pool_id in self.pools
-        ]
+        self._dispatch_order = [(pool, self.first_queues.get(FIRST_QUEUE_OF.get(pool_id)))
+                                for pool_id, pool in self.pools.items()]
         self.in_flight = 0
         self.arrivals_open = True
         self._arrival_real = 0.0
@@ -185,7 +166,7 @@ class Replication:
             self.arrivals_open = False
             return
         self._arrival_real = t_real
-        self.calendar.schedule(round_half_up(t_real), EV_ARRIVAL, code)
+        self.calendar.schedule(round_half_up(t_real), self._on_arrival, code)
 
     def _schedule_kicks(self) -> None:
         minutes = set()
@@ -194,7 +175,7 @@ class Replication:
             if pool is not None:
                 minutes.update(pool.calendar.boundaries())
         for m in sorted(minutes):
-            self.calendar.schedule(m, EV_SHIFT_KICK, m)
+            self.calendar.schedule(m, self._on_shift_kick, m)
 
     # ----------------------------------------------------------------- draws
 
@@ -215,10 +196,7 @@ class Replication:
         p.needs_lab = u_lab < self.profile.mixes["needs_lab"]
         p.exam_kinds = draw_exam_list(u_xray, u_count, self.profile)
         z_first, z_last, *z_lab_exams = ag.standard_normal(5 + len(p.exam_kinds)).tolist()
-        first_spec = {"GENERAL": "first_general", "ORTHOPAEDIC": "first_ortho",
-                      "DERMATOLOGICAL": "first_derma"}[p.visit_type]
-        if code == "RED":
-            first_spec = "first_general"  # reds are treated in the high urgency room
+        _queue, first_spec = VISIT_ROUTE["GENERAL" if code == "RED" else p.visit_type]
         p.first_d = max(1, round_half_up(svc[first_spec].from_normal(z_first)))
         p.last_d = max(1, round_half_up(svc["last_visit"].from_normal(z_last)))
         p.lab_z = tuple(z_lab_exams[:3])
@@ -229,12 +207,6 @@ class Replication:
         return p
 
     # --------------------------------------------------------------- routing
-
-    def _first_queue_key(self, p: Patient) -> str:
-        if p.code == "RED":
-            return "general"
-        return {"GENERAL": "general", "ORTHOPAEDIC": "orthopaedic",
-                "DERMATOLOGICAL": "dermatological"}[p.visit_type]
 
     def _pull_allowed(self, now: int) -> bool:
         mode = self.profile.pull_low_into_high
@@ -257,18 +229,15 @@ class Replication:
             return (ALL_RANKS if self._pull_allowed(now) else HIGH_RANKS), True
         return ALL_RANKS, False  # dedicated rooms serve their whole queue
 
-    def _peek_union_last(self, now: int):
+    def _peek_union_last(self):
         """Oldest pending last visit across every team queue (dedicated-pool
         view; affinity is waived for whoever it picks)."""
-        best_q, best_item, best_key = None, None, None
-        for team in self.team_last:
-            q = self.team_last[team]
-            if not len(q):
-                continue
-            item = q.peek_next()
-            key = item.key
-            if best_key is None or key < best_key:
-                best_q, best_item, best_key = q, item, key
+        best_q = best_item = None
+        for q in self.team_last.values():
+            if len(q):
+                item = q.peek_next()
+                if best_item is None or item.key < best_item.key:
+                    best_q, best_item = q, item
         return best_q, best_item
 
     def _mark_promotions(self, queue: PromotionQueue, now: int) -> None:
@@ -291,7 +260,7 @@ class Replication:
             ranks, include_promoted = self._eligible_ranks(pool.pool_id, now)
             first_item = first_q.peek_next(ranks, include_promoted)
         if first_q is None:
-            last_q, last_item = self._peek_union_last(now)
+            last_q, last_item = self._peek_union_last()
         else:
             last_q = self.team_last[team]
             last_item = last_q.peek_next() if len(last_q) else None
@@ -345,17 +314,14 @@ class Replication:
         end = pool.seize(team, p, now, p.first_d)
         p.t_start_first = now
         self.log.add(now, p.pid, "START_FIRST", team, pool.pool_id)
-        self.calendar.schedule(end, EV_FIRST_DONE, p)
+        self.calendar.schedule(end, self._on_first_done, p)
 
     def _start_last(self, p: Patient, pool: ResourcePool, team: str, now: int) -> None:
         p.last_team = team
         end = pool.seize(team, p, now, p.last_d)
         p.t_start_last = now
         self.log.add(now, p.pid, "START_LAST", team, pool.pool_id)
-        self.calendar.schedule(end, EV_LAST_DONE, p)
-
-    def _release(self, team: str) -> None:
-        self.team_pool[team].release(team)
+        self.calendar.schedule(end, self._on_last_done, p)
 
     # ------------------------------------------------------------------- lab
 
@@ -363,17 +329,13 @@ class Replication:
         self.log.add(now, p.pid, "LAB_DRAW")
         dispatch = next_dispatch(now)
         w, e, m = lab_components(self.profile, dispatch // 60, *p.lab_z, self.scenario.r)
-        self.calendar.schedule(dispatch, EV_LAB_DISPATCH, p)
-        self.calendar.schedule(dispatch + w + e + m, EV_LAB_RESULT, p)
+        self.calendar.schedule(dispatch, self._on_lab_dispatch, p)
+        self.calendar.schedule(dispatch + w + e + m, self._on_lab_result, p)
 
     # ------------------------------------------------------------------ exams
 
-    def _exam_pool(self, kind: str) -> CountedPool:
-        return self.xray if kind == "xray" else self.misc
-
     def _request_exam(self, p: Patient, now: int) -> None:
-        kind = p.exam_kinds[p.exam_idx]
-        pool = self._exam_pool(kind)
+        pool = self.exam_pools[p.exam_kinds[p.exam_idx]]
         if pool.count < pool.capacity:
             self._start_exam(p, pool, now)
         else:
@@ -383,7 +345,7 @@ class Replication:
         pool.count += 1
         kind = p.exam_kinds[p.exam_idx]
         self.log.add(now, p.pid, "START_EXAM", kind, pool.pool_id)
-        self.calendar.schedule(now + p.exam_ds[p.exam_idx], EV_EXAM_DONE, p)
+        self.calendar.schedule(now + p.exam_ds[p.exam_idx], self._on_exam_done, p)
 
     def _proceed_after_first_and_lab(self, p: Patient, now: int) -> None:
         if p.exam_kinds:
@@ -412,7 +374,7 @@ class Replication:
         p = self._make_patient(code, now)
         self.in_flight += 1
         self.log.add(now, p.pid, "ARRIVE", p.mode, p.code)
-        self.calendar.schedule(now + p.triage_d, EV_TRIAGE_DONE, p)
+        self.calendar.schedule(now + p.triage_d, self._on_triage_done, p)
         if self.arrivals_open:
             self._schedule_next_arrival()
 
@@ -431,7 +393,7 @@ class Replication:
             return
         if p.lab_at_triage:
             self._start_lab(p, now)
-        queue_key = self._first_queue_key(p)
+        queue_key, _spec = VISIT_ROUTE["GENERAL" if p.code == "RED" else p.visit_type]
         p.t_enq_first = now
         self.log.add(now, p.pid, "ENQUEUE_FIRST", queue_key)
         self.first_queues[queue_key].enqueue(p, p.rank, now)
@@ -440,13 +402,16 @@ class Replication:
 
     def _on_first_done(self, now: int, p: Patient) -> None:
         self.log.add(now, p.pid, "END_FIRST", p.first_team)
-        self._release(p.first_team)
+        self.team_pool[p.first_team].release(p.first_team)
         p.t_end_first = now
         if p.needs_lab and not p.lab_at_triage:
             self._start_lab(p, now)
         if not p.needs_lab or p.lab_done:
             self._proceed_after_first_and_lab(p, now)
         self._dispatch(now)
+
+    def _on_lab_dispatch(self, now: int, p: Patient) -> None:
+        self.log.add(now, p.pid, "LAB_DISPATCH")
 
     def _on_lab_result(self, now: int, p: Patient) -> None:
         self.log.add(now, p.pid, "LAB_RESULT")
@@ -456,7 +421,7 @@ class Replication:
 
     def _on_exam_done(self, now: int, p: Patient) -> None:
         kind = p.exam_kinds[p.exam_idx]
-        pool = self._exam_pool(kind)
+        pool = self.exam_pools[kind]
         self.log.add(now, p.pid, "END_EXAM", kind, pool.pool_id)
         pool.count -= 1
         if pool.fifo:
@@ -470,41 +435,32 @@ class Replication:
     def _on_last_done(self, now: int, p: Patient) -> None:
         p.t_discharge = now
         self.log.add(now, p.pid, "DISCHARGE")
-        self._release(p.last_team)
+        self.team_pool[p.last_team].release(p.last_team)
         self.in_flight -= 1
         self._dispatch(now)
 
     def _on_shift_kick(self, now: int, minute: int) -> None:
         self._dispatch(now)
         if self.in_flight > 0 or self.arrivals_open:
-            self.calendar.schedule(now + MINUTES_PER_DAY, EV_SHIFT_KICK, minute)
+            self.calendar.schedule(now + MINUTES_PER_DAY, self._on_shift_kick, minute)
 
     # -------------------------------------------------------------------- run
-
-    def _handlers(self) -> dict:
-        return {
-            EV_ARRIVAL: self._on_arrival,
-            EV_TRIAGE_DONE: self._on_triage_done,
-            EV_FIRST_DONE: self._on_first_done,
-            EV_LAB_DISPATCH: lambda now, p: self.log.add(now, p.pid, "LAB_DISPATCH"),
-            EV_LAB_RESULT: self._on_lab_result,
-            EV_EXAM_DONE: self._on_exam_done,
-            EV_LAST_DONE: self._on_last_done,
-            EV_SHIFT_KICK: self._on_shift_kick,
-        }
 
     def run(self) -> EventLog:
         """Run to the horizon (or empty, with `drain`); the returned log
         holds the KPI rows and, if kept, the event records."""
         self._schedule_kicks()
         self._schedule_next_arrival()
-        handlers = self._handlers()
         while len(self.calendar):
             at = self.calendar.peek_time()
             if not self.drain and at > self.horizon:
                 break
-            now, _seq, kind, entity = self.calendar.pop()
-            handlers[kind](now, entity)
+            now, _seq, handler, entity = self.calendar.pop()
+            handler(now, entity)
+        # Entries left past the horizon hold bound handlers, a reference
+        # cycle through this replication; dropping them lets it be freed
+        # as soon as the caller lets go, not at the next full collection.
+        self.calendar.clear()
         self.log.rows = [p.kpi_row() for p in self.patients]
         return self.log
 

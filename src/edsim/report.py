@@ -43,9 +43,9 @@ def write_comparison_csv(path, rows: list[tuple]) -> None:
 
 
 def svg_bar_chart(title: str, labels: list[str], values: list[float],
-                  width: int = 640, height: int = 360) -> str:
+                  width: int = 640) -> str:
     """Minimal standalone SVG: one bar per labeled value."""
-    margin, axis = 40, 30
+    height, margin, axis = 360, 40, 30
     plot_w, plot_h = width - 2 * margin, height - 2 * margin - axis
     vmax = max([v for v in values if v == v] + [1.0])
     n = max(len(values), 1)

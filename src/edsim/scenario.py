@@ -116,9 +116,12 @@ def parse(spec: str) -> Scenario:
 
 def from_json_dict(d: dict) -> Scenario:
     """Scenario from a JSON object keyed by field name; a missing or null
-    field is unchanged and other keys are ignored."""
+    field is unchanged, `name` is ignored and any other key is an error."""
     if not isinstance(d, dict):
         raise ParseError(f"scenario JSON must be an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {*FIELD_ORDER, "name"})
+    if unknown:
+        raise ParseError(f"unknown scenario field(s): {', '.join(map(repr, unknown))}")
     return Scenario(**{name: _parse_field(name, d.get(name)) for name in FIELD_ORDER})
 
 

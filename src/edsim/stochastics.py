@@ -240,7 +240,7 @@ def load_profile(path) -> Profile:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProfileError(f"profile is not valid JSON: {exc}") from exc
     return Profile(raw)
 

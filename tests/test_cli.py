@@ -64,7 +64,8 @@ class TestRun:
         assert run_cli("run", "--scenario", "Q.7", "--out", str(out)) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["{bad", "[1,2]", '{"tau_g": "abc"}', '{"tau_g": 1.5}'])
+    @pytest.mark.parametrize("text", ["{bad", "[1,2]", '{"tau_g": "abc"}', '{"tau_g": 1.5}',
+                                      '{"tau-g": 90}'])
     def test_bad_scenario_json_file_exits_2(self, text, tmp_path, capsys):
         spec = tmp_path / "bad.json"
         spec.write_text(text)
@@ -137,6 +138,13 @@ class TestProfileHandling:
         bad.write_text(json.dumps(raw))
         assert run_cli("run", "--profile", str(bad), "--out", str(tmp_path / "o")) == 2
         assert "thresholds" in capsys.readouterr().err
+
+    def test_non_utf8_profile_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert run_cli("validate", "--profile", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("profile error:") and "Traceback" not in err
 
     def test_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("EDSIM_PROFILE", str(tmp_path / "ghost.json"))

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import defaultdict
 
 import pytest
@@ -28,10 +30,9 @@ def make_patient(pid, code, *, visit_type="GENERAL", needs_lab=False, exams=(),
 
 
 def pump(rep):
-    handlers = rep._handlers()
     while len(rep.calendar):
-        now, _seq, kind, entity = rep.calendar.pop()
-        handlers[kind](now, entity)
+        now, _seq, handler, entity = rep.calendar.pop()
+        handler(now, entity)
 
 
 def events_of(log, pid):
@@ -325,6 +326,19 @@ class TestExamsAndFlow:
         log = run_replication(default_profile, Scenario(tau_g=60), 0, 5, 3)
         times = [r.time_min for r in log.records]
         assert times == sorted(times)
+
+    def test_finished_replication_is_freed_by_reference_counting(self, default_profile):
+        # calendar entries hold bound handlers; those left past the horizon
+        # must not keep the replication (and every patient) alive
+        gc.disable()
+        try:
+            rep = Replication(default_profile, Scenario(), rep_id=0, master_seed=5, days=1)
+            ref = weakref.ref(rep)
+            rep.run()
+            del rep
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestCapacityAndShifts:

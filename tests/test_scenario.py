@@ -110,3 +110,8 @@ class TestJson:
                 from_json_dict(bad)
         with pytest.raises(ParseError):
             parse_tuple("(-,-,1.5,-,-,-,-,-)")
+
+    def test_json_unknown_keys_are_named_and_name_is_accepted(self):
+        assert from_json_dict({"name": "x", "tau_g": 90}) == Scenario(tau_g=90)
+        with pytest.raises(ParseError, match="'tau-g', 'tauw'"):
+            from_json_dict({"tauw": 180, "name": "x", "tau-g": 90})
