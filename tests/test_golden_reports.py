@@ -1,10 +1,12 @@
-"""Byte-for-byte gate on the report files of `edsim run` and `edsim sweep`.
+"""Byte-for-byte gate on the output files of `edsim run`, `sweep` and
+`calibrate`.
 
-Each case runs the CLI once with a fixed seed and hashes the files it names
-with SHA-256. The recorded digests in `tests/data/golden_reports.json` pin
-the reported figures and their rendering: a change to the KPI arithmetic,
-aggregation, the Welch flags or the JSON/CSV writers shows here, even when
-the event logs stay the same.
+Each case runs the CLI once with a fixed seed, checks its exit code and
+hashes the files it names with SHA-256. The recorded digests in
+`tests/data/golden_reports.json` pin the reported figures and their
+rendering: a change to the KPI arithmetic, aggregation, the Welch flags, the
+calibration search or the JSON/CSV/SVG writers shows here, even when the
+event logs stay the same.
 
 Re-record (only when a change to the reported figures or formats is intended):
 
@@ -25,20 +27,32 @@ from edsim.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 
-# case -> (CLI arguments without --out, glob patterns of the pinned files)
+CALIBRATION_FILES = ("fitted_profile.json", "calibration_trace.json")
+
+# case -> (CLI arguments without --out, expected exit code,
+#          glob patterns of the pinned files)
 CASES = {
     "run": (["run", "--scenario", "Cb.15", "--replications", "2", "--days", "2",
-             "--seed", "42"], ("report.json",)),
+             "--seed", "42", "--svg"], 0, ("report.json", "kpis.svg")),
     "sweep": (["sweep", "--scenarios", "B.1", "C.4", "F.1", "--replications", "2",
-               "--days", "2", "--seed", "42"], ("comparison.csv", "reports/*.json")),
+               "--days", "2", "--seed", "42", "--svg"], 0,
+              ("comparison.csv", "reports/*.json", "los.svg")),
+    # a probe lands in every band and the full-scale check confirms it
+    "calibrate": (["calibrate", "--budget", "4", "--probe-replications", "2",
+                   "--probe-days", "10", "--replications", "2", "--days", "10",
+                   "--seed", "42"], 0, CALIBRATION_FILES),
+    # the budget runs out: the best probe's full-scale check fails
+    "calibrate/failed": (["calibrate", "--budget", "3", "--probe-replications", "1",
+                          "--probe-days", "2", "--replications", "1", "--days", "2",
+                          "--seed", "5"], 1, CALIBRATION_FILES),
 }
 
 
 def report_digests(case: str, workdir: Path) -> dict[str, str]:
-    argv, patterns = CASES[case]
+    argv, code, patterns = CASES[case]
     out = workdir / case
-    if main([*argv, "--out", str(out)]) != 0:
-        raise RuntimeError(f"edsim {' '.join(argv)} did not exit 0")
+    if main([*argv, "--out", str(out)]) != code:
+        raise RuntimeError(f"edsim {' '.join(argv)} did not exit {code}")
     paths = sorted(p for pattern in patterns for p in out.glob(pattern))
     return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in paths}
