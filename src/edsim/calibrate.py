@@ -51,12 +51,7 @@ def apply_multipliers(raw: dict, mult: dict[str, float]) -> dict:
 
 
 def band_errors(report: KpiReport, target: CalibrationTarget) -> dict[str, float]:
-    return {
-        "in_per_day": (report.in_per_day - target.in_per_day) / target.in_per_day,
-        "wt_first": (report.wt_first - target.wt_first) / target.wt_first,
-        "wt_last": (report.wt_last - target.wt_last) / target.wt_last,
-        "los": (report.los - target.los) / target.los,
-    }
+    return {k: (getattr(report, k) - getattr(target, k)) / getattr(target, k) for k in BANDS}
 
 
 def within_bands(report: KpiReport, target: CalibrationTarget) -> bool:
@@ -98,6 +93,10 @@ def _fit_thresholds(rows_per_rep, raw: dict, target: CalibrationTarget) -> dict:
     return fitted
 
 
+class _Confirmed(Exception):
+    """Ends the search with (multipliers, full-scale report, logs) of a confirmed probe."""
+
+
 def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
               replications: int = 3, days: int = 30, jobs: int = 1,
               final_replications: int = 10, final_days: int = 30) -> CalibrationResult:
@@ -114,10 +113,11 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
         return CalibrationResult(profile_raw, False, "FAILED: zero search budget")
 
     trace: list[dict] = []
-    best: dict = {"err": math.inf, "x": np.zeros(len(PARAM_NAMES))}
-    confirmed: dict = {"x": None, "report": None, "logs": None}
+    best: dict = {"err": math.inf, "mult": dict.fromkeys(PARAM_NAMES, 1.0)}
 
-    def record(tag, mult, agg):
+    def run(tag, mult, reps, run_days):
+        agg, logs = run_scenario(Profile(apply_multipliers(profile_raw, mult)), Scenario(),
+                                 seed, reps, run_days, jobs=jobs)
         trace.append({
             "eval": tag,
             "multipliers": {k: round(v, 6) for k, v in mult.items()},
@@ -125,50 +125,32 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
                      "wt_last": agg.wt_last, "los": agg.los},
             "error": weighted_error(agg, target),
         })
+        return agg, logs
 
     def evaluate(x: np.ndarray) -> float:
-        if confirmed["x"] is not None:
-            return best["err"]
         mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, x)}
-        probe = Profile(apply_multipliers(profile_raw, mult))
-        agg, _, _ = run_scenario(probe, Scenario(), seed, replications, days, jobs=jobs)
+        agg, _ = run(len(trace) + 1, mult, replications, days)
         err = weighted_error(agg, target)
-        record(len(trace) + 1, mult, agg)
         if err < best["err"]:
-            best["err"], best["x"] = err, np.array(x, dtype=float)
+            best.update(err=err, mult=mult)
         if within_bands(agg, target):
-            full, _, logs = run_scenario(probe, Scenario(), seed,
-                                         final_replications, final_days, jobs=jobs)
-            record("full-scale", mult, full)
+            full, logs = run("full-scale", mult, final_replications, final_days)
             if within_bands(full, target):
-                confirmed.update(x=np.array(x, dtype=float), report=full, logs=logs)
+                raise _Confirmed(mult, full, logs)
         return err
-
-    def callback(_xk):
-        if confirmed["x"] is not None:
-            raise StopIteration
 
     x0 = np.zeros(len(PARAM_NAMES))
     try:
-        optimize.minimize(evaluate, x0, method="Nelder-Mead", callback=callback,
+        optimize.minimize(evaluate, x0, method="Nelder-Mead",
                           options={"maxfev": budget, "xatol": 1e-3, "fatol": 1e-4,
                                    "initial_simplex": _initial_simplex(x0, 0.04)})
-    except StopIteration:
-        pass
-
-    if confirmed["x"] is not None:
-        final_x, agg, logs = confirmed["x"], confirmed["report"], confirmed["logs"]
-        converged = True
+    except _Confirmed as done:
+        (mult, agg, logs), converged = done.args, True
     else:
-        final_x = best["x"]
-        mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, final_x)}
-        fitted_probe = apply_multipliers(profile_raw, mult)
-        agg, _, logs = run_scenario(Profile(fitted_probe), Scenario(), seed,
-                                    final_replications, final_days, jobs=jobs)
-        record("full-scale", mult, agg)
+        mult = best["mult"]
+        agg, logs = run("full-scale", mult, final_replications, final_days)
         converged = within_bands(agg, target)
 
-    mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, final_x)}
     fitted = apply_multipliers(profile_raw, mult)
     fitted["thresholds"] = _fit_thresholds([log.rows for log in logs], fitted, target)
     message = ("converged: all targets within tolerance" if converged
@@ -177,8 +159,5 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
 
 
 def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
-    n = len(x0)
-    simplex = np.tile(x0, (n + 1, 1))
-    for i in range(n):
-        simplex[i + 1, i] += step
-    return simplex
+    """x0 and, for each axis, x0 moved `step` along it."""
+    return np.vstack([x0, x0 + step * np.eye(len(x0))])

@@ -17,9 +17,10 @@ from . import calibrate as cal
 from . import scenario as scen_mod
 from .harness import run_scenario
 from .kpi import compare
-from .report import comparison_row, write_comparison_csv, write_kpi_svg, write_report_json
+from .report import (comparison_row, svg_bar_chart, write_comparison_csv, write_kpi_svg,
+                     write_report_json)
 from .scenario import ParseError, Scenario, UnknownScenario, ValidationError
-from .stochastics import ProfileError, default_profile_path, load_profile, write_profile
+from .stochastics import Profile, ProfileError, default_profile_path, load_profile, write_profile
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -88,11 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_profile(args) -> str:
+def _load_profile(args) -> Profile:
     path = args.profile or os.environ.get(PROFILE_ENV) or default_profile_path()
     if not Path(path).exists():
         raise ProfileError(f"profile file not found: {path}")
-    return path
+    return load_profile(path)
 
 
 def _resolve_scenario(text: str) -> tuple[str, Scenario]:
@@ -102,24 +103,21 @@ def _resolve_scenario(text: str) -> tuple[str, Scenario]:
     return name, scen_mod.parse(text)
 
 
-def cmd_run(args) -> int:
-    profile = load_profile(_resolve_profile(args))
+def _meta(args, scenario: Scenario, name: str) -> dict:
+    return {"scenario": scenario.render(), "scenario_name": name, "seed": args.seed,
+            "replications": args.replications, "days": args.days}
+
+
+def cmd_run(args, profile: Profile) -> int:
     name, scenario = _resolve_scenario(args.scenario)
-    agg, _, logs = run_scenario(profile, scenario, args.seed, args.replications,
-                                args.days, jobs=args.jobs, keep_logs=True)
+    agg, logs = run_scenario(profile, scenario, args.seed, args.replications,
+                             args.days, jobs=args.jobs, keep_logs=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for log in logs:
         log.write_csv(out / f"rep_{log.rep_id:02d}.csv")
-    meta = {
-        "scenario": scenario.render(),
-        "scenario_name": name,
-        "seed": args.seed,
-        "replications": args.replications,
-        "days": args.days,
-        "profile_version": profile.version,
-        "low_sample": bool(args.replications < 2 or args.days < 2),
-    }
+    meta = {**_meta(args, scenario, name), "profile_version": profile.version,
+            "low_sample": args.replications < 2 or args.days < 2}
     write_report_json(out / "report.json", agg, meta)
     if args.svg:
         write_kpi_svg(out / "kpis.svg", agg, f"KPIs: {name}")
@@ -130,8 +128,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    profile = load_profile(_resolve_profile(args))
+def cmd_sweep(args, profile: Profile) -> int:
     catalog = scen_mod.catalog()
     names = args.scenarios if args.scenarios else list(catalog)
     unknown = [n for n in names if n not in catalog]
@@ -146,44 +143,38 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     (out / "reports").mkdir(parents=True, exist_ok=True)
-    base_agg, _, _ = run_scenario(profile, Scenario(), args.seed, args.replications,
-                                  args.days, jobs=args.jobs)
-    write_report_json(out / "reports" / "baseline.json", base_agg,
-                      {"scenario": "(-,-,-,-,-,-,-,-)", "scenario_name": "baseline",
-                       "seed": args.seed, "replications": args.replications, "days": args.days})
-    rows = [comparison_row("baseline", base_agg, None)]
-    for name in names:
-        agg, _, _ = run_scenario(profile, catalog[name], args.seed, args.replications,
-                                 args.days, jobs=args.jobs)
-        # significance needs at least two replications per side
-        cmp_ = compare(base_agg, agg) if args.replications >= 2 else None
+    runs = [("baseline", Scenario()), *((name, catalog[name]) for name in names)]
+    base_agg = None
+    rows, los = [], []
+    for name, scenario in runs:
+        agg, _ = run_scenario(profile, scenario, args.seed, args.replications,
+                              args.days, jobs=args.jobs)
+        write_report_json(out / "reports" / f"{name}.json", agg, _meta(args, scenario, name))
+        if base_agg is None:
+            base_agg, cmp_ = agg, None
+        else:
+            # significance needs at least two replications per side
+            cmp_ = compare(base_agg, agg) if args.replications >= 2 else None
+            print(f"{name}: LoS {agg.los:.2f} (baseline {base_agg.los:.2f})")
         rows.append(comparison_row(name, agg, cmp_))
-        write_report_json(out / "reports" / f"{name}.json", agg,
-                          {"scenario": catalog[name].render(), "scenario_name": name,
-                           "seed": args.seed, "replications": args.replications, "days": args.days})
-        print(f"{name}: LoS {agg.los:.2f} (baseline {base_agg.los:.2f})")
+        los.append(agg.los)
     write_comparison_csv(out / "comparison.csv", rows)
     if args.svg:
-        from .report import svg_bar_chart
-        labels = [r[0] for r in rows]
-        values = [float(r[4]) for r in rows]
-        (out / "los.svg").write_text(svg_bar_chart("LoS by scenario", labels, values,
-                                                   width=max(640, 26 * len(rows))) + "\n")
+        chart = svg_bar_chart("LoS by scenario", [name for name, _ in runs], los)
+        (out / "los.svg").write_text(chart + "\n")
     print(f"wrote {len(rows)}-row comparison.csv to {out}")
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    profile = load_profile(_resolve_profile(args))
+def cmd_validate(args, profile: Profile) -> int:
     target = cal.CalibrationTarget()
-    agg, _, _ = run_scenario(profile, Scenario(), args.seed, args.replications,
-                             args.days, jobs=args.jobs)
+    agg, _ = run_scenario(profile, Scenario(), args.seed, args.replications,
+                          args.days, jobs=args.jobs)
     errs = cal.band_errors(agg, target)
-    ok = True
+    ok = cal.within_bands(agg, target)
     print(f"{'kpi':<12}{'simulated':>12}{'target':>10}{'delta':>9}{'band':>7}  verdict")
     for kpi, band in cal.BANDS.items():
         passed = abs(errs[kpi]) <= band
-        ok = ok and passed
         print(f"{kpi:<12}{agg.value(kpi):>12.2f}{getattr(target, kpi):>10.2f}"
               f"{100 * errs[kpi]:>+8.1f}%{100 * band:>6.0f}%  {'pass' if passed else 'FAIL'}")
     print(f"outliers: green {agg.outlier_pct.get('GREEN', float('nan')):.2f}% "
@@ -193,8 +184,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_calibrate(args) -> int:
-    profile = load_profile(_resolve_profile(args))
+def cmd_calibrate(args, profile: Profile) -> int:
     result = cal.calibrate(profile.raw, budget=args.budget, seed=args.seed,
                            replications=args.probe_replications, days=args.probe_days,
                            jobs=args.jobs, final_replications=args.replications,
@@ -219,7 +209,7 @@ def main(argv=None) -> int:
     handler = {"run": cmd_run, "sweep": cmd_sweep,
                "validate": cmd_validate, "calibrate": cmd_calibrate}[args.command]
     try:
-        return handler(args)
+        return handler(args, _load_profile(args))
     except ProfileError as exc:
         print(f"profile error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,11 +1,10 @@
 """Replication harness: fan out seeded runs, collect KPI rows (and event
-logs, when kept) and KPI reports."""
+logs, when kept) and aggregate their KPI reports."""
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 
-from .kernel import EventLog
 from .kpi import aggregate, compute_kpis
 from .model import run_replication
 from .scenario import Scenario
@@ -15,25 +14,20 @@ from .stochastics import Profile
 def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
                  days: int, jobs: int = 1, keep_logs: bool = False):
     """Run all replications of one scenario; returns (aggregate report,
-    per-replication reports, per-replication logs). Every log holds its
-    KPI rows; only with `keep_logs` does it hold event records too.
+    per-replication logs). The aggregate's `vectors` hold every
+    per-replication figure. Every log holds its KPI rows; only with
+    `keep_logs` does it hold event records too.
 
     Replication i always uses the same substreams regardless of the scenario,
     which gives common random numbers across a sweep."""
-    logs = _run_all(profile, scen, seed, replications, days, jobs, keep_logs)
-    reports = [compute_kpis(log.rows, days, profile.thresholds) for log in logs]
-    agg = aggregate(reports)
-    return agg, reports, logs
-
-
-def _run_all(profile: Profile, scen: Scenario, seed: int, replications: int,
-             days: int, jobs: int, keep_logs: bool) -> list[EventLog]:
     if jobs <= 1 or replications == 1:
-        return [run_replication(profile, scen, rep, seed, days, keep_log=keep_logs)
+        logs = [run_replication(profile, scen, rep, seed, days, keep_log=keep_logs)
                 for rep in range(replications)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(run_replication, profile, scen, rep, seed, days, keep_log=keep_logs)
-            for rep in range(replications)
-        ]
-        return [f.result() for f in futures]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [
+                pool.submit(run_replication, profile, scen, rep, seed, days, keep_log=keep_logs)
+                for rep in range(replications)
+            ]
+            logs = [f.result() for f in futures]
+    return aggregate([compute_kpis(log.rows, days, profile.thresholds) for log in logs]), logs

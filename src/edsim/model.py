@@ -29,7 +29,6 @@ from .stochastics import (
     next_dispatch,
 )
 
-GENERAL_POOLS = ("low_general", "high_general")
 LOW_RANKS = {CODE_RANK["GREEN"], CODE_RANK["WHITE"]}
 HIGH_RANKS = {CODE_RANK["RED"], CODE_RANK["YELLOW"]}
 ALL_RANKS = set(CODE_RANK.values())
@@ -169,11 +168,7 @@ class Replication:
         self.calendar.schedule(round_half_up(t_real), self._on_arrival, code)
 
     def _schedule_kicks(self) -> None:
-        minutes = set()
-        for key in (*GENERAL_POOLS, "last_visit"):
-            pool = self.pools.get(key)
-            if pool is not None:
-                minutes.update(pool.calendar.boundaries())
+        minutes = {m for pool in self.pools.values() for m in pool.calendar.boundaries()}
         for m in sorted(minutes):
             self.calendar.schedule(m, self._on_shift_kick, m)
 

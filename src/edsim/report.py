@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import csv
 import json
+from html import escape
+from pathlib import Path
 
 from .kpi import Comparison, KpiReport
 
@@ -38,14 +40,12 @@ def write_comparison_csv(path, rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(COMPARISON_HEADER)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
 
 
-def svg_bar_chart(title: str, labels: list[str], values: list[float],
-                  width: int = 640) -> str:
+def svg_bar_chart(title: str, labels: list[str], values: list[float]) -> str:
     """Minimal standalone SVG: one bar per labeled value."""
-    height, margin, axis = 360, 40, 30
+    width, height, margin, axis = max(640, 26 * len(values)), 360, 40, 30
     plot_w, plot_h = width - 2 * margin, height - 2 * margin - axis
     vmax = max([v for v in values if v == v] + [1.0])
     n = max(len(values), 1)
@@ -54,7 +54,7 @@ def svg_bar_chart(title: str, labels: list[str], values: list[float],
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>',
         f'<line x1="{margin}" y1="{margin + plot_h}" x2="{width - margin}" '
         f'y2="{margin + plot_h}" stroke="black"/>',
     ]
@@ -69,7 +69,8 @@ def svg_bar_chart(title: str, labels: list[str], values: list[float],
         parts.append(f'<text x="{x + bar_w / 2:.1f}" y="{y - 4:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="10">{value:.1f}</text>')
         parts.append(f'<text x="{x + bar_w / 2:.1f}" y="{margin + plot_h + 14:.1f}" '
-                     f'text-anchor="middle" font-family="sans-serif" font-size="10">{label}</text>')
+                     f'text-anchor="middle" font-family="sans-serif" font-size="10">'
+                     f'{escape(label, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -77,6 +78,4 @@ def svg_bar_chart(title: str, labels: list[str], values: list[float],
 def write_kpi_svg(path, report: KpiReport, title: str) -> None:
     labels = ["In/day", "WT first", "WT last", "LoS"]
     values = [report.in_per_day, report.wt_first, report.wt_last, report.los]
-    with open(path, "w") as fh:
-        fh.write(svg_bar_chart(title, labels, values))
-        fh.write("\n")
+    Path(path).write_text(svg_bar_chart(title, labels, values) + "\n")

@@ -204,6 +204,9 @@ class Profile:
             for team in self.resources[pool]["teams"]:
                 if team["id"] in seen:
                     raise ProfileError(f"duplicate team id {team['id']!r}")
+                if team["id"].startswith("LV") and team["id"][2:].isdigit():
+                    raise ProfileError(f"team id {team['id']!r} is reserved for the "
+                                       "dedicated last-visit teams")
                 seen.add(team["id"])
 
     def daily_arrivals(self) -> float:
@@ -263,8 +266,6 @@ class ArrivalSampler:
         self.rates = profile.arrival_rates
         self.total = [sum(self.rates[c][h] for c in CODES) for h in range(24)]
         self.lam_max = max(self.total) / 60.0  # per minute
-        if self.lam_max <= 0:
-            raise ProfileError("arrival profile has zero rate everywhere")
 
     def rate_at(self, minute: float) -> float:
         return self.total[int(minute // 60) % 24] / 60.0

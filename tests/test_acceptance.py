@@ -36,7 +36,7 @@ def ac1_result(default_raw):
 
     fit = calibrate(default_raw, budget=120)
     t0 = time.time()
-    agg, _, _ = run_scenario(Profile(fit.profile_raw), Scenario(), SEED, 10, 30, jobs=1)
+    agg, _ = run_scenario(Profile(fit.profile_raw), Scenario(), SEED, 10, 30, jobs=1)
     return fit, agg, time.time() - t0
 
 
@@ -47,9 +47,9 @@ def sweep_results(default_profile):
     cat = catalog()
     names = [n for n in cat if not n.startswith("Cb")] + ["Cb.15"]
     out = {}
-    out["baseline"], _, _ = run_scenario(default_profile, Scenario(), SEED, 6, 30, jobs=2)
+    out["baseline"], _ = run_scenario(default_profile, Scenario(), SEED, 6, 30, jobs=2)
     for name in names:
-        out[name], _, _ = run_scenario(default_profile, cat[name], SEED, 6, 30, jobs=2)
+        out[name], _ = run_scenario(default_profile, cat[name], SEED, 6, 30, jobs=2)
     return out
 
 

@@ -1,10 +1,12 @@
 import copy
 import json
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
 from edsim.cli import main
+from edsim.report import svg_bar_chart
 from edsim.stochastics import default_profile_path
 
 
@@ -82,6 +84,17 @@ class TestRun:
         svg = (out / "kpis.svg").read_text()
         assert svg.startswith("<svg") and "</svg>" in svg
 
+    def test_svg_text_is_escaped(self, tmp_path):
+        scen = tmp_path / "a&b.json"
+        scen.write_text("{}")
+        out = tmp_path / "s"
+        assert run_cli("run", "--scenario", str(scen), "--days", "1", "--replications", "1",
+                       "--svg", "--out", str(out)) == 0
+        texts = minidom.parse(str(out / "kpis.svg")).getElementsByTagName("text")
+        assert texts[0].firstChild.data == "KPIs: a&b"
+        chart = minidom.parseString(svg_bar_chart("t", ["<x>"], [1.0]))
+        assert chart.getElementsByTagName("text")[-1].firstChild.data == "<x>"
+
 
 class TestCountFlags:
     @pytest.mark.parametrize("argv", [
@@ -143,6 +156,18 @@ class TestProfileHandling:
         bad = tmp_path / "utf16.json"
         bad.write_bytes(b"\xff\xfe{\x00}\x00")
         assert run_cli("validate", "--profile", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("profile error:") and "Traceback" not in err
+
+    def test_reserved_last_visit_team_id_exits_2(self, tmp_path, capsys):
+        # scenario a>=1 names its dedicated last-visit teams LV1, LV2, ...
+        with open(default_profile_path()) as fh:
+            raw = json.load(fh)
+        raw["resources"]["low_general"]["teams"][0]["id"] = "LV1"
+        bad = tmp_path / "lv.json"
+        bad.write_text(json.dumps(raw))
+        assert run_cli("run", "--scenario", "F.1", "--profile", str(bad), "--days", "1",
+                       "--replications", "1", "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert err.startswith("profile error:") and "Traceback" not in err
 

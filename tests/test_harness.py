@@ -1,6 +1,6 @@
 from edsim.harness import run_scenario
 from edsim.kernel import MINUTES_PER_DAY
-from edsim.kpi import NO_TIME, ROW_FIELDS, WARMUP_MIN
+from edsim.kpi import NO_TIME, ROW_FIELDS, WARMUP_MIN, compute_kpis
 from edsim.model import Replication
 from edsim.scenario import Scenario
 from edsim.stochastics import Profile
@@ -15,16 +15,16 @@ def test_run_scenario_builds_no_profile(default_profile, monkeypatch):
         build(self, raw)
 
     monkeypatch.setattr(Profile, "__init__", counting_build)
-    _, reports, _ = run_scenario(default_profile, Scenario(), 5, 3, 1, jobs=1)
-    assert len(reports) == 3 and builds == []
+    agg, _ = run_scenario(default_profile, Scenario(), 5, 3, 1, jobs=1)
+    assert len(agg.vectors["los"]) == 3 and builds == []
 
 
 def test_jobs_do_not_change_kpi_rows(default_profile):
     scen = Scenario(tau_g=90, l=20)
-    agg1, reports1, logs1 = run_scenario(default_profile, scen, 5, 3, 1, jobs=1)
-    agg2, reports2, logs2 = run_scenario(default_profile, scen, 5, 3, 1, jobs=2)
+    agg1, logs1 = run_scenario(default_profile, scen, 5, 3, 1, jobs=1)
+    agg2, logs2 = run_scenario(default_profile, scen, 5, 3, 1, jobs=2)
     assert [log.rows for log in logs1] == [log.rows for log in logs2]
-    assert [r.to_dict() for r in reports1] == [r.to_dict() for r in reports2]
+    assert agg1.vectors == agg2.vectors
     assert agg1.to_dict() == agg2.to_dict()
 
 
@@ -35,8 +35,9 @@ def test_horizon_is_warmup_plus_days(default_profile):
 
 def test_n_admitted_counts_triaged_rows_after_the_warmup(default_profile):
     arrive, triage, dismissed = (ROW_FIELDS.index(f) for f in ("arrive", "triage", "dismissed"))
-    _, reports, logs = run_scenario(default_profile, Scenario(e=20), 5, 2, 1)
-    for report, log in zip(reports, logs):
+    _, logs = run_scenario(default_profile, Scenario(e=20), 5, 2, 1)
+    for log in logs:
+        report = compute_kpis(log.rows, 1, default_profile.thresholds)
         assert any(row[arrive] < WARMUP_MIN for row in log.rows)
         admitted = [row for row in log.rows if row[arrive] >= WARMUP_MIN
                     and row[triage] != NO_TIME and not row[dismissed]]

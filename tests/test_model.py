@@ -1,3 +1,4 @@
+import copy
 import gc
 import weakref
 from collections import defaultdict
@@ -375,6 +376,18 @@ class TestCapacityAndShifts:
             if s is not None and e is not None and s % 1440 < 1200 <= (s % 1440) + (e - s):
                 crossing += 1
         assert crossing > 0  # drain rule: they exist and completed normally
+
+    def test_dedicated_room_starts_at_its_shift_start(self, default_raw):
+        # orthopaedic patients queue overnight; the room's shift start is a
+        # dispatch point of its own, not the next arrival or completion
+        raw = copy.deepcopy(default_raw)
+        raw["resources"]["orthopaedic"]["teams"] = [{"id": "ORT1", "start": 545, "end": 1200}]
+        log = Replication(Profile(raw), Scenario(), 0, 42, 3).run()
+        first_start = {}
+        for r in log.records:
+            if r.event == "START_FIRST" and parse_detail(r.detail).get("team") == "ORT1":
+                first_start.setdefault(r.time_min // 1440, r.time_min % 1440)
+        assert first_start == {day: 545 for day in range(4)}
 
 
 class TestDispatch:

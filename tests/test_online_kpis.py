@@ -88,11 +88,11 @@ def test_log_not_kept_holds_no_records_and_same_kpis(default_profile):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_harness_keeps_records_only_when_asked(jobs, default_profile):
-    agg, _, logs = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs)
+    agg, logs = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs)
     assert [log.records for log in logs] == [[], []]
     assert all(log.rows for log in logs)
-    kept_agg, _, kept = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs,
-                                     keep_logs=True)
+    kept_agg, kept = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs,
+                                  keep_logs=True)
     assert all(log.records for log in kept)
     assert kept_agg.to_dict() == agg.to_dict()
 
