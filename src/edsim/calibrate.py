@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .harness import run_scenario
 from .kpi import KpiReport, first_waits
@@ -108,6 +107,9 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
     stop, so a converged result is always full-scale true. Everything is
     seeded, so reruns give identical traces; failure returns the best-so-far
     profile flagged FAILED."""
+    # Imported here so that run, sweep and validate never load scipy.
+    from scipy import optimize
+
     target = CalibrationTarget()
     if budget <= 0:
         return CalibrationResult(profile_raw, False, "FAILED: zero search budget")

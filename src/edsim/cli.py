@@ -45,14 +45,15 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1, "positive")
 
 
-def _seed(text: str) -> int:
-    """argparse type for the master seed (numpy seeds must be >= 0)."""
+def _non_negative_int(text: str) -> int:
+    """argparse type for the master seed (numpy seeds must be >= 0) and the
+    calibration budget (0 is a valid, failing search)."""
     return _int_at_least(text, 0, "non-negative")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", help=f"profile JSON (default: ${PROFILE_ENV} or packaged profile)")
-    p.add_argument("--seed", type=_seed, default=42,
+    p.add_argument("--seed", type=_non_negative_int, default=42,
                    help="master seed, a non-negative integer (default 42)")
     p.add_argument("--replications", type=_positive_int, default=10,
                    help="independent runs (default 10)")
@@ -83,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="fit free profile parameters to the targets")
     _add_common(p_cal)
-    p_cal.add_argument("--budget", type=int, default=120, help="max objective evaluations")
+    p_cal.add_argument("--budget", type=_non_negative_int, default=120,
+                       help="max objective evaluations, a non-negative integer (default 120)")
     p_cal.add_argument("--probe-replications", type=_positive_int, default=3)
     p_cal.add_argument("--probe-days", type=_positive_int, default=30)
     return parser

@@ -1,13 +1,15 @@
 """Turn per-patient KPI rows into per-run indicators, aggregate over
 replications and compare a candidate configuration against the baseline with
-significance flags."""
+significance flags.
+
+The Welch p-value is computed here in pure Python (Student's t tail through
+the regularized incomplete beta function), so running and comparing
+scenarios needs no scipy."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats
 
 from .kernel import CODE_RANK, MINUTES_PER_DAY
 
@@ -146,6 +148,70 @@ def aggregate(reports: list[KpiReport]) -> KpiReport:
                      n_censored=sum(r.n_censored for r in reports))
 
 
+_CF_EPS = 1e-16
+_CF_TINY = 1e-300
+_CF_MAX_TERMS = 10_000
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+# Stirling's series for lgamma(x) - ((x - 1/2) log x - x + log sqrt(2 pi)):
+# sum of c / x^(2k+1); six terms reach double precision for x >= 10.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def _log_beta_half(a: float) -> float:
+    """log B(a, 1/2). For large a, lgamma(a) and lgamma(a + 1/2) are both
+    ~a log a and their difference would lose digits, so it comes from
+    Stirling's series instead."""
+    if a < 10.0:
+        return math.lgamma(a) + _LOG_SQRT_PI - math.lgamma(a + 0.5)
+    tails = sum(c * (a ** -(2 * k + 1) - (a + 0.5) ** -(2 * k + 1))
+                for k, c in enumerate(_STIRLING))
+    return 0.5 - a * math.log1p(0.5 / a) - 0.5 * math.log(a) + _LOG_SQRT_PI + tails
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function, evaluated by the
+    modified Lentz method (Numerical Recipes, 3rd ed., §6.4)."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_TERMS):
+        for aa in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < _CF_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, x={x})")
+
+
+def _t_two_sided_p(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t with `df` degrees of freedom: the
+    regularized incomplete beta I_x(df/2, 1/2) at x = df / (df + t^2).
+    x, 1 - x and log x are each formed without cancellation."""
+    r = t * t / df
+    if r == 0.0:
+        return 1.0
+    a, b = df / 2.0, 0.5
+    x, y = 1.0 / (1.0 + r), r / (1.0 + r)
+    front = math.exp(b * math.log(y) - a * math.log1p(r) - _log_beta_half(a))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, y) / b
+
+
+def _welch_p(b: list[float], c: list[float]) -> float:
+    """Two-sided p-value of Welch's unequal-variance t-test: the statistic on
+    the difference of means, with Welch-Satterthwaite degrees of freedom."""
+    mb, mc = _mean(b), _mean(c)
+    vb = sum((x - mb) ** 2 for x in b) / (len(b) - 1) / len(b)
+    vc = sum((x - mc) ** 2 for x in c) / (len(c) - 1) / len(c)
+    df = (vb + vc) ** 2 / (vb ** 2 / (len(b) - 1) + vc ** 2 / (len(c) - 1))
+    return _t_two_sided_p((mb - mc) / math.sqrt(vb + vc), df)
+
+
 @dataclass
 class Comparison:
     delta: dict[str, float]
@@ -157,7 +223,11 @@ class Comparison:
 
 
 def compare(baseline: KpiReport, candidate: KpiReport) -> Comparison:
-    """Per-KPI two-sided Welch test over the retained replication vectors."""
+    """Per-KPI two-sided Welch test over the retained replication vectors.
+
+    NaN replications are dropped first; a KPI left with fewer than two values
+    on either side gets NaN delta and p. Identical samples give p = NaN and
+    two distinct constant samples p = 0; otherwise p is `_welch_p`'s."""
     delta, p_value, significant = {}, {}, {}
     for name in KPI_NAMES:
         b_raw = baseline.vectors.get(name, [])
@@ -180,7 +250,7 @@ def compare(baseline: KpiReport, candidate: KpiReport) -> Comparison:
         elif zero_var:
             p = 0.0  # deterministic shift, Welch statistic degenerates
         else:
-            p = float(stats.ttest_ind(b, c, equal_var=False).pvalue)
+            p = _welch_p(b, c)
         p_value[name] = p
         significant[name] = bool(not math.isnan(p) and p < ALPHA)
     return Comparison(delta, p_value, significant)

@@ -250,6 +250,14 @@ class TestCalibrateCommand:
         assert (out / "fitted_profile.json").exists()
         assert (out / "calibration_trace.json").exists()
 
+    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "cal"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("calibrate", "--budget", "-3", "--out", str(out))
+        assert exc.value.code == 2
+        assert "must be a non-negative integer" in capsys.readouterr().err
+        assert not (out / "fitted_profile.json").exists()
+
     def test_small_budget_writes_trace(self, tmp_path):
         out = tmp_path / "cal"
         run_cli("calibrate", "--budget", "2", "--probe-replications", "1",

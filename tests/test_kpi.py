@@ -1,7 +1,11 @@
+import random
+
 import pytest
+from scipy import stats
 
 from edsim.kernel import LogRecord
-from edsim.kpi import UsageError, aggregate, compare, compute_kpis
+from edsim.kpi import (KPI_NAMES, KpiReport, UsageError, _t_two_sided_p, _welch_p, aggregate,
+                       compare, compute_kpis)
 
 from log_oracle import rows_from_log
 
@@ -153,3 +157,38 @@ class TestCompare:
     def test_unequal_counts_rejected(self):
         with pytest.raises(UsageError):
             compare(self.vec_report([200, 210]), self.vec_report([200, 210, 220]))
+
+
+class TestWelchPValue:
+    """The pure-Python p-value against scipy as the oracle."""
+
+    @staticmethod
+    def assert_matches(p, oracle):
+        if oracle > 1e-300:
+            assert abs(p - oracle) <= 1e-12 * oracle, (p, oracle)
+
+    # df in (1, 2] is what two-replication sweeps produce
+    @pytest.mark.parametrize("df", [1, 1.0001, 1.3, 1.5, 2, 3.7, 10, 100, 1e4])
+    @pytest.mark.parametrize("t", [0, 1e-3, 0.5, 1, 2, 5, 20, 50])
+    def test_t_tail_grid(self, t, df):
+        p = _t_two_sided_p(t, df)
+        if t == 0:
+            assert p == 1.0
+        self.assert_matches(p, float(2 * stats.t.sf(t, df)))
+        assert _t_two_sided_p(-t, df) == p
+
+    def test_random_welch_pairs(self):
+        rng = random.Random(20260)
+        for _ in range(1500):
+            b = [rng.gauss(200, rng.uniform(0.1, 40)) for _ in range(rng.randint(2, 11))]
+            shift, spread = rng.uniform(-60, 60), rng.uniform(0.1, 40)
+            c = [rng.gauss(200 + shift, spread) for _ in range(rng.randint(2, 11))]
+            oracle = float(stats.ttest_ind(b, c, equal_var=False).pvalue)
+            self.assert_matches(_welch_p(b, c), oracle)
+
+    def test_compare_reports_the_welch_p_value(self):
+        b, c = [200.0, float("nan"), 190.0, 205.0], [185.0, 199.0, 181.0, 190.5]
+        cmp_ = compare(KpiReport({k: b for k in KPI_NAMES}), KpiReport({k: c for k in KPI_NAMES}))
+        oracle = float(stats.ttest_ind([200.0, 190.0, 205.0], c, equal_var=False).pvalue)
+        assert cmp_.p_value["los"] == pytest.approx(oracle, rel=1e-12)
+        assert cmp_.significant["los"] == (oracle < 0.05)
