@@ -1,10 +1,13 @@
 import copy
+import csv
 import gc
+import io
 import weakref
 from collections import defaultdict
 
 import pytest
 
+from edsim.kernel import LOG_HEADER, EventLog
 from edsim.model import Patient, Replication, run_replication
 from edsim.scenario import Scenario
 from edsim.stochastics import Profile
@@ -452,6 +455,51 @@ class TestQueueingBasics:
         path = tmp_path / "events.csv"
         log.write_csv(path)
         assert read_log_csv(path) == log.records
+
+
+def csv_writer_bytes(records) -> bytes:
+    """What csv.writer writes for the header and `records`."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(LOG_HEADER)
+    writer.writerows(records)
+    return out.getvalue().encode()
+
+
+class TestEventLogCsv:
+    @pytest.mark.parametrize("ortho_id", ['OR,"1"', "OR,1"])
+    def test_team_ids_that_need_quotes_are_written_as_csv_writer_does(
+            self, default_raw, ortho_id, tmp_path):
+        raw = copy.deepcopy(default_raw)
+        raw["resources"]["orthopaedic"]["teams"][0]["id"] = ortho_id
+        log = run_replication(Profile(raw), Scenario(), 0, 42, 1)
+        records = log.records
+        assert any(r.detail == f"team={ortho_id} pool=orthopaedic" for r in records)
+        path = tmp_path / "rep_00.csv"
+        log.write_csv(path)
+        assert path.read_bytes() == csv_writer_bytes(records)
+        assert read_log_csv(path) == records
+
+    def test_one_quoted_row_among_many_plain_ones(self, tmp_path):
+        log = EventLog(2)
+        for i in range(20000):
+            log.add(i, i % 97, "START_FIRST", 'OR,"1"' if i == 9000 else "T1", "orthopaedic")
+        records = log.records
+        path = tmp_path / "rep_02.csv"
+        log.write_csv(path)
+        assert path.read_bytes() == csv_writer_bytes(records)
+        assert read_log_csv(path) == records
+
+    def test_kept_log_renders_add_time_values(self, tmp_path):
+        log = EventLog(0)
+        exams = ["xray", "misc"]
+        log.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, exams)
+        exams[:] = ["misc"]
+        detail = "code=GREEN type=GENERAL lab=1 labtriage=0 exams=xray+misc"
+        assert log.records[0].detail == detail
+        path = tmp_path / "rep_00.csv"
+        log.write_csv(path)
+        assert read_log_csv(path)[0].detail == detail
 
 
 class TestDeterminism:
