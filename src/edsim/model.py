@@ -241,8 +241,8 @@ class Replication:
             self.log.add(now, item.entity.pid, "PROMOTED")
 
     def _pick_task(self, pool: ResourcePool, team: str, now: int,
-                   first_q: PromotionQueue | None) -> bool:
-        """Assign the next visit to an idle team slot; True if work started.
+                   first_q: PromotionQueue | None) -> None:
+        """Assign the next visit, if any, to an idle team slot.
 
         On-shift slots choose between the first-visit queue and the pending
         last visits under the scenario's p-discipline. An off-shift slot only
@@ -261,7 +261,7 @@ class Replication:
             last_item = last_q.peek_next() if len(last_q) else None
 
         if first_item is None and last_item is None:
-            return False
+            return
         if last_item is not None and (
             first_item is None
             or self.scenario.p == 1
@@ -274,33 +274,40 @@ class Replication:
             first_q.remove(first_item)
             self._waiting_first -= 1
             self._start_first(first_item.entity, pool, team, now)
-        return True
 
     def _dispatch(self, now: int) -> None:
-        """Poll idle teams until a full pass starts no visit.
+        """Poll each idle team once, in dispatch order.
 
         A team is polled only if the poll can start work or log a promotion:
         its own last queue waits, or it is on shift and its first queue
         waits (an LV team: any last visit waits). Every other poll would
-        return False and change nothing, so skipping it keeps the log."""
+        find nothing and change nothing, so skipping it keeps the log.
+
+        One pass starts every visit that can start. Within one call `busy`
+        only grows, queues and the `_waiting_*` counters only shrink, shifts
+        and the pull rule depend only on `now`, and `mark_promotions`
+        promotes nothing new at the same minute. So a team that was skipped,
+        or found nothing, would find nothing on a second pass. The one set
+        that can widen is a high-general team's, when the yellow and red
+        patients leave. But a high team that found nothing saw no yellow or
+        red patient waiting, so its set was already as wide as the pull rule
+        allows, and neither changes within the call."""
+        if not (self._waiting_first or self._waiting_last):
+            return
         minute = now % MINUTES_PER_DAY
         team_last = self.team_last
-        progress = True
-        while progress and (self._waiting_first or self._waiting_last):
-            progress = False
-            for pool, first_q in self._dispatch_order:
-                on = pool.calendar.on_by_minute[minute]
-                busy = pool.busy
-                for team in pool.calendar.teams:
-                    if team in busy:
+        for pool, first_q in self._dispatch_order:
+            on = pool.calendar.on_by_minute[minute]
+            busy = pool.busy
+            for team in pool.calendar.teams:
+                if team in busy:
+                    continue
+                if first_q is None:
+                    if not (self._waiting_last and team in on):
                         continue
-                    if first_q is None:
-                        if not (self._waiting_last and team in on):
-                            continue
-                    elif not (team_last[team].items or (first_q.items and team in on)):
-                        continue
-                    if self._pick_task(pool, team, now, first_q):
-                        progress = True
+                elif not (team_last[team].items or (first_q.items and team in on)):
+                    continue
+                self._pick_task(pool, team, now, first_q)
 
     # --------------------------------------------------------------- service
 

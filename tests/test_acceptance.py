@@ -262,8 +262,9 @@ class TestAC5InvariantSuite:
         for scen, reps, check_affinity, check_red in runs:
             for rep in range(reps):
                 log = run_replication(default_profile, scen, rep, SEED, 30)
-                total_events += len(log.records)
-                patients = collect_patients(log.records)
+                records = log.records
+                total_events += len(records)
+                patients = collect_patients(records)
 
                 intervals = defaultdict(list)  # team -> [(start, end)]
                 xray_intervals = []
@@ -288,7 +289,7 @@ class TestAC5InvariantSuite:
                     for (s1, e1), (s2, _e2) in zip(ivs, ivs[1:]):
                         assert s2 >= e1, f"team {team} double-booked"
 
-                for r in log.records:
+                for r in records:
                     if r.event == "START_EXAM" and "xray" in r.detail:
                         xray_intervals.append((r.time_min, r.patient_id, "s"))
                     elif r.event == "END_EXAM" and "xray" in r.detail:

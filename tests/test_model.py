@@ -9,10 +9,11 @@ import pytest
 
 from edsim.kernel import LOG_HEADER, EventLog
 from edsim.model import Patient, Replication, run_replication
-from edsim.scenario import Scenario
+from edsim.scenario import Scenario, parse
 from edsim.stochastics import Profile
 
 from log_oracle import collect_patients, parse_detail, read_log_csv
+from test_golden_logs import CASES, _raw_profile
 
 
 def make_patient(pid, code, *, visit_type="GENERAL", needs_lab=False, exams=(),
@@ -393,6 +394,24 @@ class TestCapacityAndShifts:
         assert first_start == {day: 545 for day in range(4)}
 
 
+class SecondPassReplication(Replication):
+    """Runs a second dispatch pass after every dispatch and checks that it
+    starts no visit and logs nothing."""
+
+    passes = 0
+
+    def _state(self):
+        return (self._waiting_first, self._waiting_last, len(self.log.raw),
+                [len(pool.busy) for pool in self.pools.values()])
+
+    def _dispatch(self, now):
+        super()._dispatch(now)
+        state = self._state()
+        super()._dispatch(now)
+        assert self._state() == state, f"second pass started work at t={now}"
+        self.passes += 1
+
+
 class TestDispatch:
     def test_polls_only_teams_that_can_start_work(self, default_profile, monkeypatch):
         from edsim.kernel import ResourcePool
@@ -422,6 +441,14 @@ class TestDispatch:
             (700, "PROMOTED", ""),
             (700, "START_FIRST", "team=T1 pool=low_general"),
         ]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_second_dispatch_pass_starts_nothing(self, case):
+        spec, routing = CASES[case]
+        rep = SecondPassReplication(Profile(_raw_profile(routing)), parse(spec), 0, 42, 3)
+        log = rep.run()
+        assert rep.passes > 1000
+        assert sum(1 for _t, _pid, event, _f in log.raw if event == "START_LAST") > 500
 
 
 class TestQueueingBasics:
