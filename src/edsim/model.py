@@ -182,7 +182,7 @@ class Replication:
         # Four batched draws, in the stream order of one scalar draw per
         # attribute, so every attribute keeps its value bit for bit.
         u_mode = ag.random()
-        nw_yellow = self.profile.mixes.get("nonwalking_yellow", 0.5)
+        nw_yellow = self.profile.mixes["nonwalking_yellow"]
         p.mode = "nonwalking" if code == "RED" or (code == "YELLOW" and u_mode < nw_yellow) else "walking"
         svc = self.profile.service
         p.triage_d = max(1, round_half_up(svc["triage"].from_normal(ag.standard_normal())))
@@ -410,6 +410,8 @@ class Replication:
             self._start_lab(p, now)
         if not p.needs_lab or p.lab_done:
             self._proceed_after_first_and_lab(p, now)
+            if not p.exam_kinds:
+                return  # _enqueue_last has dispatched at this minute
         self._dispatch(now)
 
     def _on_lab_dispatch(self, now: int, p: Patient) -> None:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 CODES = ("WHITE", "GREEN", "YELLOW", "RED")
@@ -26,107 +26,84 @@ class ProfileError(ValueError):
     """Profile file rejected by schema or semantic validation."""
 
 
-_HOURS = {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 24, "maxItems": 24}
-_SERVICE = {
-    "type": "object",
-    "required": ["family", "mean", "cv"],
-    "properties": {
-        "family": {"enum": ["lognormal", "triangular"]},
-        "mean": {"type": "number", "exclusiveMinimum": 0},
-        "cv": {"type": "number", "minimum": 0},
-    },
-}
-_TEAM = {
-    "type": "object",
-    "required": ["id", "start", "end"],
-    "properties": {
-        "id": {"type": "string"},
-        "start": {"type": "integer", "minimum": 0, "maximum": 1439},
-        "end": {"type": "integer", "minimum": 0, "maximum": 1440},
-    },
-}
-_TEAMED_POOL = {
-    "type": "object",
-    "required": ["teams"],
-    "properties": {"teams": {"type": "array", "items": _TEAM}},
-}
+SERVICES = ("triage", "first_general", "first_ortho", "first_derma", "last_visit",
+            "exam_xray", "exam_misc")
+TEAMED_POOLS = ("low_general", "high_general", "orthopaedic", "dermatological")
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+               "integer": (int, float)}
+_REQUIRED = object()
 
-PROFILE_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["version", "arrival_rates", "mixes", "service", "lab_profile", "thresholds", "resources"],
-    "properties": {
-        "version": {"type": "integer", "minimum": 1},
-        "arrival_rates": {
-            "type": "object",
-            "required": list(CODES),
-            "properties": {c: _HOURS for c in CODES},
-        },
-        "mixes": {
-            "type": "object",
-            "required": ["visit_type", "needs_lab", "xray", "extra_exam_lt4"],
-            "properties": {
-                "visit_type": {
-                    "type": "object",
-                    "required": list(VISIT_TYPES),
-                    "properties": {v: {"type": "number", "minimum": 0, "maximum": 1} for v in VISIT_TYPES},
-                },
-                "needs_lab": {"type": "number", "minimum": 0, "maximum": 1},
-                "xray": {"type": "number", "minimum": 0, "maximum": 1},
-                "extra_exam_lt4": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "nonwalking_yellow": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        "service": {
-            "type": "object",
-            "required": ["triage", "first_general", "first_ortho", "first_derma",
-                         "last_visit", "exam_xray", "exam_misc"],
-            "additionalProperties": _SERVICE,
-        },
-        "lab_profile": {
-            "type": "object",
-            "required": ["waiting", "effective", "misc", "cv"],
-            "properties": {
-                "waiting": _HOURS, "effective": _HOURS, "misc": _HOURS,
-                "cv": {"type": "number", "minimum": 0},
-            },
-        },
-        "thresholds": {
-            "type": "object",
-            "required": ["GREEN", "WHITE"],
-            "additionalProperties": {"type": "number", "minimum": 0},
-        },
-        "resources": {
-            "type": "object",
-            "required": ["low_general", "high_general", "orthopaedic", "dermatological",
-                         "xray", "misc_exam", "last_visit_team"],
-            "properties": {
-                "low_general": _TEAMED_POOL,
-                "high_general": _TEAMED_POOL,
-                "orthopaedic": _TEAMED_POOL,
-                "dermatological": _TEAMED_POOL,
-                "xray": {"type": "object", "required": ["capacity"],
-                         "properties": {"capacity": {"type": "integer", "minimum": 1}}},
-                "misc_exam": {"type": "object", "required": ["capacity"],
-                              "properties": {"capacity": {"type": "integer", "minimum": 1}}},
-                "last_visit_team": {
-                    "type": "object",
-                    "required": ["start", "end"],
-                    "properties": {"start": {"type": "integer", "minimum": 0, "maximum": 1439},
-                                   "end": {"type": "integer", "minimum": 0, "maximum": 1440}},
-                },
-            },
-        },
-        "routing": {
-            "type": "object",
-            "properties": {"pull_low_into_high": {"enum": ["always", "night_only", "never"]}},
-        },
-    },
-}
 
-# The schema is a constant: check it once, not on every profile build.
-jsonschema.Draft7Validator.check_schema(PROFILE_SCHEMA)
-_PROFILE_VALIDATOR = jsonschema.Draft7Validator(PROFILE_SCHEMA)
+def _read(raw, path: str, kind, lo=-math.inf, hi=math.inf, *, above=False, default=_REQUIRED):
+    """The profile value at `path` (object keys and array indexes joined by
+    "/", "~1" standing for "/" and "~0" for "~" in a key), checked against the
+    JSON type `kind` (or a tuple of the allowed values) and the bounds
+    lo <= value <= hi (lo < value if `above`) on a number or on an array's
+    length. Unknown keys are ignored; a missing key returns `default` if one
+    is given. bool is not a number, a whole float is an integer and comes
+    back as an int, and a number must be a finite float (no NaN, no infinity,
+    no integer too large to convert)."""
+    node, at = raw, "<root>"
+    for key in path.split("/"):
+        name = key.replace("~1", "/").replace("~0", "~")
+        if isinstance(node, list) and key.isdigit():
+            node = node[int(key)]  # an array is read, and its length checked, before its items
+        elif not isinstance(node, dict):
+            raise _violation(at, f"{node!r} is not of type 'object'")
+        elif name in node:
+            node = node[name]
+        elif default is not _REQUIRED:
+            return default
+        else:
+            raise _violation(at, f"{name!r} is a required property")
+        at = key if at == "<root>" else f"{at}/{key}"
+    if isinstance(kind, tuple):
+        if node not in kind:
+            raise _violation(at, f"{node!r} is not one of {list(kind)}")
+        return node
+    if (not isinstance(node, _JSON_TYPES[kind]) or isinstance(node, bool)
+            or (kind == "integer" and isinstance(node, float) and not node.is_integer())):
+        raise _violation(at, f"{node!r} is not of type {kind!r}")
+    if kind == "number" and not abs(node) <= sys.float_info.max:
+        raise _violation(at, f"{node!r} is not a finite float")
+    size = len(node) if isinstance(node, (list, dict, str)) else node
+    what = repr(node) if size is node else f"length {size}"
+    if size < lo or (above and size == lo):
+        raise _violation(at, f"{what} is less than {'or equal to ' if above else ''}the minimum of {lo}")
+    if size > hi:
+        raise _violation(at, f"{what} is greater than the maximum of {hi}")
+    return int(node) if kind == "integer" else node
+
+
+def _violation(at: str, reason: str) -> ProfileError:
+    return ProfileError(f"profile schema violation at {at}: {reason}")
+
+
+def _key(name: str) -> str:
+    """`name` as one step of a `_read` path."""
+    return name.replace("~", "~0").replace("/", "~1")
+
+
+def _hours(raw, path: str) -> list:
+    _read(raw, path, "array", 24, 24)
+    return [_read(raw, f"{path}/{h}", "number", 0) for h in range(24)]
+
+
+def _service(raw, path: str) -> ServiceSpec:
+    return ServiceSpec(_read(raw, f"{path}/family", ("lognormal", "triangular")),
+                       float(_read(raw, f"{path}/mean", "number", 0, above=True)),
+                       float(_read(raw, f"{path}/cv", "number", 0)))
+
+
+def _shift(raw, path: str) -> dict:
+    return {"start": _read(raw, f"{path}/start", "integer", 0, 1439),
+            "end": _read(raw, f"{path}/end", "integer", 0, 1440)}
+
+
+def _teams(raw, pool: str) -> list[dict]:
+    path = f"resources/{pool}/teams"
+    return [{"id": _read(raw, f"{path}/{i}/id", "string"), **_shift(raw, f"{path}/{i}")}
+            for i in range(len(_read(raw, path, "array")))]
 
 
 @dataclass(frozen=True)
@@ -160,35 +137,47 @@ class ServiceSpec:
 
 
 class Profile:
-    """Immutable, schema-validated stochastic profile."""
+    """Immutable stochastic profile, each field checked as it is read.
+
+    `raw` is kept as loaded; the other attributes are read from it."""
 
     def __init__(self, raw: dict):
-        error = jsonschema.exceptions.best_match(_PROFILE_VALIDATOR.iter_errors(raw))
-        if error is not None:
-            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-            raise ProfileError(f"profile schema violation at {path}: {error.message}") from error
         self.raw = raw
-        self.version: int = raw["version"]
-        self.arrival_rates: dict[str, list[float]] = {c: list(raw["arrival_rates"][c]) for c in CODES}
-        self.mixes: dict = raw["mixes"]
-        self.service: dict[str, ServiceSpec] = {
-            name: ServiceSpec(s["family"], float(s["mean"]), float(s["cv"]))
-            for name, s in raw["service"].items()
+        self.version: int = _read(raw, "version", "integer", 1)
+        self.arrival_rates: dict[str, list[float]] = {c: _hours(raw, f"arrival_rates/{c}") for c in CODES}
+        self.mixes: dict = {
+            "visit_type": {v: _read(raw, f"mixes/visit_type/{v}", "number", 0, 1) for v in VISIT_TYPES},
+            "needs_lab": _read(raw, "mixes/needs_lab", "number", 0, 1),
+            "xray": _read(raw, "mixes/xray", "number", 0, 1),
+            "extra_exam_lt4": _read(raw, "mixes/extra_exam_lt4", "number", 0, 1, above=True),
+            "nonwalking_yellow": _read(raw, "mixes/nonwalking_yellow", "number", 0, 1, default=0.5),
         }
-        lab = raw["lab_profile"]
-        self.lab_waiting = [float(x) for x in lab["waiting"]]
-        self.lab_effective = [float(x) for x in lab["effective"]]
-        self.lab_misc = [float(x) for x in lab["misc"]]
-        self.lab_cv = float(lab["cv"])
+        # every entry is read and checked; a required one that is absent fails its read
+        self.service: dict[str, ServiceSpec] = {
+            name: _service(raw, f"service/{_key(name)}")
+            for name in dict.fromkeys([*_read(raw, "service", "object"), *SERVICES])
+        }
+        self.lab_waiting = [float(x) for x in _hours(raw, "lab_profile/waiting")]
+        self.lab_effective = [float(x) for x in _hours(raw, "lab_profile/effective")]
+        self.lab_misc = [float(x) for x in _hours(raw, "lab_profile/misc")]
+        self.lab_cv = float(_read(raw, "lab_profile/cv", "number", 0))
         # (waiting, effective, misc) in-lab time specs per dispatch hour
         self.lab_specs: list[tuple[ServiceSpec, ServiceSpec, ServiceSpec]] = [
             tuple(ServiceSpec("lognormal", max(means[h], 0.1), self.lab_cv)
                   for means in (self.lab_waiting, self.lab_effective, self.lab_misc))
             for h in range(24)
         ]
-        self.thresholds: dict[str, float] = {k: float(v) for k, v in raw["thresholds"].items()}
-        self.resources: dict = raw["resources"]
-        self.pull_low_into_high: str = raw.get("routing", {}).get("pull_low_into_high", "always")
+        self.thresholds: dict[str, float] = {
+            name: float(_read(raw, f"thresholds/{_key(name)}", "number", 0))
+            for name in dict.fromkeys([*_read(raw, "thresholds", "object"), "GREEN", "WHITE"])
+        }
+        self.resources: dict = {pool: {"teams": _teams(raw, pool)} for pool in TEAMED_POOLS}
+        self.resources.update(
+            xray={"capacity": _read(raw, "resources/xray/capacity", "integer", 1)},
+            misc_exam={"capacity": _read(raw, "resources/misc_exam/capacity", "integer", 1)},
+            last_visit_team=_shift(raw, "resources/last_visit_team"))
+        self.pull_low_into_high: str = _read(raw, "routing/pull_low_into_high",
+                                             ("always", "night_only", "never"), default="always")
         self._check_semantics()
         self.exam_count_cdf = _fit_truncated_geometric(float(self.mixes["extra_exam_lt4"]))
 
@@ -200,7 +189,7 @@ class Profile:
         if total <= 0:
             raise ProfileError("arrival_rates must carry positive total mass")
         seen: set[str] = set()
-        for pool in ("low_general", "high_general", "orthopaedic", "dermatological"):
+        for pool in TEAMED_POOLS:
             for team in self.resources[pool]["teams"]:
                 if team["id"] in seen:
                     raise ProfileError(f"duplicate team id {team['id']!r}")
@@ -243,7 +232,7 @@ def load_profile(path) -> Profile:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer literal
         raise ProfileError(f"profile is not valid JSON: {exc}") from exc
     return Profile(raw)
 

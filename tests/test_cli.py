@@ -159,6 +159,15 @@ class TestProfileHandling:
         err = capsys.readouterr().err
         assert err.startswith("profile error:") and "Traceback" not in err
 
+    def test_overlong_integer_literal_exits_2(self, tmp_path, capsys):
+        with open(default_profile_path()) as fh:
+            text = fh.read()
+        bad = tmp_path / "long.json"
+        bad.write_text(text.replace('"version": 1', '"version": 1' + "0" * 5000, 1))
+        assert run_cli("validate", "--profile", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("profile error: profile is not valid JSON:") and "Traceback" not in err
+
     def test_reserved_last_visit_team_id_exits_2(self, tmp_path, capsys):
         # scenario a>=1 names its dedicated last-visit teams LV1, LV2, ...
         with open(default_profile_path()) as fh:
@@ -170,6 +179,32 @@ class TestProfileHandling:
                        "--replications", "1", "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert err.startswith("profile error:") and "Traceback" not in err
+
+    def test_whole_float_shift_minutes_run_like_integers(self, tmp_path):
+        with open(default_profile_path()) as fh:
+            raw = json.load(fh)
+        floats = copy.deepcopy(raw)
+        for pool in ("low_general", "high_general", "orthopaedic", "dermatological"):
+            for team in floats["resources"][pool]["teams"]:
+                team["start"], team["end"] = float(team["start"]), float(team["end"])
+        for name, profile in (("int", raw), ("float", floats)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(profile))
+            assert run_cli("run", "--profile", str(tmp_path / f"{name}.json"), "--days", "2",
+                           "--replications", "1", "--out", str(tmp_path / name)) == 0
+        assert '"start": 480.0' in (tmp_path / "float.json").read_text()
+        assert read(tmp_path / "float" / "rep_00.csv") == read(tmp_path / "int" / "rep_00.csv")
+
+    def test_nan_service_mean_exits_2(self, tmp_path, capsys):
+        with open(default_profile_path()) as fh:
+            raw = json.load(fh)
+        raw["service"]["first_general"]["mean"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(raw))
+        assert run_cli("run", "--profile", str(bad), "--days", "1", "--replications", "1",
+                       "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "service/first_general/mean: nan is not a finite float" in err
+        assert "Traceback" not in err
 
     def test_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("EDSIM_PROFILE", str(tmp_path / "ghost.json"))

@@ -412,7 +412,33 @@ class SecondPassReplication(Replication):
         self.passes += 1
 
 
+class DispatchCountReplication(Replication):
+    """Records, for every `_on_first_done`, how many dispatch passes it made
+    and whether the patient went straight to the last-visit queue."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+        self.first_done = []
+
+    def _dispatch(self, now):
+        self.calls += 1
+        super()._dispatch(now)
+
+    def _on_first_done(self, now, p):
+        before = self.calls
+        super()._on_first_done(now, p)
+        self.first_done.append((self.calls - before, p.t_enq_last == now))
+
+
 class TestDispatch:
+    def test_first_done_dispatches_once(self, default_profile):
+        rep = DispatchCountReplication(default_profile, Scenario(), 0, 42, 3)
+        rep.run()
+        assert {calls for calls, _straight in rep.first_done} == {1}
+        straight = sum(straight for _calls, straight in rep.first_done)
+        assert 20 < straight < len(rep.first_done) - 200
+
     def test_polls_only_teams_that_can_start_work(self, default_profile, monkeypatch):
         from edsim.kernel import ResourcePool
 

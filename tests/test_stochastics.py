@@ -69,6 +69,51 @@ class TestProfileValidation:
             Profile(raw)
 
 
+    @pytest.mark.parametrize("path, value", [
+        (("arrival_rates", "GREEN", 9), math.inf),
+        (("arrival_rates", "RED", 0), math.nan),
+        (("mixes", "needs_lab"), math.nan),
+        (("thresholds", "GREEN"), math.nan),
+        (("lab_profile", "misc", 3), 10 ** 400),
+    ])
+    def test_non_finite_numbers_rejected(self, default_raw, path, value):
+        raw = copy.deepcopy(default_raw)
+        *parents, last = path
+        node = raw
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(ProfileError, match=f"at {'/'.join(map(str, path))}: .* finite"):
+            Profile(raw)
+
+    def test_optional_fields_read_with_their_defaults(self, default_raw):
+        raw = copy.deepcopy(default_raw)
+        del raw["mixes"]["nonwalking_yellow"], raw["routing"]
+        profile = Profile(raw)
+        assert profile.mixes["nonwalking_yellow"] == 0.5
+        assert profile.pull_low_into_high == "always"
+
+    def test_whole_floats_read_as_integers(self, default_raw):
+        raw = copy.deepcopy(default_raw)
+        raw["version"] = 1.0
+        raw["resources"]["xray"]["capacity"] = 2.0
+        raw["resources"]["low_general"]["teams"][0]["start"] = 480.0
+        profile = Profile(raw)
+        assert type(profile.version) is int
+        assert type(profile.resources["xray"]["capacity"]) is int
+        assert type(profile.resources["low_general"]["teams"][0]["start"]) is int
+        assert raw["resources"]["low_general"]["teams"][0]["start"] == 480.0  # raw kept as loaded
+
+    def test_entry_names_with_a_slash_are_read_whole(self, default_raw):
+        raw = copy.deepcopy(default_raw)
+        raw["thresholds"]["a/b~c"] = 60
+        raw["service"]["x/y"] = {"family": "lognormal", "mean": 3.0, "cv": 0.5}
+        assert Profile(raw).thresholds["a/b~c"] == 60.0
+        raw["service"]["x/y"]["family"] = "gamma"
+        with pytest.raises(ProfileError, match="at service/x~1y/family: 'gamma' is not one of"):
+            Profile(raw)
+
+
 class TestArrivalSampler:
     def test_flat_profile_poisson_identity(self, mini_raw_factory):
         # 6 arrivals/hour -> mean inter-arrival 10 minutes
