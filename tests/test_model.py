@@ -393,6 +393,25 @@ class TestCapacityAndShifts:
                 first_start.setdefault(r.time_min // 1440, r.time_min % 1440)
         assert first_start == {day: 545 for day in range(4)}
 
+    @pytest.mark.parametrize("spec", ["baseline", "F.1"])
+    @pytest.mark.parametrize("second_band", [(1200, 480), (0, 0)], ids=["night", "all-day"])
+    def test_slots_are_grouped_by_band(self, default_raw, spec, second_band):
+        # Same-band teams listed apart still share one band, and slots are
+        # ordered band by band, bands in order of first appearance: listed
+        # C E D F, the high room runs exactly as listed C D E F. With E and F
+        # on all day, both bands are on shift at once, so the order decides
+        # which idle team a patient goes to.
+        raw = copy.deepcopy(default_raw)
+        teams = {t["id"]: t for t in raw["resources"]["high_general"]["teams"]}
+        for team_id in "EF":
+            teams[team_id].update(zip(("start", "end"), second_band))
+        runs = []
+        for order in ("CEDF", "CDEF"):
+            raw["resources"]["high_general"]["teams"] = [teams[i] for i in order]
+            rep = Replication(Profile(copy.deepcopy(raw)), parse(spec), 0, 42, 3)
+            assert rep.pools["high_general"].calendar.teams == ("C", "D", "E", "F")
+            runs.append(rep.run().records)
+        assert runs[0] == runs[1]
 
 class SecondPassReplication(Replication):
     """Runs a second dispatch pass after every dispatch and checks that it
