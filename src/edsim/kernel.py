@@ -3,7 +3,6 @@ streams, shift-calendared resource pools and priority queues with promotion."""
 
 from __future__ import annotations
 
-import bisect
 import csv
 import heapq
 import zlib
@@ -121,70 +120,46 @@ def rng_stream(seed: int, stream_id: str, rep_id: int = 0) -> Generator:
     return Generator(PCG64(SeedSequence([seed, rep_id, key])))
 
 
-@dataclass(frozen=True)
-class ShiftEntry:
-    """One daily shift band: [start, end) minutes-of-day, possibly wrapping
-    midnight, staffed by the named team slots."""
-
-    start: int
-    end: int
-    teams: tuple[str, ...]
-
-    def covers(self, minute_of_day: int, offset: int = 0) -> bool:
-        start = (self.start + offset) % MINUTES_PER_DAY
-        end = (self.end + offset) % MINUTES_PER_DAY
-        if start == end:  # full-day band
-            return True
-        if start < end:
-            return start <= minute_of_day < end
-        return minute_of_day >= start or minute_of_day < end
-
-
 class ShiftCalendar:
-    """Time-varying staffing of a pool; capacities change only at entry
-    boundaries. Offset shifts every band later by whole minutes (scenario t).
+    """Daily staffing of a pool, one (team, start, end) band per slot: the slot
+    is on shift over [start, end) minutes of the day, wrapping midnight when
+    end < start and all day when start and end name the same minute. Offset
+    shifts every band later by whole minutes (scenario t).
 
-    `teams` lists every slot in entry order. The slots on shift at each
-    minute of the day are precomputed once, one shared tuple per stretch
-    between consecutive boundaries, so lookups build nothing."""
+    `teams` lists the slots grouped by band, bands in order of first
+    appearance; this is the order dispatch polls them in, and every
+    `on_by_minute` tuple keeps it. The slots on shift at each minute of the
+    day are precomputed once, one shared tuple per stretch between
+    consecutive boundaries, so lookups build nothing."""
 
-    def __init__(self, entries: list[ShiftEntry], offset: int = 0) -> None:
-        for e in entries:
-            if not (0 <= e.start < MINUTES_PER_DAY and 0 <= e.end <= MINUTES_PER_DAY):
-                raise ValueError(f"shift entry out of range: {e}")
-        self.entries = list(entries)
-        self.offset = offset
-        self.teams: tuple[str, ...] = tuple(t for e in self.entries for t in e.teams)
-        self.on_by_minute: list[tuple[str, ...]] = self._on_by_minute()
-
-    def _on_by_minute(self) -> list[tuple[str, ...]]:
+    def __init__(self, bands: list[tuple[str, int, int]], offset: int = 0) -> None:
+        groups: dict[tuple[int, int], list[str]] = {}
+        for team, start, end in bands:
+            if not (0 <= start < MINUTES_PER_DAY and 0 <= end <= MINUTES_PER_DAY):
+                raise ValueError(f"shift band out of range: {(team, start, end)}")
+            groups.setdefault((start, end), []).append(team)
+        shifted = [((start + offset) % MINUTES_PER_DAY, (end + offset) % MINUTES_PER_DAY, teams)
+                   for (start, end), teams in groups.items()]
+        self.teams: tuple[str, ...] = tuple(t for _start, _end, teams in shifted for t in teams)
+        bounds = self._boundaries = sorted({m for start, end, _teams in shifted for m in (start, end)})
         table: list[tuple[str, ...]] = [()] * MINUTES_PER_DAY
-        bounds = self.boundaries()
-        for i, start in enumerate(bounds):
-            on = tuple(t for e in self.entries if e.covers(start, self.offset) for t in e.teams)
-            if i + 1 < len(bounds):
-                end = bounds[i + 1]
-                table[start:end] = [on] * (end - start)
+        for m, stop in zip(bounds, bounds[1:] + bounds[:1]):
+            on = tuple(t for start, end, teams in shifted
+                       if (start <= m < end if start < end else not end <= m < start)
+                       for t in teams)
+            if m < stop:
+                table[m:stop] = [on] * (stop - m)
             else:  # the last stretch wraps midnight up to the first boundary
-                table[start:] = [on] * (MINUTES_PER_DAY - start)
-                table[:bounds[0]] = [on] * bounds[0]
-        return table
-
-    def capacity_at(self, minute_of_day: int) -> int:
-        if not 0 <= minute_of_day < MINUTES_PER_DAY:
-            raise ValueError(f"minute-of-day out of range: {minute_of_day}")
-        return len(self.on_by_minute[minute_of_day])
+                table[m:] = [on] * (MINUTES_PER_DAY - m)
+                table[:stop] = [on] * stop
+        self.on_by_minute = table
 
     def teams_on(self, minute_of_day: int) -> tuple[str, ...]:
         return self.on_by_minute[minute_of_day % MINUTES_PER_DAY]
 
     def boundaries(self) -> list[int]:
         """Distinct minutes-of-day at which capacity can change."""
-        mins = set()
-        for e in self.entries:
-            mins.add((e.start + self.offset) % MINUTES_PER_DAY)
-            mins.add((e.end + self.offset) % MINUTES_PER_DAY)
-        return sorted(mins)
+        return list(self._boundaries)
 
 
 class ResourcePool:
@@ -198,24 +173,24 @@ class ResourcePool:
     def __init__(self, pool_id: str, calendar: ShiftCalendar) -> None:
         self.pool_id = pool_id
         self.calendar = calendar
-        self.busy: dict[str, tuple[object, int]] = {}  # slot -> (entity, end time)
+        self.busy: set[str] = set()
 
     def on_shift(self, slot: str, now: int) -> bool:
         return slot in self.calendar.on_by_minute[now % MINUTES_PER_DAY]
 
-    def seize(self, slot: str, entity, now: int, duration: int) -> int:
-        """Mark the slot busy until now+duration; returns the end time.
-        Seizing a busy slot is a programming error — callers must check."""
+    def seize(self, slot: str, now: int, duration: int) -> int:
+        """Mark the slot busy; returns the end time now+duration, when the
+        caller releases it. Seizing a busy slot is a programming error —
+        callers must check."""
         if slot in self.busy:
             raise SimulationError(f"slot {self.pool_id}/{slot} seized while busy")
-        end = now + duration
-        self.busy[slot] = (entity, end)
-        return end
+        self.busy.add(slot)
+        return now + duration
 
     def release(self, slot: str) -> None:
         if slot not in self.busy:
             raise SimulationError(f"slot {self.pool_id}/{slot} released while idle")
-        del self.busy[slot]
+        self.busy.remove(slot)
 
 
 @dataclass(eq=False)  # identity equality: list.remove finds the item itself
@@ -235,32 +210,30 @@ class QueueItem:
         self.key = (RANK_PROMOTED, at, self.enqueue_time, self.seq)
 
 
-def _insert_sorted(bucket: deque[QueueItem], item: QueueItem) -> None:
-    """Keep `bucket` sorted by key: append in the usual case, where the item
-    sorts after the tail, else insert in place."""
-    if not bucket or bucket[-1].key < item.key:
-        bucket.append(item)
-    else:
-        bucket.insert(bisect.bisect(bucket, item.key, key=attrgetter("key")), item)
-
-
 class PromotionQueue:
     """Waiting queue with static priority classes and dynamic promotion.
 
-    Without promotions the dequeue order is (priority class, FIFO). A green
-    (white) item whose wait strictly exceeds tau_g (tau_w) is promoted; the
-    promotion instant is the crossing time enqueue+tau, the status is sticky,
-    and promoted items are served FIFO by that instant, behind RED only.
+    Without promotions the dequeue order is (priority class, FIFO). With a
+    threshold tau_g (tau_w), set once per queue, a green (white) item whose
+    wait strictly exceeds it is promoted; the promotion instant is the
+    crossing time enqueue+tau, the status is sticky, and promoted items are
+    served FIFO by that instant, behind RED only.
 
     Each static class keeps two buckets, waiting and promoted, each sorted by
-    `key`. The overdue items of a class are then a prefix of its waiting
-    bucket, and the best item is one of the bucket heads. `items` lists
-    every waiting item in enqueue order.
+    `key`. Enqueue times never decrease and the thresholds are fixed, so
+    both stay sorted by appending alone: the overdue items of a class are a
+    prefix of its waiting bucket, and the best item is one of the bucket
+    heads. An earlier enqueue time, or removing an item that does not head
+    its bucket, raises SimulationError. `items` lists every waiting item in
+    enqueue order.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tau_g: int | None = None, tau_w: int | None = None) -> None:
         self.items: list[QueueItem] = []
         self._seq = 0
+        self._now = 0  # latest enqueue time
+        self._taus = [(rank, tau) for rank, tau in ((RANK_GREEN, tau_g), (RANK_WHITE, tau_w))
+                      if tau is not None]
         self._waiting: dict[int, deque[QueueItem]] = {rank: deque() for rank in STATIC_RANKS}
         self._promoted: dict[int, deque[QueueItem]] = {RANK_GREEN: deque(), RANK_WHITE: deque()}
 
@@ -268,10 +241,13 @@ class PromotionQueue:
         return len(self.items)
 
     def enqueue(self, entity, rank: int, now: int) -> QueueItem:
+        if now < self._now:
+            raise SimulationError(f"enqueue at t={now} after an enqueue at t={self._now}")
+        self._now = now
         item = QueueItem(entity, rank, now, self._seq)
         self._seq += 1
         self.items.append(item)
-        _insert_sorted(self._waiting[rank], item)
+        self._waiting[rank].append(item)
         return item
 
     def has_rank_at_most(self, rank: int) -> bool:
@@ -284,18 +260,16 @@ class PromotionQueue:
                 return True
         return False
 
-    def mark_promotions(self, now: int, tau_g: int | None, tau_w: int | None) -> list[QueueItem]:
+    def mark_promotions(self, now: int) -> list[QueueItem]:
         """Promote overdue green/white items; returns newly promoted items
         in enqueue order."""
         newly: list[QueueItem] = []
-        for rank, tau in ((RANK_GREEN, tau_g), (RANK_WHITE, tau_w)):
-            if tau is None:
-                continue
+        for rank, tau in self._taus:
             waiting, promoted = self._waiting[rank], self._promoted[rank]
             while waiting and now - waiting[0].enqueue_time > tau:
                 it = waiting.popleft()
                 it.promote(it.enqueue_time + tau)
-                _insert_sorted(promoted, it)
+                promoted.append(it)
                 newly.append(it)
         if len(newly) > 1:
             newly.sort(key=attrgetter("seq"))
@@ -321,12 +295,12 @@ class PromotionQueue:
         return best
 
     def remove(self, item: QueueItem) -> None:
-        self.items.remove(item)
+        """Remove a bucket head, such as the item `peek_next` returned."""
         bucket = (self._waiting if item.promoted_at is None else self._promoted)[item.rank]
-        if bucket[0] is item:
-            bucket.popleft()
-        else:
-            bucket.remove(item)
+        if not bucket or bucket[0] is not item:
+            raise SimulationError(f"remove of item {item.seq}, which does not head its bucket")
+        bucket.popleft()
+        self.items.remove(item)
 
 
 class LogRecord(NamedTuple):

@@ -14,7 +14,6 @@ from .kernel import (
     PromotionQueue,
     ResourcePool,
     ShiftCalendar,
-    ShiftEntry,
     round_half_up,
     rng_stream,
 )
@@ -90,14 +89,6 @@ class CountedPool:
         self.fifo: deque = deque()
 
 
-def _calendar_from_teams(teams: list[dict], offset: int) -> ShiftCalendar:
-    groups: dict[tuple[int, int], list[str]] = {}
-    for team in teams:
-        groups.setdefault((team["start"], team["end"]), []).append(team["id"])
-    entries = [ShiftEntry(start, end, tuple(ids)) for (start, end), ids in groups.items()]
-    return ShiftCalendar(entries, offset=offset)
-
-
 class Replication:
     """Single seeded run of the ED model; strictly single-threaded."""
 
@@ -120,21 +111,22 @@ class Replication:
         offset = 60 * (scenario.t or 0)
         res = profile.resources
         self.pools: dict[str, ResourcePool] = {
-            pool_id: ResourcePool(pool_id, _calendar_from_teams(res[pool_id]["teams"], offset))
+            pool_id: ResourcePool(pool_id, ShiftCalendar(
+                [(t["id"], t["start"], t["end"]) for t in res[pool_id]["teams"]], offset))
             for pool_id in FIRST_QUEUE_OF
         }
         self.extra_teams = int(scenario.a or 0)
         if self.extra_teams:
             lv = res["last_visit_team"]
-            teams = [{"id": f"LV{i + 1}", "start": lv["start"], "end": lv["end"]}
-                     for i in range(self.extra_teams)]
-            self.pools["last_visit"] = ResourcePool("last_visit", _calendar_from_teams(teams, offset))
+            self.pools["last_visit"] = ResourcePool("last_visit", ShiftCalendar(
+                [(f"LV{i + 1}", lv["start"], lv["end"]) for i in range(self.extra_teams)], offset))
 
         self.exam_pools = {"xray": CountedPool("xray", res["xray"]["capacity"]),
                            "misc": CountedPool("misc_exam", res["misc_exam"]["capacity"])}
 
         self.first_queues: dict[str, PromotionQueue] = {
-            queue_key: PromotionQueue() for queue_key, _spec in VISIT_ROUTE.values()}
+            queue_key: PromotionQueue(scenario.tau_g, scenario.tau_w)
+            for queue_key, _spec in VISIT_ROUTE.values()}
         self.team_pool: dict[str, ResourcePool] = {
             team: pool for pool in self.pools.values() for team in pool.calendar.teams}
         # Last visits queue per first-visit team (same-doctor affinity), in
@@ -209,7 +201,7 @@ class Replication:
             return True
         if mode == "never":
             return False
-        return self.pools["low_general"].calendar.capacity_at(now % MINUTES_PER_DAY) == 0
+        return not self.pools["low_general"].calendar.on_by_minute[now % MINUTES_PER_DAY]
 
     def _eligible_ranks(self, pool_id: str, now: int):
         """(eligible static ranks, promoted items admitted anyway?)"""
@@ -236,8 +228,7 @@ class Replication:
         return best_q, best_item
 
     def _mark_promotions(self, queue: PromotionQueue, now: int) -> None:
-        newly = queue.mark_promotions(now, self.scenario.tau_g, self.scenario.tau_w)
-        for item in newly:
+        for item in queue.mark_promotions(now):
             self.log.add(now, item.entity.pid, "PROMOTED")
 
     def _pick_task(self, pool: ResourcePool, team: str, now: int,
@@ -313,14 +304,14 @@ class Replication:
 
     def _start_first(self, p: Patient, pool: ResourcePool, team: str, now: int) -> None:
         p.first_team = team
-        end = pool.seize(team, p, now, p.first_d)
+        end = pool.seize(team, now, p.first_d)
         p.t_start_first = now
         self.log.add(now, p.pid, "START_FIRST", team, pool.pool_id)
         self.calendar.schedule(end, self._on_first_done, p)
 
     def _start_last(self, p: Patient, pool: ResourcePool, team: str, now: int) -> None:
         p.last_team = team
-        end = pool.seize(team, p, now, p.last_d)
+        end = pool.seize(team, now, p.last_d)
         p.t_start_last = now
         self.log.add(now, p.pid, "START_LAST", team, pool.pool_id)
         self.calendar.schedule(end, self._on_last_done, p)

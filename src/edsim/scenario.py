@@ -21,6 +21,7 @@ class UnknownScenario(KeyError):
 
 
 FIELD_ORDER = ("t", "p", "tau_g", "tau_w", "e", "l", "a", "r")
+MAX_EXTRA_TEAMS = 100  # scenario a: each team is a slot built before the first event
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ class Scenario:
             v = getattr(self, name)
             if v is not None and v > 100:
                 raise ValidationError(f"{name} is a percentage, got {v}")
+        if self.a is not None and self.a > MAX_EXTRA_TEAMS:
+            raise ValidationError(f"a is at most {MAX_EXTRA_TEAMS} teams, got {self.a}")
         if self.p is not None and self.p not in (0, 1):
             raise ValidationError(f"p must be 0 or 1, got {self.p}")
 

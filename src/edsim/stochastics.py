@@ -20,6 +20,10 @@ VISIT_TYPES = ("GENERAL", "ORTHOPAEDIC", "DERMATOLOGICAL")
 EXAM_COUNT_MAX = 10
 LAB_WAIT_FLOOR = 5  # minutes left after a scenario-r reduction
 DISPATCH_PERIOD = 30  # tube transport leaves every half hour
+# Upper bounds that keep every draw finite and every run bounded
+MAX_RATE = 1000.0  # arrivals per hour, per urgency code
+MAX_MEAN = 10000.0  # minutes, for a service mean and an hourly lab mean
+MAX_CV = 10.0
 
 
 class ProfileError(ValueError):
@@ -84,15 +88,15 @@ def _key(name: str) -> str:
     return name.replace("~", "~0").replace("/", "~1")
 
 
-def _hours(raw, path: str) -> list:
+def _hours(raw, path: str, hi: float) -> list:
     _read(raw, path, "array", 24, 24)
-    return [_read(raw, f"{path}/{h}", "number", 0) for h in range(24)]
+    return [_read(raw, f"{path}/{h}", "number", 0, hi) for h in range(24)]
 
 
 def _service(raw, path: str) -> ServiceSpec:
     return ServiceSpec(_read(raw, f"{path}/family", ("lognormal", "triangular")),
-                       float(_read(raw, f"{path}/mean", "number", 0, above=True)),
-                       float(_read(raw, f"{path}/cv", "number", 0)))
+                       float(_read(raw, f"{path}/mean", "number", 0, MAX_MEAN, above=True)),
+                       float(_read(raw, f"{path}/cv", "number", 0, MAX_CV)))
 
 
 def _shift(raw, path: str) -> dict:
@@ -144,7 +148,7 @@ class Profile:
     def __init__(self, raw: dict):
         self.raw = raw
         self.version: int = _read(raw, "version", "integer", 1)
-        self.arrival_rates: dict[str, list[float]] = {c: _hours(raw, f"arrival_rates/{c}") for c in CODES}
+        self.arrival_rates: dict[str, list[float]] = {c: _hours(raw, f"arrival_rates/{c}", MAX_RATE) for c in CODES}
         self.mixes: dict = {
             "visit_type": {v: _read(raw, f"mixes/visit_type/{v}", "number", 0, 1) for v in VISIT_TYPES},
             "needs_lab": _read(raw, "mixes/needs_lab", "number", 0, 1),
@@ -157,10 +161,10 @@ class Profile:
             name: _service(raw, f"service/{_key(name)}")
             for name in dict.fromkeys([*_read(raw, "service", "object"), *SERVICES])
         }
-        self.lab_waiting = [float(x) for x in _hours(raw, "lab_profile/waiting")]
-        self.lab_effective = [float(x) for x in _hours(raw, "lab_profile/effective")]
-        self.lab_misc = [float(x) for x in _hours(raw, "lab_profile/misc")]
-        self.lab_cv = float(_read(raw, "lab_profile/cv", "number", 0))
+        self.lab_waiting = [float(x) for x in _hours(raw, "lab_profile/waiting", MAX_MEAN)]
+        self.lab_effective = [float(x) for x in _hours(raw, "lab_profile/effective", MAX_MEAN)]
+        self.lab_misc = [float(x) for x in _hours(raw, "lab_profile/misc", MAX_MEAN)]
+        self.lab_cv = float(_read(raw, "lab_profile/cv", "number", 0, MAX_CV))
         # (waiting, effective, misc) in-lab time specs per dispatch hour
         self.lab_specs: list[tuple[ServiceSpec, ServiceSpec, ServiceSpec]] = [
             tuple(ServiceSpec("lognormal", max(means[h], 0.1), self.lab_cv)

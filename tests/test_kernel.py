@@ -9,7 +9,6 @@ from edsim.kernel import (
     QueueItem,
     ResourcePool,
     ShiftCalendar,
-    ShiftEntry,
     SimulationError,
     rng_stream,
     round_half_up,
@@ -75,63 +74,87 @@ class TestRngStream:
         assert not np.array_equal(base, rep1)
 
 
-DAY_TEAMS = ShiftEntry(480, 1200, ("A", "B"))
-NIGHT_TEAMS = ShiftEntry(1200, 480, ("E", "F"))
+DAY_TEAMS = [("A", 480, 1200), ("B", 480, 1200)]
+NIGHT_TEAMS = [("E", 1200, 480), ("F", 1200, 480)]
+
+
+def grouped(bands):
+    """(start, end) -> its slots, bands in order of first appearance."""
+    groups = {}
+    for team, start, end in bands:
+        groups.setdefault((start, end), []).append(team)
+    return groups
+
+
+def on_at(bands, offset, minute):
+    """Brute-force oracle: the slots on shift at `minute`, in grouped order."""
+    on = []
+    for (start, end), teams in grouped(bands).items():
+        start, end = (start + offset) % 1440, (end + offset) % 1440
+        if start == end or (start <= minute < end if start < end else minute >= start or minute < end):
+            on += teams
+    return on
 
 
 class TestShiftCalendar:
     def test_low_urgency_baseline_day_capacity(self):
-        cal = ShiftCalendar([DAY_TEAMS])
-        assert cal.capacity_at(10 * 60) == 2
+        cal = ShiftCalendar(DAY_TEAMS)
+        assert len(cal.teams_on(10 * 60)) == 2
 
     def test_high_urgency_baseline_night_capacity(self):
-        cal = ShiftCalendar([ShiftEntry(480, 1200, ("C", "D")), NIGHT_TEAMS])
-        assert cal.capacity_at(22 * 60) == 2
-        assert cal.capacity_at(12 * 60) == 2
+        cal = ShiftCalendar([("C", 480, 1200), ("D", 480, 1200), *NIGHT_TEAMS])
+        assert cal.teams_on(22 * 60) == ("E", "F")
+        assert cal.teams_on(12 * 60) == ("C", "D")
 
     def test_offset_two_hours_empties_nine_oclock(self):
         # day shift becomes 10:00-22:00, so 9:00 has nobody
-        cal = ShiftCalendar([DAY_TEAMS], offset=120)
-        assert cal.capacity_at(9 * 60) == 0
-        assert cal.capacity_at(10 * 60) == 2
+        cal = ShiftCalendar(DAY_TEAMS, offset=120)
+        assert len(cal.teams_on(9 * 60)) == 0
+        assert len(cal.teams_on(10 * 60)) == 2
 
     def test_boundaries_start_inclusive_end_exclusive(self):
-        cal = ShiftCalendar([DAY_TEAMS])
-        assert cal.capacity_at(480) == 2
-        assert cal.capacity_at(479) == 0
-        assert cal.capacity_at(1199) == 2
-        assert cal.capacity_at(1200) == 0
+        cal = ShiftCalendar(DAY_TEAMS)
+        assert len(cal.teams_on(480)) == 2
+        assert len(cal.teams_on(479)) == 0
+        assert len(cal.teams_on(1199)) == 2
+        assert len(cal.teams_on(1200)) == 0
 
     def test_wrapping_night_band(self):
-        cal = ShiftCalendar([NIGHT_TEAMS])
-        assert cal.capacity_at(0) == 2
-        assert cal.capacity_at(479) == 2
-        assert cal.capacity_at(480) == 0
-        assert cal.capacity_at(1200) == 2
-
-    def test_minute_out_of_range_rejected(self):
-        cal = ShiftCalendar([DAY_TEAMS])
-        with pytest.raises(ValueError):
-            cal.capacity_at(1440)
+        cal = ShiftCalendar(NIGHT_TEAMS)
+        assert len(cal.teams_on(0)) == 2
+        assert len(cal.teams_on(479)) == 2
+        assert len(cal.teams_on(480)) == 0
+        assert len(cal.teams_on(1200)) == 2
 
     def test_boundaries_reflect_offset(self):
-        cal = ShiftCalendar([DAY_TEAMS, NIGHT_TEAMS], offset=60)
+        cal = ShiftCalendar([*DAY_TEAMS, *NIGHT_TEAMS], offset=60)
         assert cal.boundaries() == [540, 1260]
 
-    def test_on_shift_table_matches_covers_every_minute(self):
+    def test_band_out_of_range_rejected(self):
+        for band in (("A", 1440, 0), ("A", -1, 480), ("A", 0, 1441)):
+            with pytest.raises(ValueError):
+                ShiftCalendar([band])
+
+    def test_same_band_slots_are_grouped_in_order_of_first_appearance(self):
+        cal = ShiftCalendar([("C", 480, 1200), ("E", 0, 0), ("D", 480, 1200), ("F", 0, 0)])
+        assert cal.teams == ("C", "D", "E", "F")
+        assert cal.teams_on(600) == ("C", "D", "E", "F")
+        assert cal.teams_on(0) == ("E", "F")
+
+    def test_on_shift_table_matches_brute_force_every_minute(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            entries = []
+            bands = []
             for i in range(int(rng.integers(0, 5))):
                 start = int(rng.integers(0, 1440))
                 end = start if rng.random() < 0.1 else int(rng.integers(0, 1441))
-                entries.append(ShiftEntry(start, end, (f"E{i}a", f"E{i}b")[:int(rng.integers(1, 3))]))
+                bands += [(f"E{i}{c}", start, end) for c in "ab"[:int(rng.integers(1, 3))]]
+            bands = [bands[i] for i in rng.permutation(len(bands))]  # interleave the bands' slots
             offset = int(rng.integers(0, 3)) * 60
-            cal = ShiftCalendar(entries, offset=offset)
+            cal = ShiftCalendar(bands, offset=offset)
             for m in range(1440):
-                want = [t for e in entries if e.covers(m, offset) for t in e.teams]
-                assert list(cal.teams_on(m)) == want, (entries, offset, m)
-            assert cal.teams == tuple(t for e in entries for t in e.teams)
+                assert list(cal.teams_on(m)) == on_at(bands, offset, m), (bands, offset, m)
+            assert list(cal.teams) == [t for teams in grouped(bands).values() for t in teams]
 
 
 def idle_on_shift(pool, now):
@@ -141,47 +164,47 @@ def idle_on_shift(pool, now):
 
 class TestResourcePool:
     def test_seize_release_cycle(self):
-        pool = ResourcePool("p", ShiftCalendar([DAY_TEAMS]))
+        pool = ResourcePool("p", ShiftCalendar(DAY_TEAMS))
         assert idle_on_shift(pool, 600) == ["A", "B"]
-        end = pool.seize("A", "patient", 600, 30)
+        end = pool.seize("A", 600, 30)
         assert end == 630
         assert idle_on_shift(pool, 600) == ["B"]
         pool.release("A")
         assert idle_on_shift(pool, 600) == ["A", "B"]
 
     def test_seizing_busy_slot_is_a_fault(self):
-        pool = ResourcePool("p", ShiftCalendar([DAY_TEAMS]))
-        pool.seize("A", "x", 600, 10)
+        pool = ResourcePool("p", ShiftCalendar(DAY_TEAMS))
+        pool.seize("A", 600, 10)
         with pytest.raises(SimulationError):
-            pool.seize("A", "y", 605, 10)
+            pool.seize("A", 605, 10)
 
     def test_release_of_idle_slot_is_a_fault(self):
-        pool = ResourcePool("p", ShiftCalendar([DAY_TEAMS]))
+        pool = ResourcePool("p", ShiftCalendar(DAY_TEAMS))
         with pytest.raises(SimulationError):
             pool.release("A")
 
     def test_service_spanning_shift_change_drains(self):
         # hand-trace: service starts 19:50, runs 20 minutes across the 20:00
         # capacity drop; it finishes at 20:10 and the slot then retires.
-        pool = ResourcePool("p", ShiftCalendar([DAY_TEAMS]))
-        end = pool.seize("A", "x", 1190, 20)
+        pool = ResourcePool("p", ShiftCalendar(DAY_TEAMS))
+        end = pool.seize("A", 1190, 20)
         assert end == 1210
-        assert pool.busy["A"][1] == 1210
+        assert pool.busy == {"A"}
         pool.release("A")
         assert idle_on_shift(pool, 1210) == []  # off shift: no further work
 
 
-def q_with(items):
-    q = PromotionQueue()
+def q_with(items, tau_g=None, tau_w=None):
+    q = PromotionQueue(tau_g, tau_w)
     out = []
     for code, enq in items:
         out.append(q.enqueue(code, CODE_RANK[code], enq))
     return q, out
 
 
-def dequeue(q, now, tau_g=None, tau_w=None):
+def dequeue(q, now):
     """Mark promotions at `now`, then take the head of the discipline."""
-    q.mark_promotions(now, tau_g, tau_w)
+    q.mark_promotions(now)
     item = q.peek_next()
     if item is not None:
         q.remove(item)
@@ -196,8 +219,8 @@ class TestPromotionQueue:
         assert item.entity == "YELLOW"
 
     def test_promotion_sends_green_ahead_of_yellow(self):
-        q, _ = q_with([("GREEN", 0), ("YELLOW", 120)])
-        item = dequeue(q, 130, tau_g=120)
+        q, _ = q_with([("GREEN", 0), ("YELLOW", 120)], tau_g=120)
+        item = dequeue(q, 130)
         assert item.entity == "GREEN"
 
     def test_empty_queue_returns_none(self):
@@ -205,54 +228,75 @@ class TestPromotionQueue:
         assert dequeue(q, 10) is None
 
     def test_threshold_is_strict(self):
-        q, _ = q_with([("GREEN", 0), ("YELLOW", 100)])
-        assert dequeue(q, 120, tau_g=120).entity == "YELLOW"  # 120 is not > 120
-        assert dequeue(q, 121, tau_g=120).entity == "GREEN"
+        q, _ = q_with([("GREEN", 0), ("YELLOW", 100)], tau_g=120)
+        assert dequeue(q, 120).entity == "YELLOW"  # 120 is not > 120
+        assert dequeue(q, 121).entity == "GREEN"
 
     def test_red_never_overtaken_by_promoted(self):
-        q, _ = q_with([("GREEN", 0), ("RED", 200)])
-        assert dequeue(q, 201, tau_g=60).entity == "RED"
+        q, _ = q_with([("GREEN", 0), ("RED", 200)], tau_g=60)
+        assert dequeue(q, 201).entity == "RED"
 
     def test_promotion_is_sticky_and_ordered_by_crossing_time(self):
-        q, items = q_with([("WHITE", 0), ("GREEN", 50)])
+        q, items = q_with([("WHITE", 0), ("GREEN", 50)], tau_g=60, tau_w=90)
         # white crosses at 0+90, green at 50+60=110 -> white first
-        q.mark_promotions(200, 60, 90)
+        assert q.mark_promotions(200) == items
         assert items[0].promoted_at == 90
         assert items[1].promoted_at == 110
-        first = dequeue(q, 200, tau_g=60, tau_w=90)
+        first = dequeue(q, 200)
         assert first.entity == "WHITE"
         # stickiness: promoted_at survives further marking
         assert items[1].promoted_at == 110
 
+    def test_queue_without_thresholds_promotes_nothing(self):
+        q, items = q_with([("WHITE", 0), ("GREEN", 0)])
+        assert q.mark_promotions(10_000) == []
+        assert [it.promoted_at for it in items] == [None, None]
+
     def test_fifo_within_class(self):
-        q, _ = q_with([("GREEN", 5), ("GREEN", 3)])
-        assert dequeue(q, 10).enqueue_time == 3
+        q, items = q_with([("GREEN", 3), ("GREEN", 3), ("GREEN", 5)])
+        assert [dequeue(q, 10) for _ in items] == items
+
+    def test_enqueue_before_an_earlier_enqueue_is_a_fault(self):
+        q, items = q_with([("GREEN", 5), ("RED", 5)])
+        with pytest.raises(SimulationError):
+            q.enqueue("WHITE", CODE_RANK["WHITE"], 4)
+        assert q.items == items
+        q.enqueue("WHITE", CODE_RANK["WHITE"], 5)  # an equal time is in order
+
+    def test_removing_a_non_head_item_is_a_fault(self):
+        q, items = q_with([("GREEN", 0), ("GREEN", 10), ("GREEN", 20)], tau_g=5)
+        with pytest.raises(SimulationError):
+            q.remove(items[1])  # waiting, behind items[0]
+        q.mark_promotions(30)
+        with pytest.raises(SimulationError):
+            q.remove(items[2])  # promoted, behind items[0] and items[1]
+        assert q.items == items
+        q.remove(items[0])
+        assert q.items == items[1:]
 
     def test_items_compare_by_identity(self):
         q = PromotionQueue()
         a = q.enqueue("GREEN", CODE_RANK["GREEN"], 0)
         twin = QueueItem("GREEN", CODE_RANK["GREEN"], 0, a.seq)
         assert a != twin
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError):
             q.remove(twin)  # an equal item that was never enqueued
-        b = q.enqueue("GREEN", CODE_RANK["GREEN"], 0)
-        q.remove(b)
         assert q.items == [a] and q.items[0] is a
         assert q.peek_next() is a
 
     def test_sort_key_is_stored_at_enqueue_and_at_promotion(self):
-        q, items = q_with([("GREEN", 10), ("YELLOW", 20)])
+        q, items = q_with([("GREEN", 10), ("YELLOW", 20)], tau_g=60)
         assert items[0].key == (CODE_RANK["GREEN"], 10, 0, 0)
         assert items[1].key == (CODE_RANK["YELLOW"], 20, 1, 0)
-        q.mark_promotions(100, 60, None)
+        q.mark_promotions(100)
         assert items[0].key == (RANK_PROMOTED, 70, 10, 0)
         assert items[1].key == (CODE_RANK["YELLOW"], 20, 1, 0)
 
     def test_eligibility_filter_and_promoted_override(self):
-        q, _ = q_with([("GREEN", 0), ("YELLOW", 10)])
+        q, _ = q_with([("GREEN", 0), ("YELLOW", 10)], tau_g=120)
         high_only = {CODE_RANK["RED"], CODE_RANK["YELLOW"]}
         assert q.peek_next(high_only).entity == "YELLOW"
-        q.mark_promotions(200, 120, None)
+        q.mark_promotions(200)
         assert q.peek_next(high_only).entity == "YELLOW"
         assert q.peek_next(high_only, include_promoted=True).entity == "GREEN"
 

@@ -62,13 +62,15 @@ OUT_OF_BOUNDS = [
     ("arrival_rates/GREEN", [1.0] * 23), ("arrival_rates/GREEN", [1.0] * 25),
     ("lab_profile/waiting", [30.0] * 23), ("lab_profile/misc", [10.0] * 25),
     ("arrival_rates/WHITE/3", -0.5), ("lab_profile/effective/0", -1),
+    ("arrival_rates/RED/12", 1000.5), ("lab_profile/waiting/7", 10000.5),
     ("mixes/visit_type/GENERAL", 1.2), ("mixes/visit_type/DERMATOLOGICAL", -0.05),
     ("mixes/needs_lab", -0.1), ("mixes/needs_lab", 1.01), ("mixes/xray", 2),
     ("mixes/extra_exam_lt4", 0), ("mixes/extra_exam_lt4", 1.5),
     ("mixes/nonwalking_yellow", -1), ("mixes/nonwalking_yellow", 1.1),
     ("service/triage/family", "normal"), ("service/first_general/mean", 0),
     ("service/exam_misc/mean", -4.0), ("service/last_visit/cv", -0.1),
-    ("lab_profile/cv", -1),
+    ("service/first_general/mean", 10000.5), ("service/exam_xray/cv", 10.5),
+    ("lab_profile/cv", -1), ("lab_profile/cv", 10.01),
     ("thresholds/RED", -1), ("thresholds/WHITE", -0.5),
     (f"{TEAM0}/start", -1), (f"{TEAM0}/start", 1440), (f"{TEAM0}/end", -1),
     (f"{TEAM0}/end", 1441),
@@ -86,6 +88,8 @@ ACCEPTED = [
     ("service/triage/cv", 0), ("lab_profile/cv", 0),
     ("mixes/extra_exam_lt4", 1), ("mixes/needs_lab", 0), ("mixes/xray", 1),
     ("thresholds/RED", 0), ("arrival_rates/WHITE/0", 0), ("version", 7),
+    ("arrival_rates/RED/12", 1000), ("lab_profile/waiting/7", 10000),
+    ("service/first_general/mean", 10000), ("service/exam_xray/cv", 10), ("lab_profile/cv", 10),
     ("routing", DELETE), ("routing/pull_low_into_high", DELETE), ("routing/pull_low_into_high", "never"),
     ("mixes/nonwalking_yellow", DELETE), ("mixes/nonwalking_yellow", 0),
     ("unknown_section", {"anything": [1, 2]}), ("mixes/unknown_share", "x"),

@@ -1,5 +1,6 @@
 """Differential test: PromotionQueue against the linear-scan queue it
-replaced, over random operation sequences."""
+replaced, over random operation sequences at non-decreasing times, with the
+thresholds drawn once per sequence."""
 
 from __future__ import annotations
 
@@ -20,9 +21,10 @@ STATIC = sorted(CODE_RANK.values())
 class LinearPromotionQueue:
     """Reference oracle: every operation scans every waiting item."""
 
-    def __init__(self) -> None:
+    def __init__(self, tau_g: int | None = None, tau_w: int | None = None) -> None:
         self.items: list[QueueItem] = []
         self._seq = 0
+        self._taus = {RANK_GREEN: tau_g, RANK_WHITE: tau_w}
 
     def __len__(self) -> int:
         return len(self.items)
@@ -36,12 +38,12 @@ class LinearPromotionQueue:
     def has_rank_at_most(self, rank: int) -> bool:
         return any(it.rank <= rank for it in self.items)
 
-    def mark_promotions(self, now: int, tau_g: int | None, tau_w: int | None) -> list[QueueItem]:
+    def mark_promotions(self, now: int) -> list[QueueItem]:
         newly: list[QueueItem] = []
         for it in self.items:
             if it.promoted_at is not None:
                 continue
-            tau = tau_g if it.rank == RANK_GREEN else tau_w if it.rank == RANK_WHITE else None
+            tau = self._taus.get(it.rank)
             if tau is not None and now - it.enqueue_time > tau:
                 it.promote(it.enqueue_time + tau)
                 newly.append(it)
@@ -69,10 +71,9 @@ def state(item: QueueItem | None):
 
 taus = st.one_of(st.none(), st.integers(0, 30))
 ops = st.one_of(
-    # enqueue `back` minutes before the clock: out of order when back > 0
-    st.tuples(st.just("enqueue"), st.sampled_from(STATIC), st.integers(0, 10),
-              st.just(0) | st.integers(0, 30)),
-    st.tuples(st.just("promote"), st.integers(0, 20), taus, taus),
+    # the clock advances by `step` minutes (0: several enqueues at one minute)
+    st.tuples(st.just("enqueue"), st.sampled_from(STATIC), st.just(0) | st.integers(0, 10)),
+    st.tuples(st.just("promote"), st.integers(0, 20)),
     st.tuples(st.just("peek"), st.none() | st.sets(st.sampled_from(STATIC)), st.booleans(),
               st.booleans()),
     st.tuples(st.just("rank"), st.integers(0, 4)),
@@ -80,22 +81,21 @@ ops = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(ops, min_size=10, max_size=120))
-def test_bucketed_queue_matches_linear_scan(operations):
-    queue, oracle = PromotionQueue(), LinearPromotionQueue()
+@given(taus, taus, st.lists(ops, min_size=10, max_size=120))
+def test_bucketed_queue_matches_linear_scan(tau_g, tau_w, operations):
+    queue, oracle = PromotionQueue(tau_g, tau_w), LinearPromotionQueue(tau_g, tau_w)
     now = 0
     for op in operations:
         if op[0] == "enqueue":
-            _, rank, step, back = op
+            _, rank, step = op
             now += step
-            got = queue.enqueue(None, rank, now - back)
-            want = oracle.enqueue(None, rank, now - back)
+            got = queue.enqueue(None, rank, now)
+            want = oracle.enqueue(None, rank, now)
             assert state(got) == state(want)
         elif op[0] == "promote":
-            _, step, tau_g, tau_w = op
-            now += step
-            got = queue.mark_promotions(now, tau_g, tau_w)
-            want = oracle.mark_promotions(now, tau_g, tau_w)
+            now += op[1]
+            got = queue.mark_promotions(now)
+            want = oracle.mark_promotions(now)
             assert [state(it) for it in got] == [state(it) for it in want]
         elif op[0] == "peek":
             _, ranks, include_promoted, take = op

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from edsim.scenario import (
+    MAX_EXTRA_TEAMS,
     ParseError,
     Scenario,
     UnknownScenario,
@@ -60,6 +61,11 @@ class TestParse:
     def test_unknown_name_rejected(self):
         with pytest.raises(UnknownScenario):
             parse("Z.9")
+
+    def test_extra_teams_capped(self):
+        assert Scenario(a=MAX_EXTRA_TEAMS).a == MAX_EXTRA_TEAMS
+        with pytest.raises(ValidationError, match="a is at most 100 teams"):
+            parse_tuple(f"(-,-,-,-,-,-,{MAX_EXTRA_TEAMS + 1},-)")
 
     def test_p_must_be_binary(self):
         with pytest.raises(ValidationError):
