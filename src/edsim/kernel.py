@@ -140,8 +140,8 @@ class ShiftCalendar:
             groups.setdefault((start, end), []).append(team)
         shifted = [((start + offset) % MINUTES_PER_DAY, (end + offset) % MINUTES_PER_DAY, teams)
                    for (start, end), teams in groups.items()]
-        self.teams: tuple[str, ...] = tuple(t for _start, _end, teams in shifted for t in teams)
-        bounds = self._boundaries = sorted({m for start, end, _teams in shifted for m in (start, end)})
+        self.teams: tuple[str, ...] = tuple(t for teams in groups.values() for t in teams)
+        bounds = self._boundaries = sorted({m for start, end, _ in shifted for m in (start, end)})
         table: list[tuple[str, ...]] = [()] * MINUTES_PER_DAY
         for m, stop in zip(bounds, bounds[1:] + bounds[:1]):
             on = tuple(t for start, end, teams in shifted
@@ -231,7 +231,7 @@ class PromotionQueue:
     def __init__(self, tau_g: int | None = None, tau_w: int | None = None) -> None:
         self.items: list[QueueItem] = []
         self._seq = 0
-        self._now = 0  # latest enqueue time
+        self._last_enqueue = 0
         self._taus = [(rank, tau) for rank, tau in ((RANK_GREEN, tau_g), (RANK_WHITE, tau_w))
                       if tau is not None]
         self._waiting: dict[int, deque[QueueItem]] = {rank: deque() for rank in STATIC_RANKS}
@@ -241,9 +241,9 @@ class PromotionQueue:
         return len(self.items)
 
     def enqueue(self, entity, rank: int, now: int) -> QueueItem:
-        if now < self._now:
-            raise SimulationError(f"enqueue at t={now} after an enqueue at t={self._now}")
-        self._now = now
+        if now < self._last_enqueue:
+            raise SimulationError(f"enqueue at t={now} before the last one, at t={self._last_enqueue}")
+        self._last_enqueue = now
         item = QueueItem(entity, rank, now, self._seq)
         self._seq += 1
         self.items.append(item)

@@ -148,7 +148,8 @@ class Profile:
     def __init__(self, raw: dict):
         self.raw = raw
         self.version: int = _read(raw, "version", "integer", 1)
-        self.arrival_rates: dict[str, list[float]] = {c: _hours(raw, f"arrival_rates/{c}", MAX_RATE) for c in CODES}
+        self.arrival_rates: dict[str, list[float]] = {
+            c: _hours(raw, f"arrival_rates/{c}", MAX_RATE) for c in CODES}
         self.mixes: dict = {
             "visit_type": {v: _read(raw, f"mixes/visit_type/{v}", "number", 0, 1) for v in VISIT_TYPES},
             "needs_lab": _read(raw, "mixes/needs_lab", "number", 0, 1),

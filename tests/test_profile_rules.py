@@ -77,6 +77,9 @@ OUT_OF_BOUNDS = [
     ("resources/xray/capacity", 0), ("resources/misc_exam/capacity", 0),
     ("resources/last_visit_team/start", 1440), ("resources/last_visit_team/end", 1441),
     ("routing/pull_low_into_high", "sometimes"),
+    # finite values that made `run` raise OverflowError, draw NaN durations or never end
+    ("service/first_general/mean", 1e308), ("service/first_general/cv", 1e308),
+    ("lab_profile/cv", 1e308), ("arrival_rates/GREEN/10", 1e300),
 ]
 
 # boundary values that must pass: (path, value), value DELETE drops the key
@@ -122,8 +125,10 @@ def _rejecting_cases():
         yield pytest.param(path, value, path or "<root>", "", id=f"type:{path}={value!r}")
     for path, value in OUT_OF_BOUNDS:
         yield pytest.param(path, value, path, "", id=f"bound:{path}={str(value)[:12]}")
-    extra = {"family": "gamma", "mean": 5.0, "cv": 0.2}
-    yield pytest.param("service/extra", extra, "service/extra/family", "", id="extra-service-family")
+    for field, extra in (("family", {"family": "gamma", "mean": 5.0, "cv": 0.2}),
+                         ("cv", {"family": "triangular", "mean": 9.0, "cv": 1e308})):
+        yield pytest.param("service/extra", extra, f"service/extra/{field}", "",
+                           id=f"extra-service-{field}")
 
 
 @pytest.mark.parametrize("path, value, at, named", _rejecting_cases())
