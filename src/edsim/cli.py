@@ -20,7 +20,8 @@ from .kpi import compare
 from .report import (comparison_row, svg_bar_chart, write_comparison_csv, write_kpi_svg,
                      write_report_json)
 from .scenario import ParseError, Scenario, UnknownScenario, ValidationError
-from .stochastics import Profile, ProfileError, default_profile_path, load_profile, write_profile
+from .stochastics import (PatientTape, Profile, ProfileError, default_profile_path, load_profile,
+                          write_profile)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="baseline + scenarios with common random numbers")
     _add_common(p_sweep)
-    p_sweep.add_argument("--scenarios", nargs="*", default=None,
+    p_sweep.add_argument("--scenarios", nargs="+", default=None,
                          help="catalog names (default: whole catalog)")
     p_sweep.add_argument("--svg", action="store_true", help="also write a LoS chart")
 
@@ -99,7 +100,9 @@ def _load_profile(args) -> Profile:
 
 
 def _resolve_scenario(text: str) -> tuple[str, Scenario]:
-    if text.endswith(".json") and Path(text).exists():
+    if text.endswith(".json"):
+        if not Path(text).exists():
+            raise ParseError(f"scenario file not found: {text}")
         return Path(text).stem, scen_mod.load_json(text)
     name = text if not text.lstrip().startswith("(") else "custom"
     return name, scen_mod.parse(text)
@@ -146,11 +149,13 @@ def cmd_sweep(args, profile: Profile) -> int:
     out = Path(args.out)
     (out / "reports").mkdir(parents=True, exist_ok=True)
     runs = [("baseline", Scenario()), *((name, catalog[name]) for name in names)]
+    # every scenario runs replication r on the same patients: draw them once
+    tapes = [PatientTape(profile, args.seed, rep, args.days) for rep in range(args.replications)]
     base_agg = None
     rows, los = [], []
     for name, scenario in runs:
         agg, _ = run_scenario(profile, scenario, args.seed, args.replications,
-                              args.days, jobs=args.jobs)
+                              args.days, jobs=args.jobs, tapes=tapes)
         write_report_json(out / "reports" / f"{name}.json", agg, _meta(args, scenario, name))
         if base_agg is None:
             base_agg, cmp_ = agg, None

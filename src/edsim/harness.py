@@ -3,6 +3,7 @@ logs, when kept) and aggregate their KPI reports."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 
 from .kpi import aggregate, compute_kpis
@@ -12,21 +13,27 @@ from .stochastics import Profile
 
 
 def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
-                 days: int, jobs: int = 1, keep_logs: bool = False):
+                 days: int, jobs: int = 1, keep_logs: bool = False,
+                 tapes: Sequence[Iterable[tuple]] | None = None):
     """Run all replications of one scenario; returns (aggregate report,
     per-replication logs). The aggregate's `vectors` hold every
     per-replication figure. Every log holds its KPI rows; only with
     `keep_logs` does it hold event records too.
 
-    Replication i always uses the same substreams regardless of the scenario,
-    which gives common random numbers across a sweep."""
+    Replication i runs on `tapes[i]` (stochastics.PatientTape(profile, seed,
+    i, days), or its rows) if `tapes` is given, else it draws the same
+    patients itself. Either way replication i sees the same patients in
+    every scenario, which gives common random numbers across a sweep."""
+    tapes = tapes or [None] * replications
     if jobs <= 1 or replications == 1:
-        logs = [run_replication(profile, scen, rep, seed, days, keep_log=keep_logs)
+        logs = [run_replication(profile, scen, rep, seed, days, keep_log=keep_logs,
+                                tape=tapes[rep])
                 for rep in range(replications)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(run_replication, profile, scen, rep, seed, days, keep_log=keep_logs)
+                pool.submit(run_replication, profile, scen, rep, seed, days, keep_log=keep_logs,
+                            tape=tapes[rep])
                 for rep in range(replications)
             ]
             logs = [f.result() for f in futures]

@@ -4,6 +4,7 @@ pipeline, extra exams, same-team last visit, discharge."""
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
 from .kernel import (
     CODE_RANK,
@@ -14,39 +15,30 @@ from .kernel import (
     PromotionQueue,
     ResourcePool,
     ShiftCalendar,
-    round_half_up,
-    rng_stream,
 )
 from .kpi import NO_TIME, WARMUP_MIN
 from .scenario import Scenario
-from .stochastics import (
-    ArrivalSampler,
-    Profile,
-    draw_exam_list,
-    draw_visit_type,
-    lab_components,
-    next_dispatch,
-)
+from .stochastics import Profile, draw_patients, lab_components, next_dispatch
 
 LOW_RANKS = {CODE_RANK["GREEN"], CODE_RANK["WHITE"]}
 HIGH_RANKS = {CODE_RANK["RED"], CODE_RANK["YELLOW"]}
 ALL_RANKS = set(CODE_RANK.values())
 FIRST_QUEUE_OF = {"low_general": "general", "high_general": "general",
                   "orthopaedic": "orthopaedic", "dermatological": "dermatological"}
-# visit type -> (first-visit queue, first-visit service spec); a red patient
-# is routed as GENERAL, to the high urgency room
-VISIT_ROUTE = {"GENERAL": ("general", "first_general"),
-               "ORTHOPAEDIC": ("orthopaedic", "first_ortho"),
-               "DERMATOLOGICAL": ("dermatological", "first_derma")}
+# visit type -> first-visit queue; a red patient is routed as GENERAL, to
+# the high urgency room
+FIRST_QUEUE = {"GENERAL": "general", "ORTHOPAEDIC": "orthopaedic",
+               "DERMATOLOGICAL": "dermatological"}
 
 
 class Patient:
     """One entity flowing triage -> visits -> exams -> discharge.
 
-    All stochastic attributes are drawn up front in a fixed order, so common
-    random numbers stay synchronized across scenarios. The minutes the KPIs
-    need are stamped as the events happen (NO_TIME until then); `kpi_row`
-    packs them in kpi.ROW_FIELDS order."""
+    Its stochastic attributes are one tape row (stochastics.draw_patients),
+    drawn before the patient arrives and the same in every scenario; the
+    row is only read, never changed. The minutes the KPIs need are stamped
+    as the events happen (NO_TIME until then); `kpi_row` packs them in
+    kpi.ROW_FIELDS order."""
 
     __slots__ = (
         "pid", "code", "rank", "mode", "visit_type", "needs_lab", "lab_at_triage",
@@ -57,10 +49,12 @@ class Patient:
         "t_start_last", "t_discharge",
     )
 
-    def __init__(self, pid: int, code: str):
+    def __init__(self, pid: int, row: tuple):
         self.pid = pid
-        self.code = code
-        self.rank = CODE_RANK[code]
+        (self.t_arrive, self.code, self.mode, self.triage_d, self.visit_type, self.needs_lab,
+         self.u_lab_triage, self.u_dismiss, self.exam_kinds, self.first_d, self.last_d,
+         self.lab_z, self.exam_ds) = row
+        self.rank = CODE_RANK[self.code]
         self.lab_at_triage = False
         self.lab_done = False
         self.exam_idx = 0
@@ -90,10 +84,15 @@ class CountedPool:
 
 
 class Replication:
-    """Single seeded run of the ED model; strictly single-threaded."""
+    """Single seeded run of the ED model; strictly single-threaded.
+
+    Its patients are the rows of `tape`, or, without one, of
+    `draw_patients(profile, master_seed, rep_id, days)`, drawn as they
+    arrive. The replication itself holds no random stream."""
 
     def __init__(self, profile: Profile, scenario: Scenario, rep_id: int,
-                 master_seed: int, days: int, drain: bool = False, keep_log: bool = True):
+                 master_seed: int, days: int, drain: bool = False, keep_log: bool = True,
+                 tape: Iterable[tuple] | None = None):
         self.profile = profile
         self.scenario = scenario
         self.rep_id = rep_id
@@ -104,9 +103,9 @@ class Replication:
         self.calendar = EventCalendar()
         self.log = EventLog(rep_id, keep=keep_log)
         self.patients: list[Patient] = []
-        self.arr_rng = rng_stream(master_seed, "arrivals", rep_id)
-        self.attr_rng = rng_stream(master_seed, "attributes", rep_id)
-        self.sampler = ArrivalSampler(profile)
+        if tape is None:
+            tape = draw_patients(profile, master_seed, rep_id, days)
+        self._arrivals = iter(tape)
 
         offset = 60 * (scenario.t or 0)
         res = profile.resources
@@ -126,7 +125,7 @@ class Replication:
 
         self.first_queues: dict[str, PromotionQueue] = {
             queue_key: PromotionQueue(scenario.tau_g, scenario.tau_w)
-            for queue_key, _spec in VISIT_ROUTE.values()}
+            for queue_key in FIRST_QUEUE.values()}
         self.team_pool: dict[str, ResourcePool] = {
             team: pool for pool in self.pools.values() for team in pool.calendar.teams}
         # Last visits queue per first-visit team (same-doctor affinity), in
@@ -143,55 +142,22 @@ class Replication:
                                 for pool_id, pool in self.pools.items()]
         self.in_flight = 0
         self.arrivals_open = True
-        self._arrival_real = 0.0
         self._waiting_first = 0
         self._waiting_last = 0
 
     # ------------------------------------------------------------------ setup
 
     def _schedule_next_arrival(self) -> None:
-        gap = self.sampler.sample_interarrival(self._arrival_real, self.arr_rng)
-        t_real = self._arrival_real + gap
-        code = self.sampler.draw_code(t_real, self.arr_rng)
-        if t_real >= self.horizon:
+        row = next(self._arrivals, None)
+        if row is None:
             self.arrivals_open = False
             return
-        self._arrival_real = t_real
-        self.calendar.schedule(round_half_up(t_real), self._on_arrival, code)
+        self.calendar.schedule(row[0], self._on_arrival, row)
 
     def _schedule_kicks(self) -> None:
         minutes = {m for pool in self.pools.values() for m in pool.calendar.boundaries()}
         for m in sorted(minutes):
             self.calendar.schedule(m, self._on_shift_kick, m)
-
-    # ----------------------------------------------------------------- draws
-
-    def _make_patient(self, code: str, now: int) -> Patient:
-        ag = self.attr_rng
-        p = Patient(len(self.patients), code)
-        self.patients.append(p)
-        p.t_arrive = now
-        # Four batched draws, in the stream order of one scalar draw per
-        # attribute, so every attribute keeps its value bit for bit.
-        u_mode = ag.random()
-        nw_yellow = self.profile.mixes["nonwalking_yellow"]
-        p.mode = "nonwalking" if code == "RED" or (code == "YELLOW" and u_mode < nw_yellow) else "walking"
-        svc = self.profile.service
-        p.triage_d = max(1, round_half_up(svc["triage"].from_normal(ag.standard_normal())))
-        u_visit, u_lab, p.u_lab_triage, u_xray, u_count, p.u_dismiss = ag.random(6).tolist()
-        p.visit_type = draw_visit_type(u_visit, self.profile)
-        p.needs_lab = u_lab < self.profile.mixes["needs_lab"]
-        p.exam_kinds = draw_exam_list(u_xray, u_count, self.profile)
-        z_first, z_last, *z_lab_exams = ag.standard_normal(5 + len(p.exam_kinds)).tolist()
-        _queue, first_spec = VISIT_ROUTE["GENERAL" if code == "RED" else p.visit_type]
-        p.first_d = max(1, round_half_up(svc[first_spec].from_normal(z_first)))
-        p.last_d = max(1, round_half_up(svc["last_visit"].from_normal(z_last)))
-        p.lab_z = tuple(z_lab_exams[:3])
-        p.exam_ds = [
-            max(1, round_half_up(svc["exam_xray" if kind == "xray" else "exam_misc"].from_normal(z)))
-            for kind, z in zip(p.exam_kinds, z_lab_exams[3:])
-        ]
-        return p
 
     # --------------------------------------------------------------- routing
 
@@ -363,8 +329,9 @@ class Replication:
 
     # --------------------------------------------------------------- handlers
 
-    def _on_arrival(self, now: int, code: str) -> None:
-        p = self._make_patient(code, now)
+    def _on_arrival(self, now: int, row: tuple) -> None:
+        p = Patient(len(self.patients), row)
+        self.patients.append(p)
         self.in_flight += 1
         self.log.add(now, p.pid, "ARRIVE", p.mode, p.code)
         self.calendar.schedule(now + p.triage_d, self._on_triage_done, p)
@@ -386,7 +353,7 @@ class Replication:
             return
         if p.lab_at_triage:
             self._start_lab(p, now)
-        queue_key, _spec = VISIT_ROUTE["GENERAL" if p.code == "RED" else p.visit_type]
+        queue_key = FIRST_QUEUE["GENERAL" if p.code == "RED" else p.visit_type]
         p.t_enq_first = now
         self.log.add(now, p.pid, "ENQUEUE_FIRST", queue_key)
         self.first_queues[queue_key].enqueue(p, p.rank, now)
@@ -461,10 +428,13 @@ class Replication:
 
 
 def run_replication(profile: Profile, scenario: Scenario, rep_id: int, master_seed: int,
-                    days: int, drain: bool = False, keep_log: bool = True) -> EventLog:
-    """Worker-safe entry point: the validated profile pickles to workers as
-    is. The returned log always holds the KPI rows; its event records only
-    with `keep_log`."""
+                    days: int, drain: bool = False, keep_log: bool = True,
+                    tape: Iterable[tuple] | None = None) -> EventLog:
+    """Worker-safe entry point: the validated profile and the tape (a
+    stochastics.PatientTape, or rows of draw_patients(profile, master_seed,
+    rep_id, days)) pickle to workers as they are. Without a tape the
+    patients are drawn as they arrive. The returned log always holds the KPI
+    rows; its event records only with `keep_log`."""
     rep = Replication(profile, scenario, rep_id, master_seed, days,
-                      drain=drain, keep_log=keep_log)
+                      drain=drain, keep_log=keep_log, tape=tape)
     return rep.run()

@@ -1,5 +1,6 @@
 """Input randomness: the versioned profile file, non-homogeneous arrivals,
-attribute mixes, service-time models and the lab time-of-day profile.
+attribute mixes, service-time models, the lab time-of-day profile and the
+per-replication patient tape.
 
 The published figures carry shapes, not numbers; every number here lives in
 the profile JSON and is a calibration output, not ground truth.
@@ -9,14 +10,22 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
+from .kernel import MINUTES_PER_DAY, round_half_up, rng_stream
+from .kpi import WARMUP_MIN
+
 CODES = ("WHITE", "GREEN", "YELLOW", "RED")
 VISIT_TYPES = ("GENERAL", "ORTHOPAEDIC", "DERMATOLOGICAL")
+# first-visit service spec per visit type; a red patient is seen as GENERAL
+FIRST_SERVICE = {"GENERAL": "first_general", "ORTHOPAEDIC": "first_ortho",
+                 "DERMATOLOGICAL": "first_derma"}
 EXAM_COUNT_MAX = 10
 LAB_WAIT_FLOOR = 5  # minutes left after a scenario-r reduction
 DISPATCH_PERIOD = 30  # tube transport leaves every half hour
@@ -312,6 +321,72 @@ def draw_exam_list(u_xray: float, u_count: float, profile: Profile) -> list[str]
     if has_xray:
         return ["xray"] + ["misc"] * max(0, count - 1)
     return ["misc"] * count
+
+
+def draw_patient(profile: Profile, minute: int, code: str, rng: np.random.Generator) -> tuple:
+    """The tape row of a patient of urgency `code` arriving at `minute`, its
+    other attributes drawn from `rng`.
+
+    Four batched draws, in the stream order of one scalar draw per
+    attribute, so every attribute keeps its value bit for bit."""
+    u_mode = rng.random()
+    nw_yellow = profile.mixes["nonwalking_yellow"]
+    mode = "nonwalking" if code == "RED" or (code == "YELLOW" and u_mode < nw_yellow) else "walking"
+    svc = profile.service
+    triage_d = max(1, round_half_up(svc["triage"].from_normal(rng.standard_normal())))
+    u_visit, u_lab, u_lab_triage, u_xray, u_count, u_dismiss = rng.random(6).tolist()
+    visit_type = draw_visit_type(u_visit, profile)
+    exam_kinds = draw_exam_list(u_xray, u_count, profile)
+    z_first, z_last, *z_lab_exams = rng.standard_normal(5 + len(exam_kinds)).tolist()
+    first_spec = svc[FIRST_SERVICE["GENERAL" if code == "RED" else visit_type]]
+    exam_ds = [
+        max(1, round_half_up(svc["exam_xray" if kind == "xray" else "exam_misc"].from_normal(z)))
+        for kind, z in zip(exam_kinds, z_lab_exams[3:])
+    ]
+    return (minute, code, mode, triage_d, visit_type, u_lab < profile.mixes["needs_lab"],
+            u_lab_triage, u_dismiss, exam_kinds,
+            max(1, round_half_up(first_spec.from_normal(z_first))),
+            max(1, round_half_up(svc["last_visit"].from_normal(z_last))),
+            tuple(z_lab_exams[:3]), exam_ds)
+
+
+def draw_patients(profile: Profile, seed: int, rep: int, days: int) -> Iterator[tuple]:
+    """Yield the patients of replication `rep`, one tape row per arrival:
+    (t_arrive, code, mode, triage_d, visit_type, needs_lab, u_lab_triage,
+    u_dismiss, exam_kinds, first_d, last_d, lab_z, exam_ds).
+
+    Arrival minutes and codes come from the "arrivals" stream, the other
+    attributes from "attributes". Neither depends on the scenario, so every
+    scenario run on one tape sees the same patients (common random numbers).
+    The rows stop at the first arrival at or past the horizon (warm-up plus
+    `days`); that arrival's code is drawn too, so the streams advance as they
+    always have."""
+    arrivals = rng_stream(seed, "arrivals", rep)
+    attributes = rng_stream(seed, "attributes", rep)
+    sampler = ArrivalSampler(profile)
+    horizon = WARMUP_MIN + days * MINUTES_PER_DAY
+    t_real = 0.0
+    while True:
+        t_real += sampler.sample_interarrival(t_real, arrivals)
+        code = sampler.draw_code(t_real, arrivals)
+        if t_real >= horizon:
+            return
+        yield draw_patient(profile, round_half_up(t_real), code, attributes)
+
+
+class PatientTape:
+    """The rows of `draw_patients`, drawn once and held as one pickled bytes
+    object: compact to keep for a whole sweep, cheap to send to a worker.
+    Each iteration unpickles fresh rows."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, profile: Profile, seed: int, rep: int, days: int):
+        self.data = pickle.dumps(list(draw_patients(profile, seed, rep, days)),
+                                 pickle.HIGHEST_PROTOCOL)
+
+    def __iter__(self):
+        return iter(pickle.loads(self.data))
 
 
 def lab_components(profile: Profile, hour: int, z_wait: float, z_eff: float,

@@ -16,7 +16,7 @@ from edsim.harness import run_scenario
 from edsim.kernel import CODE_RANK, MINUTES_PER_DAY
 from edsim.model import run_replication
 from edsim.scenario import Scenario, catalog, parse, parse_tuple
-from edsim.stochastics import Profile
+from edsim.stochastics import PatientTape, Profile
 
 from conftest import make_mini_raw
 from log_oracle import collect_patients, parse_detail
@@ -42,14 +42,17 @@ def ac1_result(default_raw):
 
 @pytest.fixture(scope="session")
 def sweep_results(default_profile):
-    """Baseline + every single-letter scenario + Cb.15 at 6x30, paired seeds,
-    on two workers (results do not depend on `jobs`: AC3)."""
+    """Baseline + every single-letter scenario + Cb.15 at 6x30, on two
+    workers (results do not depend on `jobs`: AC3). Replication r of every
+    scenario runs on one tape, drawn once, as `edsim sweep` does."""
     cat = catalog()
     names = [n for n in cat if not n.startswith("Cb")] + ["Cb.15"]
+    tapes = [PatientTape(default_profile, SEED, rep, 30) for rep in range(6)]
     out = {}
-    out["baseline"], _ = run_scenario(default_profile, Scenario(), SEED, 6, 30, jobs=2)
+    out["baseline"], _ = run_scenario(default_profile, Scenario(), SEED, 6, 30, jobs=2,
+                                      tapes=tapes)
     for name in names:
-        out[name], _ = run_scenario(default_profile, cat[name], SEED, 6, 30, jobs=2)
+        out[name], _ = run_scenario(default_profile, cat[name], SEED, 6, 30, jobs=2, tapes=tapes)
     return out
 
 

@@ -78,6 +78,13 @@ class TestRun:
         assert err.startswith("scenario error:") and "Traceback" not in err
         assert not out.exists()
 
+    def test_missing_scenario_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert run_cli("run", "--scenario", "missing.json", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "scenario error: scenario file not found: missing.json\n"
+        assert not out.exists()
+
     def test_extra_teams_over_the_cap_exit_2(self, tmp_path, capsys):
         out = tmp_path / "never"
         assert run_cli("run", "--scenario", f"(-,-,-,-,-,-,{MAX_EXTRA_TEAMS + 1},-)",
@@ -248,6 +255,18 @@ class TestSweep:
         out = tmp_path / "sweep"
         assert run_cli("sweep", "--scenarios", "C.4", "F.1", "C.4", "--out", str(out)) == 2
         assert "given more than once: C.4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--scenarios"], ["--scenarios", "C.4", "--scenarios"]])
+    def test_empty_scenarios_flag_is_a_usage_error(self, flags, tmp_path, capsys):
+        # a bare flag would otherwise run the whole catalog, and a trailing
+        # one would discard the names given before it
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", *flags, "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: edsim") and "--scenarios: expected at least one" in err
         assert not out.exists()
 
     def test_full_catalog_sweep_row_count(self, tmp_path):

@@ -18,20 +18,10 @@ from test_golden_logs import CASES, _raw_profile
 
 def make_patient(pid, code, *, visit_type="GENERAL", needs_lab=False, exams=(),
                  first_d=10, last_d=2, triage_d=1, u_dismiss=1.0, u_lab_triage=1.0):
-    p = Patient(pid, code)
-    p.mode = "walking"
-    p.visit_type = visit_type
-    p.needs_lab = needs_lab
-    p.exam_kinds = list(exams)
-    p.exam_ds = [5] * len(exams)
-    p.triage_d = triage_d
-    p.first_d = first_d
-    p.last_d = last_d
-    p.lab_z = (0.0, 0.0, 0.0)
-    p.u_dismiss = u_dismiss
-    p.u_lab_triage = u_lab_triage
-    p.t_arrive = 0
-    return p
+    # a tape row in stochastics.draw_patients field order
+    return Patient(pid, (0, code, "walking", triage_d, visit_type, needs_lab, u_lab_triage,
+                         u_dismiss, list(exams), first_d, last_d, (0.0, 0.0, 0.0),
+                         [5] * len(exams)))
 
 
 def pump(rep):

@@ -6,8 +6,7 @@ import pytest
 from scipy import stats
 
 from edsim.kernel import rng_stream
-from edsim.model import Replication
-from edsim.scenario import Scenario
+from edsim.model import Patient
 from edsim.stochastics import (
     CODES,
     ArrivalSampler,
@@ -16,6 +15,7 @@ from edsim.stochastics import (
     ServiceSpec,
     draw_exam_count,
     draw_exam_list,
+    draw_patient,
     lab_components,
     next_dispatch,
 )
@@ -27,10 +27,9 @@ def rng(seed=1, label="test"):
 
 def model_patients(profile, n, seed):
     """n patients with attributes drawn as the model draws them."""
-    rep = Replication(profile, Scenario(), rep_id=0, master_seed=seed, days=1)
+    g = rng_stream(seed, "attributes", 0)
     for _ in range(n):
-        yield rep._make_patient("GREEN", 0)
-        rep.patients.clear()
+        yield Patient(0, draw_patient(profile, 0, "GREEN", g))
 
 
 class TestProfileValidation:

@@ -1,0 +1,91 @@
+"""The patient tape: one replication's patients, drawn once and shared by
+every scenario.
+
+A run from a tape must equal a run that draws its patients as they arrive
+(the golden logs pin that path), must leave the tape as it found it, and
+every scenario of a sweep must see the same patients."""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+
+from edsim.harness import run_scenario
+from edsim.kpi import ROW_FIELDS
+from edsim.model import run_replication
+from edsim.scenario import Scenario, parse
+from edsim.stochastics import ArrivalSampler, PatientTape, draw_patients
+
+SEEDS = (42, 2020, 7)
+DAYS = 2
+# B.1 last visit first, C.3 promotions, E.3 dismissal at triage (e>0),
+# D.2 lab at triage (l>0), F.1 dedicated last-visit teams (a>0)
+SPECS = ("baseline", "B.1", "C.3", "E.3", "D.2", "F.1", "Cb.15")
+
+
+def _csv(log, path):
+    log.write_csv(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("spec", SPECS)
+def test_run_from_tape_equals_run_without_one(default_profile, spec, seed, tmp_path):
+    scenario = parse(spec)
+    tape = list(draw_patients(default_profile, seed, 1, DAYS))
+    before = copy.deepcopy(tape)
+    drawn = run_replication(default_profile, scenario, 1, seed, DAYS)
+    taped = run_replication(default_profile, scenario, 1, seed, DAYS, tape=tape)
+    assert taped.rows == drawn.rows
+    assert _csv(taped, tmp_path / "taped.csv") == _csv(drawn, tmp_path / "drawn.csv")
+    assert tape == before
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_drained_run_from_tape_equals_run_without_one(default_profile, seed, tmp_path):
+    tape = PatientTape(default_profile, seed, 0, DAYS)
+    data = tape.data
+    drawn = run_replication(default_profile, parse("C.3"), 0, seed, DAYS, drain=True)
+    taped = run_replication(default_profile, parse("C.3"), 0, seed, DAYS, drain=True, tape=tape)
+    assert taped.rows == drawn.rows
+    assert _csv(taped, tmp_path / "taped.csv") == _csv(drawn, tmp_path / "drawn.csv")
+    assert tape.data == data
+    assert list(tape) == list(draw_patients(default_profile, seed, 0, DAYS))
+
+
+def test_tape_stops_before_the_horizon(default_profile):
+    rows = list(draw_patients(default_profile, 42, 0, 1))
+    minutes = [row[0] for row in rows]
+    assert minutes == sorted(minutes)
+    assert len(rows) > 300 and minutes[-1] <= 2 * 1440
+
+
+def test_arrival_draws_go_through_the_sampler_class(default_profile, monkeypatch):
+    # one sample_interarrival and one draw_code per arrival, plus one each for
+    # the draw past the horizon; a tracer that wraps the class methods counts
+    # exactly these calls
+    calls = {"sample_interarrival": 0, "draw_code": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(ArrivalSampler, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(ArrivalSampler, name, counted)
+    rows = list(draw_patients(default_profile, 42, 0, 2))
+    assert calls == {"sample_interarrival": len(rows) + 1, "draw_code": len(rows) + 1}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_every_scenario_of_a_sweep_reads_one_tape(default_profile, jobs):
+    arrive, rank = ROW_FIELDS.index("arrive"), ROW_FIELDS.index("rank")
+    tapes = [PatientTape(default_profile, 2020, rep, DAYS) for rep in range(2)]
+    columns = {}
+    for spec in SPECS:
+        _agg, logs = run_scenario(default_profile, parse(spec), 2020, 2, DAYS, jobs=jobs,
+                                  tapes=tapes)
+        columns[spec] = [[(row[arrive], row[rank]) for row in log.rows] for log in logs]
+    first = columns["baseline"]
+    assert first[0] != first[1] and all(len(col) > 300 for col in first)
+    assert all(col == first for col in columns.values())
+    _agg, drawn = run_scenario(default_profile, Scenario(), 2020, 2, DAYS, jobs=jobs)
+    assert [[(row[arrive], row[rank]) for row in log.rows] for log in drawn] == first
