@@ -7,7 +7,8 @@ from collections import defaultdict
 
 import pytest
 
-from edsim.kernel import LOG_HEADER, EventLog
+from edsim.kernel import LOG_HEADER, MINUTES_PER_DAY, EventLog
+from edsim.kpi import NO_TIME, WARMUP_MIN
 from edsim.model import Patient, Replication, run_replication
 from edsim.scenario import Scenario, parse
 from edsim.stochastics import Profile
@@ -579,3 +580,43 @@ class TestDeterminism:
         a = run_replication(default_profile, Scenario(), 0, 7, 3)
         b = run_replication(default_profile, Scenario(t=None, p=None), 0, 7, 3)
         assert a.records == b.records
+
+
+def tape_row(minute, code="GREEN"):
+    # a tape row in stochastics.draw_patients field order
+    return (minute, code, "walking", 1, "GENERAL", False, 1.0, 1.0, [], 10, 2,
+            (0.0, 0.0, 0.0), [])
+
+
+class TestHorizon:
+    def test_event_at_the_horizon_runs_and_one_past_it_does_not(self, default_profile):
+        rep = Replication(default_profile, Scenario(), 0, 5, 1, tape=[])
+        seen = []
+        rep.calendar.schedule(rep.horizon, lambda now, tag: seen.append((now, tag)), "at")
+        rep.calendar.schedule(rep.horizon + 1, lambda now, tag: seen.append((now, tag)), "past")
+        rep.run()
+        assert seen == [(rep.horizon, "at")]
+
+    def test_arrival_at_the_horizon_is_admitted_and_one_past_it_is_not(self, default_profile):
+        horizon = WARMUP_MIN + MINUTES_PER_DAY
+        rep = Replication(default_profile, Scenario(), 0, 5, 1,
+                          tape=[tape_row(horizon), tape_row(horizon + 1)])
+        log = rep.run()
+        assert [(r.time_min, r.event) for r in log.records] == [(rep.horizon, "ARRIVE")]
+        assert [row[1] for row in log.rows] == [rep.horizon]
+
+    def test_drain_runs_past_the_horizon_until_the_ed_is_empty(self, default_profile):
+        kept = Replication(default_profile, Scenario(e=10), 0, 5, 1)
+        kept.run()
+        assert kept.in_flight > 0
+        rep = Replication(default_profile, Scenario(e=10), 0, 5, 1, drain=True)
+        seen = []
+        rep.calendar.schedule(rep.horizon + 1, lambda now, tag: seen.append((now, tag)), "past")
+        log = rep.run()
+        assert seen == [(rep.horizon + 1, "past")]
+        assert len(rep.patients) == len(kept.patients) > 300
+        assert rep.in_flight == rep._waiting_first == rep._waiting_last == 0
+        assert all(not pool.busy for pool in rep.pools.values())
+        assert all(pool.count == 0 and not pool.fifo for pool in rep.exam_pools.values())
+        assert all(p.dismissed or p.t_discharge != NO_TIME for p in rep.patients)
+        assert max(r.time_min for r in log.records) > rep.horizon

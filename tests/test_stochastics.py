@@ -13,12 +13,11 @@ from edsim.stochastics import (
     Profile,
     ProfileError,
     ServiceSpec,
-    draw_exam_count,
-    draw_exam_list,
-    draw_patient,
     lab_components,
     next_dispatch,
 )
+
+from tape_oracle import draw_exam_count, draw_exam_list, draw_patient
 
 
 def rng(seed=1, label="test"):

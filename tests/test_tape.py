@@ -10,12 +10,17 @@ from __future__ import annotations
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edsim.harness import run_scenario
 from edsim.kpi import ROW_FIELDS
 from edsim.model import run_replication
 from edsim.scenario import Scenario, parse
-from edsim.stochastics import ArrivalSampler, PatientTape, draw_patients
+from edsim.stochastics import SERVICES, ArrivalSampler, PatientTape, Profile, draw_patients
+
+import tape_oracle
+from conftest import make_mini_raw
 
 SEEDS = (42, 2020, 7)
 DAYS = 2
@@ -52,6 +57,42 @@ def test_drained_run_from_tape_equals_run_without_one(default_profile, seed, tmp
     assert _csv(taped, tmp_path / "taped.csv") == _csv(drawn, tmp_path / "drawn.csv")
     assert tape.data == data
     assert list(tape) == list(draw_patients(default_profile, seed, 0, DAYS))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_tape_equals_the_oracle_on_the_default_profile(default_profile, seed):
+    assert (list(draw_patients(default_profile, seed, 3, DAYS))
+            == list(tape_oracle.draw_patients(default_profile, seed, 3, DAYS)))
+
+
+@st.composite
+def mini_profiles(draw, base):
+    red = draw(st.sampled_from([0.0, 0.1, 0.6]))
+    yellow = draw(st.sampled_from([0.0, 0.3]))
+    green = (1.0 - red - yellow) * draw(st.sampled_from([0.0, 0.5, 1.0]))
+    raw = make_mini_raw(
+        base, codes={"RED": red, "YELLOW": yellow, "GREEN": green,
+                     "WHITE": 1.0 - red - yellow - green},
+        needs_lab=draw(st.sampled_from([0.0, 0.54, 1.0])),
+        xray=draw(st.sampled_from([0.0, 0.57, 1.0])),
+        exam_lt4=draw(st.sampled_from([1.0, 0.85, 0.2])),
+        visit_general=draw(st.sampled_from([1.0, 0.79, 0.0])))
+    raw["mixes"]["nonwalking_yellow"] = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    for name in SERVICES:
+        raw["service"][name] = {"family": draw(st.sampled_from(["lognormal", "triangular"])),
+                                "mean": draw(st.sampled_from([0.4, 3.0, 25.0])),
+                                "cv": draw(st.sampled_from([0.0, 0.3, 1.5]))}
+    return Profile(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), rep=st.integers(0, 50),
+       days=st.integers(1, 3))
+def test_tape_equals_the_oracle_row_for_row(default_raw, data, seed, rep, days):
+    profile = data.draw(mini_profiles(default_raw))
+    rows = list(draw_patients(profile, seed, rep, days))
+    assert rows == list(tape_oracle.draw_patients(profile, seed, rep, days))
+    assert len(rows) > 100
 
 
 def test_tape_stops_before_the_horizon(default_profile):
