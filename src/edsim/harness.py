@@ -23,14 +23,17 @@ def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
     Replication i runs on `tapes[i]` (stochastics.PatientTape(profile, seed,
     i, days), or its rows) if `tapes` is given, else it draws the same
     patients itself. Either way replication i sees the same patients in
-    every scenario, which gives common random numbers across a sweep."""
+    every scenario, which gives common random numbers across a sweep.
+
+    The pool starts no more workers than there are replications: a fork
+    pool starts all of them at its first submit."""
     tapes = tapes or [None] * replications
     if jobs <= 1 or replications == 1:
         logs = [run_replication(profile, scen, rep, seed, days, keep_log=keep_logs,
                                 tape=tapes[rep])
                 for rep in range(replications)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, replications)) as pool:
             futures = [
                 pool.submit(run_replication, profile, scen, rep, seed, days, keep_log=keep_logs,
                             tape=tapes[rep])

@@ -8,7 +8,6 @@ import heapq
 import zlib
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
@@ -76,6 +75,8 @@ class EventCalendar:
     entries, ordered by (time, insertion sequence), and the simulation time
     `now` in integer minutes, which only `pop` advances.
 
+    `heap` is the heapq list of pending entries, so `heap[0]` is the next
+    one; callers read it and change it only through `schedule` and `pop`.
     The insertion counter is global, so ties at one minute pop in schedule
     order and runs are reproducible without RNG-based tie-breaking. Nothing
     can be scheduled before `now`, so `pop` never moves time backwards.
@@ -83,28 +84,25 @@ class EventCalendar:
 
     def __init__(self) -> None:
         self.now = 0
-        self._heap: list[tuple[int, int, Callable, object]] = []
+        self.heap: list[tuple[int, int, Callable, object]] = []
         self._seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def schedule(self, at: int, handler: Callable, entity=None) -> None:
         if at < self.now:
             raise SimulationError(f"schedule at t={at} before now={self.now}")
-        heapq.heappush(self._heap, (at, self._seq, handler, entity))
+        heapq.heappush(self.heap, (at, self._seq, handler, entity))
         self._seq += 1
 
     def clear(self) -> None:
-        self._heap.clear()
-
-    def peek_time(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
+        self.heap.clear()
 
     def pop(self) -> tuple[int, int, Callable, object]:
-        if not self._heap:
+        if not self.heap:
             raise SimulationError("pop from empty calendar")
-        event = heapq.heappop(self._heap)
+        event = heapq.heappop(self.heap)
         self.now = event[0]
         return event
 
@@ -193,17 +191,21 @@ class ResourcePool:
         self.busy.remove(slot)
 
 
-@dataclass(eq=False)  # identity equality: list.remove finds the item itself
 class QueueItem:
-    entity: object
-    rank: int            # static priority rank at enqueue
-    enqueue_time: int
-    seq: int
-    promoted_at: int | None = None  # threshold-crossing minute, sticky
-    key: tuple[int, int, int, int] = field(init=False)  # dequeue order, lowest first
+    """One waiting entity. Items compare by identity, so list.remove finds
+    the item itself. `key` is the dequeue order, lowest first:
+    (rank, enqueue_time, seq, 0) while waiting, (RANK_PROMOTED, crossing
+    minute, enqueue_time, seq) once promoted."""
 
-    def __post_init__(self) -> None:
-        self.key = (self.rank, self.enqueue_time, self.seq, 0)
+    __slots__ = ("entity", "rank", "enqueue_time", "seq", "promoted_at", "key")
+
+    def __init__(self, entity, rank: int, enqueue_time: int, seq: int) -> None:
+        self.entity = entity
+        self.rank = rank  # static priority rank at enqueue
+        self.enqueue_time = enqueue_time
+        self.seq = seq
+        self.promoted_at: int | None = None  # threshold-crossing minute, sticky
+        self.key = (rank, enqueue_time, seq, 0)
 
     def promote(self, at: int) -> None:
         self.promoted_at = at
@@ -217,7 +219,8 @@ class PromotionQueue:
     threshold tau_g (tau_w), set once per queue, a green (white) item whose
     wait strictly exceeds it is promoted; the promotion instant is the
     crossing time enqueue+tau, the status is sticky, and promoted items are
-    served FIFO by that instant, behind RED only.
+    served FIFO by that instant, behind RED only. `promotes` is False when
+    the queue has no threshold, and then nothing is ever promoted.
 
     Each static class keeps two buckets, waiting and promoted, each sorted by
     `key`. Enqueue times never decrease and the thresholds are fixed, so
@@ -232,10 +235,16 @@ class PromotionQueue:
         self.items: list[QueueItem] = []
         self._seq = 0
         self._last_enqueue = 0
-        self._taus = [(rank, tau) for rank, tau in ((RANK_GREEN, tau_g), (RANK_WHITE, tau_w))
-                      if tau is not None]
         self._waiting: dict[int, deque[QueueItem]] = {rank: deque() for rank in STATIC_RANKS}
         self._promoted: dict[int, deque[QueueItem]] = {RANK_GREEN: deque(), RANK_WHITE: deque()}
+        # (rank, waiting, promoted or None) in ascending rank order
+        self._buckets = [(rank, self._waiting[rank], self._promoted.get(rank))
+                         for rank in STATIC_RANKS]
+        # (tau, waiting, promoted) of each class with a threshold
+        self._taus = [(tau, self._waiting[rank], self._promoted[rank])
+                      for rank, tau in ((RANK_GREEN, tau_g), (RANK_WHITE, tau_w))
+                      if tau is not None]
+        self.promotes = bool(self._taus)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -253,10 +262,10 @@ class PromotionQueue:
     def has_rank_at_most(self, rank: int) -> bool:
         """True if any waiting item's static class outranks or equals `rank`
         (promotion status is ignored: this is the yellow/red screen)."""
-        for r in STATIC_RANKS:  # ascending
+        for r, waiting, promoted in self._buckets:
             if r > rank:
                 return False
-            if self._waiting[r] or self._promoted.get(r):
+            if waiting or promoted:
                 return True
         return False
 
@@ -264,8 +273,7 @@ class PromotionQueue:
         """Promote overdue green/white items; returns newly promoted items
         in enqueue order."""
         newly: list[QueueItem] = []
-        for rank, tau in self._taus:
-            waiting, promoted = self._waiting[rank], self._promoted[rank]
+        for tau, waiting, promoted in self._taus:
             while waiting and now - waiting[0].enqueue_time > tau:
                 it = waiting.popleft()
                 it.promote(it.enqueue_time + tau)
@@ -282,16 +290,14 @@ class PromotionQueue:
         makes it eligible regardless of its static class. Promotions must
         already be marked for the current time."""
         best: QueueItem | None = None
-        for rank in STATIC_RANKS:
+        for rank, waiting, promoted in self._buckets:
             if eligible_ranks is None or rank in eligible_ranks:
-                bucket = self._waiting[rank]
-                if bucket and (best is None or bucket[0].key < best.key):
-                    best = bucket[0]
+                if waiting and (best is None or waiting[0].key < best.key):
+                    best = waiting[0]
             elif not include_promoted:
                 continue
-            bucket = self._promoted.get(rank)
-            if bucket and (best is None or bucket[0].key < best.key):
-                best = bucket[0]
+            if promoted and (best is None or promoted[0].key < best.key):
+                best = promoted[0]
         return best
 
     def remove(self, item: QueueItem) -> None:

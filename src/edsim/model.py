@@ -3,6 +3,7 @@ pipeline, extra exams, same-team last visit, discharge."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Iterable
 
@@ -137,9 +138,15 @@ class Replication:
             if pool.pool_id != "last_visit"}
 
         # Dispatch visiting order: pools low -> high -> ortho -> derma -> LV,
-        # teams in calendar order, each with its first queue (None for LV).
-        self._dispatch_order = [(pool, self.first_queues.get(FIRST_QUEUE_OF.get(pool_id)))
-                                for pool_id, pool in self.pools.items()]
+        # each with its first queue (None for LV), its shift table, its busy
+        # set and its teams in calendar order, each with its last queue's
+        # waiting items (None for LV). The queues and sets change in place.
+        self._dispatch_order = [
+            (pool, self.first_queues.get(FIRST_QUEUE_OF.get(pool_id)),
+             pool.calendar.on_by_minute, pool.busy,
+             [(team, self.team_last[team].items if team in self.team_last else None)
+              for team in pool.calendar.teams])
+            for pool_id, pool in self.pools.items()]
         self.in_flight = 0
         self.arrivals_open = True
         self._waiting_first = 0
@@ -208,14 +215,15 @@ class Replication:
         on_shift = pool.on_shift(team, now)
         first_item = None
         if first_q is not None and on_shift:
-            self._mark_promotions(first_q, now)
+            if first_q.promotes:
+                self._mark_promotions(first_q, now)
             ranks, include_promoted = self._eligible_ranks(pool.pool_id, now)
             first_item = first_q.peek_next(ranks, include_promoted)
         if first_q is None:
             last_q, last_item = self._peek_union_last()
         else:
             last_q = self.team_last[team]
-            last_item = last_q.peek_next() if len(last_q) else None
+            last_item = last_q.peek_next() if last_q.items else None
 
         if first_item is None and last_item is None:
             return
@@ -252,19 +260,17 @@ class Replication:
         if not (self._waiting_first or self._waiting_last):
             return
         minute = now % MINUTES_PER_DAY
-        team_last = self.team_last
-        for pool, first_q in self._dispatch_order:
-            on = pool.calendar.on_by_minute[minute]
-            busy = pool.busy
-            for team in pool.calendar.teams:
-                if team in busy:
-                    continue
-                if first_q is None:
-                    if not (self._waiting_last and team in on):
-                        continue
-                elif not (team_last[team].items or (first_q.items and team in on)):
-                    continue
-                self._pick_task(pool, team, now, first_q)
+        for pool, first_q, on_by_minute, busy, teams in self._dispatch_order:
+            on = on_by_minute[minute]
+            if first_q is None:
+                for team, _ in teams:
+                    if self._waiting_last and team in on and team not in busy:
+                        self._pick_task(pool, team, now, None)
+                continue
+            waiting = first_q.items
+            for team, last_waiting in teams:
+                if team not in busy and (last_waiting or (waiting and team in on)):
+                    self._pick_task(pool, team, now, first_q)
 
     # --------------------------------------------------------------- service
 
@@ -413,11 +419,10 @@ class Replication:
         holds the KPI rows and, if kept, the event records."""
         self._schedule_kicks()
         self._schedule_next_arrival()
-        while len(self.calendar):
-            at = self.calendar.peek_time()
-            if not self.drain and at > self.horizon:
-                break
-            now, _seq, handler, entity = self.calendar.pop()
+        heap, pop = self.calendar.heap, self.calendar.pop
+        horizon = math.inf if self.drain else self.horizon
+        while heap and heap[0][0] <= horizon:
+            now, _seq, handler, entity = pop()
             handler(now, entity)
         # Entries left past the horizon hold bound handlers, a reference
         # cycle through this replication; dropping them lets it be freed

@@ -12,9 +12,11 @@ import json
 import math
 import pickle
 import sys
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 
 import numpy as np
 
@@ -296,60 +298,6 @@ class ArrivalSampler:
         return last_positive  # float round-off: fall back to a code with mass
 
 
-def draw_visit_type(u: float, profile: Profile) -> str:
-    acc = 0.0
-    for v in VISIT_TYPES:
-        acc += profile.mixes["visit_type"][v]
-        if u < acc:
-            return v
-    return VISIT_TYPES[-1]
-
-
-def draw_exam_count(u: float, profile: Profile) -> int:
-    for k, c in enumerate(profile.exam_count_cdf):
-        if u < c:
-            return k
-    return EXAM_COUNT_MAX
-
-
-def draw_exam_list(u_xray: float, u_count: float, profile: Profile) -> list[str]:
-    """Extra-exam kinds. The x-ray flag is drawn independently of the count;
-    an x-ray patient with count 0 still gets the x-ray, which leaves both the
-    x-ray share and P(count < 4) at their configured values."""
-    count = draw_exam_count(u_count, profile)
-    has_xray = u_xray < profile.mixes["xray"]
-    if has_xray:
-        return ["xray"] + ["misc"] * max(0, count - 1)
-    return ["misc"] * count
-
-
-def draw_patient(profile: Profile, minute: int, code: str, rng: np.random.Generator) -> tuple:
-    """The tape row of a patient of urgency `code` arriving at `minute`, its
-    other attributes drawn from `rng`.
-
-    Four batched draws, in the stream order of one scalar draw per
-    attribute, so every attribute keeps its value bit for bit."""
-    u_mode = rng.random()
-    nw_yellow = profile.mixes["nonwalking_yellow"]
-    mode = "nonwalking" if code == "RED" or (code == "YELLOW" and u_mode < nw_yellow) else "walking"
-    svc = profile.service
-    triage_d = max(1, round_half_up(svc["triage"].from_normal(rng.standard_normal())))
-    u_visit, u_lab, u_lab_triage, u_xray, u_count, u_dismiss = rng.random(6).tolist()
-    visit_type = draw_visit_type(u_visit, profile)
-    exam_kinds = draw_exam_list(u_xray, u_count, profile)
-    z_first, z_last, *z_lab_exams = rng.standard_normal(5 + len(exam_kinds)).tolist()
-    first_spec = svc[FIRST_SERVICE["GENERAL" if code == "RED" else visit_type]]
-    exam_ds = [
-        max(1, round_half_up(svc["exam_xray" if kind == "xray" else "exam_misc"].from_normal(z)))
-        for kind, z in zip(exam_kinds, z_lab_exams[3:])
-    ]
-    return (minute, code, mode, triage_d, visit_type, u_lab < profile.mixes["needs_lab"],
-            u_lab_triage, u_dismiss, exam_kinds,
-            max(1, round_half_up(first_spec.from_normal(z_first))),
-            max(1, round_half_up(svc["last_visit"].from_normal(z_last))),
-            tuple(z_lab_exams[:3]), exam_ds)
-
-
 def draw_patients(profile: Profile, seed: int, rep: int, days: int) -> Iterator[tuple]:
     """Yield the patients of replication `rep`, one tape row per arrival:
     (t_arrive, code, mode, triage_d, visit_type, needs_lab, u_lab_triage,
@@ -360,18 +308,57 @@ def draw_patients(profile: Profile, seed: int, rep: int, days: int) -> Iterator[
     scenario run on one tape sees the same patients (common random numbers).
     The rows stop at the first arrival at or past the horizon (warm-up plus
     `days`); that arrival's code is drawn too, so the streams advance as they
-    always have."""
+    always have.
+
+    The profile is bound once per tape. Each row takes four batched
+    attribute draws, in the stream order of one scalar draw per attribute:
+    the mode uniform; the triage normal; six uniforms (visit type, lab, lab
+    at triage, x-ray, exam count, dismissal); the normals of the first and
+    last visits, the three lab components and each extra exam. The visit
+    type and the exam count are the first whose cumulative share exceeds
+    its uniform. An x-ray patient with count 0 still gets the x-ray, which
+    keeps both the x-ray share and P(count < 4) as configured."""
     arrivals = rng_stream(seed, "arrivals", rep)
     attributes = rng_stream(seed, "attributes", rep)
     sampler = ArrivalSampler(profile)
+    interarrival, draw_code = sampler.sample_interarrival, sampler.draw_code
+    random, normal = attributes.random, attributes.standard_normal
+    mixes, svc = profile.mixes, profile.service
+    nw_yellow, p_lab, p_xray = mixes["nonwalking_yellow"], mixes["needs_lab"], mixes["xray"]
+    # the first visit type (exam count) whose cumulative share exceeds the
+    # uniform, the last one if none does; the running maximum keeps the
+    # bounds sorted for bisect without moving that first index
+    visit_bounds = list(accumulate(mixes["visit_type"][v] for v in VISIT_TYPES))[:-1]
+    count_bounds = list(accumulate(profile.exam_count_cdf, max))[:-1]
+    triage_d, last_d = svc["triage"].from_normal, svc["last_visit"].from_normal
+    first_d = {v: svc[FIRST_SERVICE[v]].from_normal for v in VISIT_TYPES}
+    exam_d = {"xray": svc["exam_xray"].from_normal, "misc": svc["exam_misc"].from_normal}
+    # (extra-exam kinds, their duration draws) by x-ray flag, then by count
+    exam_plans = [[(kinds, [exam_d[k] for k in kinds]) for kinds in (
+        ["xray"] + ["misc"] * (n - 1) if xray else ["misc"] * n
+        for n in range(EXAM_COUNT_MAX + 1))] for xray in (False, True)]
     horizon = WARMUP_MIN + days * MINUTES_PER_DAY
     t_real = 0.0
     while True:
-        t_real += sampler.sample_interarrival(t_real, arrivals)
-        code = sampler.draw_code(t_real, arrivals)
+        t_real += interarrival(t_real, arrivals)
+        code = draw_code(t_real, arrivals)
         if t_real >= horizon:
             return
-        yield draw_patient(profile, round_half_up(t_real), code, attributes)
+        u_mode = random()
+        mode = ("nonwalking" if code == "RED" or (code == "YELLOW" and u_mode < nw_yellow)
+                else "walking")
+        # rounded half up, at least one minute (no sampled duration is negative)
+        triage = int(triage_d(normal()) + 0.5) or 1
+        u_visit, u_lab, u_lab_triage, u_xray, u_count, u_dismiss = random(6).tolist()
+        visit_type = VISIT_TYPES[bisect_right(visit_bounds, u_visit)]
+        count = bisect_right(count_bounds, u_count)
+        exam_kinds, exam_draws = exam_plans[u_xray < p_xray][count]
+        z_first, z_last, z_wait, z_eff, z_misc, *z_exams = normal(5 + len(exam_kinds)).tolist()
+        exam_ds = [int(d(z) + 0.5) or 1 for d, z in zip(exam_draws, z_exams)]
+        yield (round_half_up(t_real), code, mode, triage, visit_type, u_lab < p_lab,
+               u_lab_triage, u_dismiss, list(exam_kinds),
+               int(first_d["GENERAL" if code == "RED" else visit_type](z_first) + 0.5) or 1,
+               int(last_d(z_last) + 0.5) or 1, (z_wait, z_eff, z_misc), exam_ds)
 
 
 class PatientTape:

@@ -1,3 +1,9 @@
+from concurrent.futures import Future
+
+import pytest
+
+import edsim.harness
+from edsim.cli import main
 from edsim.harness import run_scenario
 from edsim.kernel import MINUTES_PER_DAY
 from edsim.kpi import NO_TIME, ROW_FIELDS, WARMUP_MIN, compute_kpis
@@ -42,3 +48,46 @@ def test_n_admitted_counts_triaged_rows_after_the_warmup(default_profile):
         admitted = [row for row in log.rows if row[arrive] >= WARMUP_MIN
                     and row[triage] != NO_TIME and not row[dismissed]]
         assert report.n_admitted == len(admitted) > 0
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count it was
+    asked for and runs each submitted call at once, in this process."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+@pytest.fixture()
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(edsim.harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "max_workers", [])
+    return InlinePool
+
+
+@pytest.mark.parametrize(("jobs", "replications", "workers"),
+                         [(4, 2, 2), (2, 3, 2), (3, 3, 3), (100_000, 2, 2)])
+def test_pool_starts_no_more_workers_than_replications(default_profile, inline_pool,
+                                                       jobs, replications, workers):
+    agg, logs = run_scenario(default_profile, Scenario(), 5, replications, 1, jobs=jobs)
+    assert inline_pool.max_workers == [workers]
+    assert len(logs) == len(agg.vectors["los"]) == replications
+
+
+def test_run_command_sizes_its_pool_to_its_replications(inline_pool, tmp_path):
+    argv = ["run", "--replications", "2", "--days", "1", "--jobs", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert inline_pool.max_workers == [2]
