@@ -3,6 +3,7 @@ logs, when kept) and aggregate their KPI reports."""
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 
@@ -25,15 +26,17 @@ def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
     patients itself. Either way replication i sees the same patients in
     every scenario, which gives common random numbers across a sweep.
 
-    The pool starts no more workers than there are replications: a fork
-    pool starts all of them at its first submit."""
+    The pool starts no more workers than there are replications or CPUs
+    (a fork pool starts all of them at its first submit), and none at all
+    when that leaves one: the replications then run in this process."""
     tapes = tapes or [None] * replications
-    if jobs <= 1 or replications == 1:
+    workers = min(jobs, replications, os.cpu_count() or 1)
+    if workers <= 1:
         logs = [run_replication(profile, scen, rep, seed, days, keep_log=keep_logs,
                                 tape=tapes[rep])
                 for rep in range(replications)]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, replications)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(run_replication, profile, scen, rep, seed, days, keep_log=keep_logs,
                             tape=tapes[rep])

@@ -261,7 +261,7 @@ class PromotionQueue:
 
     def has_rank_at_most(self, rank: int) -> bool:
         """True if any waiting item's static class outranks or equals `rank`
-        (promotion status is ignored: this is the yellow/red screen)."""
+        (promotion status is ignored)."""
         for r, waiting, promoted in self._buckets:
             if r > rank:
                 return False
@@ -283,21 +283,17 @@ class PromotionQueue:
             newly.sort(key=attrgetter("seq"))
         return newly
 
-    def peek_next(self, eligible_ranks: set[int] | None = None,
-                  include_promoted: bool = False) -> QueueItem | None:
-        """Best waiting item whose static class is in `eligible_ranks` (all if
-        None). A promoted item heads the whole queue, so `include_promoted`
-        makes it eligible regardless of its static class. Promotions must
-        already be marked for the current time."""
+    def peek_next(self, eligible_ranks: set[int] | None = None) -> QueueItem | None:
+        """Best waiting item, promoted or not, whose static class is in
+        `eligible_ranks` (all if None). Promotions must already be marked
+        for the current time."""
         best: QueueItem | None = None
         for rank, waiting, promoted in self._buckets:
             if eligible_ranks is None or rank in eligible_ranks:
                 if waiting and (best is None or waiting[0].key < best.key):
                     best = waiting[0]
-            elif not include_promoted:
-                continue
-            if promoted and (best is None or promoted[0].key < best.key):
-                best = promoted[0]
+                if promoted and (best is None or promoted[0].key < best.key):
+                    best = promoted[0]
         return best
 
     def remove(self, item: QueueItem) -> None:

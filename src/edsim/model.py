@@ -10,7 +10,6 @@ from collections.abc import Iterable
 from .kernel import (
     CODE_RANK,
     MINUTES_PER_DAY,
-    RANK_YELLOW,
     EventCalendar,
     EventLog,
     PromotionQueue,
@@ -22,8 +21,6 @@ from .scenario import Scenario
 from .stochastics import Profile, draw_patients, lab_components, next_dispatch
 
 LOW_RANKS = {CODE_RANK["GREEN"], CODE_RANK["WHITE"]}
-HIGH_RANKS = {CODE_RANK["RED"], CODE_RANK["YELLOW"]}
-ALL_RANKS = set(CODE_RANK.values())
 FIRST_QUEUE_OF = {"low_general": "general", "high_general": "general",
                   "orthopaedic": "orthopaedic", "dermatological": "dermatological"}
 # visit type -> first-visit queue; a red patient is routed as GENERAL, to
@@ -121,6 +118,12 @@ class Replication:
             self.pools["last_visit"] = ResourcePool("last_visit", ShiftCalendar(
                 [(f"LV{i + 1}", lv["start"], lv["end"]) for i in range(self.extra_teams)], offset))
 
+        # Minute of day -> may the high room pull unpromoted green and white
+        # patients? ("night_only": while the low room has nobody on shift.)
+        pull = profile.pull_low_into_high
+        self._pull_by_minute = [pull == "always" or (pull == "night_only" and not on)
+                                for on in self.pools["low_general"].calendar.on_by_minute]
+
         self.exam_pools = {"xray": CountedPool("xray", res["xray"]["capacity"]),
                            "misc": CountedPool("misc_exam", res["misc_exam"]["capacity"])}
 
@@ -168,41 +171,13 @@ class Replication:
 
     # --------------------------------------------------------------- routing
 
-    def _pull_allowed(self, now: int) -> bool:
-        mode = self.profile.pull_low_into_high
-        if mode == "always":
-            return True
-        if mode == "never":
-            return False
-        return not self.pools["low_general"].calendar.on_by_minute[now % MINUTES_PER_DAY]
-
-    def _eligible_ranks(self, pool_id: str, now: int):
-        """(eligible static ranks, promoted items admitted anyway?)"""
-        if pool_id == "low_general":
-            return LOW_RANKS, False
-        if pool_id == "high_general":
-            # Promoted green/white patients head the whole queue, so a high
-            # slot serves them; unpromoted ones are pulled only when no
-            # yellow/red waits and the pull rule is active.
-            if self.first_queues["general"].has_rank_at_most(RANK_YELLOW):
-                return HIGH_RANKS, True
-            return (ALL_RANKS if self._pull_allowed(now) else HIGH_RANKS), True
-        return ALL_RANKS, False  # dedicated rooms serve their whole queue
-
     def _peek_union_last(self):
         """Oldest pending last visit across every team queue (dedicated-pool
-        view; affinity is waived for whoever it picks)."""
-        best_q = best_item = None
-        for q in self.team_last.values():
-            if len(q):
-                item = q.peek_next()
-                if best_item is None or item.key < best_item.key:
-                    best_q, best_item = q, item
+        view; affinity is waived for whoever it picks); the first queue wins
+        a tie."""
+        heads = [(q.peek_next(), q) for q in self.team_last.values() if q.items]
+        best_item, best_q = min(heads, key=lambda head: head[0].key, default=(None, None))
         return best_q, best_item
-
-    def _mark_promotions(self, queue: PromotionQueue, now: int) -> None:
-        for item in queue.mark_promotions(now):
-            self.log.add(now, item.entity.pid, "PROMOTED")
 
     def _pick_task(self, pool: ResourcePool, team: str, now: int,
                    first_q: PromotionQueue | None) -> None:
@@ -216,9 +191,19 @@ class Replication:
         first_item = None
         if first_q is not None and on_shift:
             if first_q.promotes:
-                self._mark_promotions(first_q, now)
-            ranks, include_promoted = self._eligible_ranks(pool.pool_id, now)
-            first_item = first_q.peek_next(ranks, include_promoted)
+                for item in first_q.mark_promotions(now):
+                    self.log.add(now, item.entity.pid, "PROMOTED")
+            if pool.pool_id == "low_general":
+                first_item = first_q.peek_next(LOW_RANKS)
+            else:
+                first_item = first_q.peek_next()
+                # The high room takes the queue head unless it is an
+                # unpromoted green or white patient (a promoted one's key
+                # rank is RANK_PROMOTED) and the pull rule is off.
+                if (pool.pool_id == "high_general" and first_item is not None
+                        and first_item.key[0] in LOW_RANKS
+                        and not self._pull_by_minute[now % MINUTES_PER_DAY]):
+                    first_item = None
         if first_q is None:
             last_q, last_item = self._peek_union_last()
         else:
@@ -252,11 +237,9 @@ class Replication:
         only grows, queues and the `_waiting_*` counters only shrink, shifts
         and the pull rule depend only on `now`, and `mark_promotions`
         promotes nothing new at the same minute. So a team that was skipped,
-        or found nothing, would find nothing on a second pass. The one set
-        that can widen is a high-general team's, when the yellow and red
-        patients leave. But a high team that found nothing saw no yellow or
-        red patient waiting, so its set was already as wide as the pull rule
-        allows, and neither changes within the call."""
+        or found nothing, would find nothing on a second pass. A high team
+        declines only an unpromoted green or white head, so nothing waiting
+        outranks it, and a queue that only shrinks keeps such a head."""
         if not (self._waiting_first or self._waiting_last):
             return
         minute = now % MINUTES_PER_DAY

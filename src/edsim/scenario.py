@@ -73,14 +73,20 @@ class Scenario:
 
 def _parse_field(name: str, token):
     """One field from a tuple token or a JSON value: None, "-", "--" and ""
-    mean unchanged; e and l take any finite number, the rest whole numbers."""
+    mean unchanged; e and l take any finite number, the rest whole numbers,
+    read exactly when written as integers."""
     if isinstance(token, str):
         token = token.strip()
     if token in (None, "-", "--", ""):
         return None
+    if name not in ("e", "l") and type(token) in (int, str):
+        try:
+            return int(token)
+        except ValueError:
+            pass  # "90.0" still reads as 90
     try:
         value = math.nan if isinstance(token, bool) else float(token)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not math.isfinite(value):
         raise ParseError(f"field {name}: not a number: {token!r}")

@@ -75,6 +75,7 @@ class InlinePool:
 def inline_pool(monkeypatch):
     monkeypatch.setattr(edsim.harness, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "max_workers", [])
+    monkeypatch.setattr(edsim.harness.os, "cpu_count", lambda: 64)
     return InlinePool
 
 
@@ -85,6 +86,15 @@ def test_pool_starts_no_more_workers_than_replications(default_profile, inline_p
     agg, logs = run_scenario(default_profile, Scenario(), 5, replications, 1, jobs=jobs)
     assert inline_pool.max_workers == [workers]
     assert len(logs) == len(agg.vectors["los"]) == replications
+
+
+@pytest.mark.parametrize(("cpus", "pools"), [(2, [2]), (1, []), (None, [])])
+def test_pool_starts_no_more_workers_than_cpus(default_profile, inline_pool, monkeypatch,
+                                               cpus, pools):
+    monkeypatch.setattr(edsim.harness.os, "cpu_count", lambda: cpus)
+    agg, logs = run_scenario(default_profile, Scenario(), 5, 4, 1, jobs=8)
+    assert inline_pool.max_workers == pools
+    assert len(logs) == len(agg.vectors["los"]) == 4
 
 
 def test_run_command_sizes_its_pool_to_its_replications(inline_pool, tmp_path):

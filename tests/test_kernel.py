@@ -292,13 +292,15 @@ class TestPromotionQueue:
         assert items[0].key == (RANK_PROMOTED, 70, 10, 0)
         assert items[1].key == (CODE_RANK["YELLOW"], 20, 1, 0)
 
-    def test_eligibility_filter_and_promoted_override(self):
+    def test_eligibility_filter_reads_the_static_class(self):
         q, _ = q_with([("GREEN", 0), ("YELLOW", 10)], tau_g=120)
         high_only = {CODE_RANK["RED"], CODE_RANK["YELLOW"]}
+        low_only = {CODE_RANK["GREEN"], CODE_RANK["WHITE"]}
         assert q.peek_next(high_only).entity == "YELLOW"
-        q.mark_promotions(200)
+        q.mark_promotions(200)  # the green is promoted ahead of the yellow
+        assert q.peek_next().entity == "GREEN"
+        assert q.peek_next(low_only).entity == "GREEN"
         assert q.peek_next(high_only).entity == "YELLOW"
-        assert q.peek_next(high_only, include_promoted=True).entity == "GREEN"
 
 
 def test_round_half_up():

@@ -3,6 +3,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edsim.scenario import (
     MAX_EXTRA_TEAMS,
@@ -121,3 +123,36 @@ class TestJson:
         assert from_json_dict({"name": "x", "tau_g": 90}) == Scenario(tau_g=90)
         with pytest.raises(ParseError, match="'tau-g', 'tauw'"):
             from_json_dict({"tauw": 180, "name": "x", "tau-g": 90})
+
+
+class TestExactIntegers:
+    def test_integer_tokens_are_read_exactly(self):
+        assert parse("(100000000000000001,-,-,-,-,-,-,-)").t == 10**17 + 1
+        assert from_json_dict({"tau_g": 9007199254740993}).tau_g == 9007199254740993
+        s = Scenario(t=10**17 + 1)
+        assert parse(s.render()) == s
+
+    def test_whole_floats_still_read_and_fractions_still_fail(self):
+        assert parse_tuple("(-,-,90.0,-,-,-,-,-)") == Scenario(tau_g=90)
+        assert from_json_dict({"tau_g": 90.0}) == Scenario(tau_g=90)
+        for bad in ("(-,-,1.5,-,-,-,-,-)", "(-,-,-,-,-,-,-,1e400)"):
+            with pytest.raises(ParseError):
+                parse_tuple(bad)
+        with pytest.raises(ParseError):
+            from_json_dict({"e": 10**400})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(
+        Scenario,
+        t=st.none() | st.integers(min_value=0),
+        p=st.none() | st.sampled_from([0, 1]),
+        tau_g=st.none() | st.integers(min_value=0),
+        tau_w=st.none() | st.integers(min_value=0),
+        e=st.none() | st.integers(0, 100) | st.floats(0, 100),
+        l=st.none() | st.integers(0, 100) | st.floats(0, 100),
+        a=st.none() | st.integers(0, MAX_EXTRA_TEAMS),
+        r=st.none() | st.integers(min_value=0),
+    ))
+    def test_every_valid_scenario_round_trips(self, s):
+        assert parse(s.render()) == s
+        assert from_json_dict(json.loads(json.dumps(asdict(s)))) == s
