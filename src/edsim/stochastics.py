@@ -387,8 +387,8 @@ def lab_components(profile: Profile, hour: int, z_wait: float, z_eff: float,
     wait = wait_spec.from_normal(z_wait)
     eff = eff_spec.from_normal(z_eff)
     misc = misc_spec.from_normal(z_misc)
-    if r:
-        wait = max(float(LAB_WAIT_FLOOR), wait - r)
+    if r:  # min: r is an exact int, possibly beyond float range
+        wait = max(float(LAB_WAIT_FLOOR), wait - min(r, wait))
     return (int(wait + 0.5), int(eff + 0.5), int(misc + 0.5))
 
 

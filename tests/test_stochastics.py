@@ -258,6 +258,9 @@ class TestLab:
             assert w1 >= 5
             assert 0 <= w0 - w1 <= 30
 
+    def test_reduction_beyond_float_range_hits_the_floor(self, default_profile):
+        assert lab_components(default_profile, 10, 0.0, 0.0, 0.0, r=10**400)[0] == 5
+
     def test_mean_reduction_close_to_r(self, default_profile):
         # paired draws: the floor binds only on a small tail of the waiting leg
         g = rng(12)
