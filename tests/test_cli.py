@@ -5,9 +5,11 @@ from xml.dom import minidom
 
 import pytest
 
+from edsim.calibrate import BANDS, CalibrationTarget
 from edsim.cli import main
+from edsim.harness import run_scenario
 from edsim.report import svg_bar_chart
-from edsim.scenario import MAX_EXTRA_TEAMS
+from edsim.scenario import MAX_EXTRA_TEAMS, Scenario
 from edsim.stochastics import default_profile_path
 
 
@@ -329,3 +331,60 @@ class TestCalibrateCommand:
         trace = json.loads((out / "calibration_trace.json").read_text())
         assert len(trace["evals"]) >= 2
         assert trace["evals"][0]["multipliers"]["arrival_scale"] == 1.0
+
+
+class TestStdout:
+    """Every command's printed lines, rebuilt from what the same run wrote
+    (or, for validate, from `run_scenario` on the same arguments)."""
+
+    def test_run_prints_its_headline_with_the_low_sample_tag(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("run", "--scenario", "C.1", "--seed", "3", "--replications", "1",
+                       "--days", "2", "--out", str(out)) == 0
+        k = json.loads((out / "report.json").read_text())["kpis"]
+        assert capsys.readouterr().out == (
+            f"run C.1: In={k['in_per_day']:.2f} WT1st={k['wt_first']:.2f} "
+            f"WTlast={k['wt_last']:.2f} LoS={k['los']:.2f} [low-sample]\n"
+            f"wrote 1 event logs + report.json to {out}\n")
+
+    def test_sweep_prints_each_los_against_the_baseline(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--scenarios", "B.1", "F.1", "--seed", "3",
+                       "--replications", "2", "--days", "2", "--out", str(out)) == 0
+        los = {name: json.loads((out / "reports" / f"{name}.json").read_text())["kpis"]["los"]
+               for name in ("baseline", "B.1", "F.1")}
+        assert capsys.readouterr().out == (
+            f"B.1: LoS {los['B.1']:.2f} (baseline {los['baseline']:.2f})\n"
+            f"F.1: LoS {los['F.1']:.2f} (baseline {los['baseline']:.2f})\n"
+            f"wrote 3-row comparison.csv to {out}\n")
+
+    def test_validate_prints_its_table_and_outlier_line(self, default_profile, capsys):
+        code = run_cli("validate", "--seed", "3", "--replications", "2", "--days", "2")
+        agg, _ = run_scenario(default_profile, Scenario(), 3, 2, 2)
+        target = CalibrationTarget()
+        lines = [f"{'kpi':<12}{'simulated':>12}{'target':>10}{'delta':>9}{'band':>7}  verdict"]
+        for kpi, band in BANDS.items():
+            simulated, published = agg.vectors[kpi], getattr(target, kpi)
+            mean = sum(simulated) / len(simulated)
+            delta = (mean - published) / published
+            lines.append(f"{kpi:<12}{mean:>12.2f}{published:>10.2f}{100 * delta:>+8.1f}%"
+                         f"{100 * band:>6.0f}%  {'pass' if abs(delta) <= band else 'FAIL'}")
+        green, white = (sum(agg.vectors[f"outlier_{c}"]) / 2 for c in ("GREEN", "WHITE"))
+        lines.append(f"outliers: green {green:.2f}% (ref 3.88), white {white:.2f}% (ref 25.47)")
+        lines.append(f"validation {'PASSED' if code == 0 else 'FAILED'}")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    def test_calibrate_prints_its_full_scale_check(self, tmp_path, capsys):
+        out = tmp_path / "cal"
+        code = run_cli("calibrate", "--budget", "2", "--probe-replications", "1",
+                       "--probe-days", "2", "--replications", "1", "--days", "2",
+                       "--seed", "5", "--out", str(out))
+        trace = json.loads((out / "calibration_trace.json").read_text())
+        k = [e for e in trace["evals"] if e["eval"] == "full-scale"][-1]["kpis"]
+        assert list(k) == ["in_per_day", "wt_first", "wt_last", "los"]
+        assert code == (0 if trace["converged"] else 1)
+        assert capsys.readouterr().out == (
+            f"calibration: {trace['message']}\n"
+            f"full-scale check: In={k['in_per_day']:.2f} WT1st={k['wt_first']:.2f} "
+            f"WTlast={k['wt_last']:.2f} LoS={k['los']:.2f}\n"
+            f"wrote fitted_profile.json + calibration_trace.json to {out}\n")
