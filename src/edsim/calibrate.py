@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harness import run_scenario
-from .kpi import KpiReport, first_waits
+from .kpi import HEADLINE_KPIS, KpiReport, first_waits
 from .scenario import Scenario
 from .stochastics import Profile
 
@@ -123,8 +123,7 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
         trace.append({
             "eval": tag,
             "multipliers": {k: round(v, 6) for k, v in mult.items()},
-            "kpis": {"in_per_day": agg.in_per_day, "wt_first": agg.wt_first,
-                     "wt_last": agg.wt_last, "los": agg.los},
+            "kpis": {k: agg.value(k) for k in HEADLINE_KPIS},
             "error": weighted_error(agg, target),
         })
         return agg, logs

@@ -8,7 +8,6 @@ Exit codes: 0 success / validation pass, 1 tolerance or calibration failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -16,12 +15,11 @@ from pathlib import Path
 from . import calibrate as cal
 from . import scenario as scen_mod
 from .harness import run_scenario
-from .kpi import compare
-from .report import (comparison_row, svg_bar_chart, write_comparison_csv, write_kpi_svg,
-                     write_report_json)
+from .kpi import HEADLINE_KPIS, KpiReport, compare
+from .report import (comparison_row, svg_bar_chart, write_comparison_csv, write_json,
+                     write_kpi_svg, write_report_json)
 from .scenario import ParseError, Scenario, UnknownScenario, ValidationError
-from .stochastics import (PatientTape, Profile, ProfileError, default_profile_path, load_profile,
-                          write_profile)
+from .stochastics import PatientTape, Profile, ProfileError, default_profile_path, load_profile
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -113,6 +111,12 @@ def _meta(args, scenario: Scenario, name: str) -> dict:
             "replications": args.replications, "days": args.days}
 
 
+def _headline(agg: KpiReport) -> str:
+    labels = ("In", "WT1st", "WTlast", "LoS")
+    return " ".join(f"{label}={agg.value(k):.2f}"
+                    for label, k in zip(labels, HEADLINE_KPIS, strict=True))
+
+
 def cmd_run(args, profile: Profile) -> int:
     name, scenario = _resolve_scenario(args.scenario)
     agg, logs = run_scenario(profile, scenario, args.seed, args.replications,
@@ -126,9 +130,7 @@ def cmd_run(args, profile: Profile) -> int:
     write_report_json(out / "report.json", agg, meta)
     if args.svg:
         write_kpi_svg(out / "kpis.svg", agg, f"KPIs: {name}")
-    print(f"run {name}: In={agg.in_per_day:.2f} WT1st={agg.wt_first:.2f} "
-          f"WTlast={agg.wt_last:.2f} LoS={agg.los:.2f}"
-          + (" [low-sample]" if meta["low_sample"] else ""))
+    print(f"run {name}: {_headline(agg)}" + (" [low-sample]" if meta["low_sample"] else ""))
     print(f"wrote {args.replications} event logs + report.json to {out}")
     return EXIT_OK
 
@@ -184,9 +186,8 @@ def cmd_validate(args, profile: Profile) -> int:
         passed = abs(errs[kpi]) <= band
         print(f"{kpi:<12}{agg.value(kpi):>12.2f}{getattr(target, kpi):>10.2f}"
               f"{100 * errs[kpi]:>+8.1f}%{100 * band:>6.0f}%  {'pass' if passed else 'FAIL'}")
-    print(f"outliers: green {agg.outlier_pct.get('GREEN', float('nan')):.2f}% "
-          f"(ref {target.outlier_green}), white {agg.outlier_pct.get('WHITE', float('nan')):.2f}% "
-          f"(ref {target.outlier_white})")
+    print(f"outliers: green {agg.value('outlier_GREEN'):.2f}% (ref {target.outlier_green}), "
+          f"white {agg.value('outlier_WHITE'):.2f}% (ref {target.outlier_white})")
     print("validation", "PASSED" if ok else "FAILED")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -198,15 +199,11 @@ def cmd_calibrate(args, profile: Profile) -> int:
                            final_days=args.days)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_profile(result.profile_raw, out / "fitted_profile.json")
-    with open(out / "calibration_trace.json", "w") as fh:
-        json.dump(result.trace_dict(), fh, indent=1)
-        fh.write("\n")
+    write_json(out / "fitted_profile.json", result.profile_raw)
+    write_json(out / "calibration_trace.json", result.trace_dict())
     print(f"calibration: {result.message}")
     if result.report is not None:
-        a = result.report
-        print(f"full-scale check: In={a.in_per_day:.2f} WT1st={a.wt_first:.2f} "
-              f"WTlast={a.wt_last:.2f} LoS={a.los:.2f}")
+        print(f"full-scale check: {_headline(result.report)}")
     print(f"wrote fitted_profile.json + calibration_trace.json to {out}")
     return EXIT_OK if result.converged else EXIT_FAIL
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .kernel import CODE_RANK, MINUTES_PER_DAY
 
-KPI_NAMES = ("in_per_day", "wt_first", "wt_last", "los", "outlier_GREEN", "outlier_WHITE")
+HEADLINE_KPIS = ("in_per_day", "wt_first", "wt_last", "los")
+KPI_NAMES = (*HEADLINE_KPIS, "outlier_GREEN", "outlier_WHITE")
 ALPHA = 0.05
 # The first simulated day is warm-up: replications run it on top of `days`,
 # and the KPIs skip the patients who arrive in it (empty-ED start bias).
@@ -75,10 +76,7 @@ class KpiReport:
             return None if isinstance(x, float) and math.isnan(x) else x
 
         return {
-            "in_per_day": clean(self.in_per_day),
-            "wt_first": clean(self.wt_first),
-            "wt_last": clean(self.wt_last),
-            "los": clean(self.los),
+            **{k: clean(self.value(k)) for k in HEADLINE_KPIS},
             "outlier_pct": {k: clean(v) for k, v in self.outlier_pct.items()},
             "n_admitted": self.n_admitted,
             "n_dismissed": self.n_dismissed,
@@ -128,7 +126,7 @@ def compute_kpis(rows: list[tuple[int, ...]], days: int, thresholds: dict[str, f
     vectors = {"in_per_day": [len(admitted) / days], "wt_first": [_mean(wt_first)],
                "wt_last": [_mean(wt_last)], "los": [_mean(los)]}
     for code, threshold in sorted(thresholds.items()):
-        waits = _first_waits(admitted, CODE_RANK.get(code))
+        waits = _first_waits(admitted, CODE_RANK[code])
         vectors[f"outlier_{code}"] = [100.0 * sum(1 for w in waits if w > threshold) / len(waits)
                                       if waits else float("nan")]
     return KpiReport(vectors, n_admitted=len(admitted), n_dismissed=dismissed,

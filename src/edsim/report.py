@@ -8,14 +8,17 @@ import json
 from html import escape
 from pathlib import Path
 
-from .kpi import Comparison, KpiReport
+from .kpi import HEADLINE_KPIS, KPI_NAMES, Comparison, KpiReport
+
+
+def write_json(path, obj, sort_keys: bool = False) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def write_report_json(path, report: KpiReport, meta: dict) -> None:
-    payload = {"meta": meta, "kpis": report.to_dict()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"meta": meta, "kpis": report.to_dict()}, sort_keys=True)
 
 
 COMPARISON_HEADER = ("scenario", "in", "wt_first", "wt_last", "los",
@@ -24,16 +27,7 @@ COMPARISON_HEADER = ("scenario", "in", "wt_first", "wt_last", "los",
 
 def comparison_row(name: str, report: KpiReport, comparison: Comparison | None) -> tuple:
     flags = ";".join(comparison.flags()) if comparison is not None else ""
-    return (
-        name,
-        f"{report.in_per_day:.2f}",
-        f"{report.wt_first:.2f}",
-        f"{report.wt_last:.2f}",
-        f"{report.los:.2f}",
-        f"{report.outlier_pct.get('GREEN', float('nan')):.2f}",
-        f"{report.outlier_pct.get('WHITE', float('nan')):.2f}",
-        flags,
-    )
+    return (name, *(f"{report.value(k):.2f}" for k in KPI_NAMES), flags)
 
 
 def write_comparison_csv(path, rows: list[tuple]) -> None:
@@ -77,5 +71,5 @@ def svg_bar_chart(title: str, labels: list[str], values: list[float]) -> str:
 
 def write_kpi_svg(path, report: KpiReport, title: str) -> None:
     labels = ["In/day", "WT first", "WT last", "LoS"]
-    values = [report.in_per_day, report.wt_first, report.wt_last, report.los]
+    values = [report.value(k) for k in HEADLINE_KPIS]
     Path(path).write_text(svg_bar_chart(title, labels, values) + "\n")

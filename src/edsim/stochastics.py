@@ -183,6 +183,9 @@ class Profile:
                   for means in (self.lab_waiting, self.lab_effective, self.lab_misc))
             for h in range(24)
         ]
+        for name in _read(raw, "thresholds", "object"):
+            if name not in CODES:
+                raise _violation(f"thresholds/{_key(name)}", f"{name!r} is not one of {list(CODES)}")
         self.thresholds: dict[str, float] = {
             name: float(_read(raw, f"thresholds/{_key(name)}", "number", 0))
             for name in dict.fromkeys([*_read(raw, "thresholds", "object"), "GREEN", "WHITE"])
@@ -255,12 +258,6 @@ def load_profile(path) -> Profile:
 
 def default_profile_path() -> str:
     return str(resources.files("edsim").joinpath("profiles/default.json"))
-
-
-def write_profile(raw: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(raw, fh, indent=1, sort_keys=False)
-        fh.write("\n")
 
 
 class ArrivalSampler:

@@ -4,6 +4,8 @@ log, to check the rows and behaviour a replication records while it runs."""
 from __future__ import annotations
 
 import csv
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from edsim.kernel import CODE_RANK, LOG_HEADER, LogRecord
@@ -73,6 +75,29 @@ def rows_from_log(records: list[LogRecord]) -> list[tuple[int, ...]]:
     """KPI rows rebuilt from an event log, one per patient in pid order: the
     log-side oracle for the rows a replication stamps while it runs."""
     return [p.row() for p in collect_patients(records).values()]
+
+
+def assert_no_overbooking(patients: dict[int, PatientTrace], records: list[LogRecord],
+                          resources: dict) -> None:
+    """No team serves two patients at once, and no exam pool holds more
+    patients than its capacity in `resources` (a profile's). A visit still
+    open when the log ends keeps its team busy for good."""
+    visits = defaultdict(list)  # team -> [(start, end)]
+    for p in patients.values():
+        for team, start, end in ((p.first_team, "START_FIRST", "END_FIRST"),
+                                 (p.last_team, "START_LAST", "DISCHARGE")):
+            if p.get(start) is not None:
+                visits[team].append((p.get(start), p.times.get(end, math.inf)))
+    for team, spans in visits.items():
+        spans.sort()
+        for (_s1, e1), (s2, _e2) in zip(spans, spans[1:]):
+            assert s2 >= e1, f"team {team} double-booked at minute {s2}"
+    in_use = defaultdict(int)
+    for r in records:  # log order puts a minute's END_EXAM before the START_EXAM it frees
+        if r.event in ("START_EXAM", "END_EXAM"):
+            pool = parse_detail(r.detail)["pool"]
+            in_use[pool] += 1 if r.event == "START_EXAM" else -1
+            assert in_use[pool] <= resources[pool]["capacity"], f"{pool} over capacity"
 
 
 def read_log_csv(path) -> list[LogRecord]:

@@ -19,7 +19,7 @@ from edsim.scenario import Scenario, catalog, parse, parse_tuple
 from edsim.stochastics import PatientTape, Profile
 
 from conftest import make_mini_raw
-from log_oracle import collect_patients, parse_detail
+from log_oracle import assert_no_overbooking, collect_patients, parse_detail
 
 SEED = 42
 FIXTURE = Path(__file__).parent / "data" / "table3_scenarios.json"
@@ -269,38 +269,18 @@ class TestAC5InvariantSuite:
                 total_events += len(records)
                 patients = collect_patients(records)
 
-                intervals = defaultdict(list)  # team -> [(start, end)]
-                xray_intervals = []
                 for p in patients.values():
                     times = [p.get(e) for e in chain]
                     present = [t for t in times if t is not None]
                     assert present == sorted(present), "timestamp chain broken"
-                    s, e = p.get("START_FIRST"), p.get("END_FIRST")
+                    s = p.get("START_FIRST")
                     if s is not None:
                         assert on_shift(windows[p.first_team], s), "first visit off shift"
-                        intervals[p.first_team].append((s, e if e is not None else s))
-                    sl, dis = p.get("START_LAST"), p.get("DISCHARGE")
-                    if sl is not None:
-                        intervals[p.last_team].append((sl, dis if dis is not None else sl))
-                        if check_affinity:
-                            assert p.last_team == p.first_team, "affinity broken"
+                    if p.get("START_LAST") is not None and check_affinity:
+                        assert p.last_team == p.first_team, "affinity broken"
                     if p.get("LAB_RESULT") is not None and p.get("START_EXAM") is not None:
                         assert p.get("START_EXAM") >= p.get("LAB_RESULT"), "lab precedence"
-
-                for team, ivs in intervals.items():
-                    ivs.sort()
-                    for (s1, e1), (s2, _e2) in zip(ivs, ivs[1:]):
-                        assert s2 >= e1, f"team {team} double-booked"
-
-                for r in records:
-                    if r.event == "START_EXAM" and "xray" in r.detail:
-                        xray_intervals.append((r.time_min, r.patient_id, "s"))
-                    elif r.event == "END_EXAM" and "xray" in r.detail:
-                        xray_intervals.append((r.time_min, r.patient_id, "e"))
-                concurrent = 0
-                for t, _pid, kind in xray_intervals:  # log order breaks ties correctly
-                    concurrent += 1 if kind == "s" else -1
-                    assert concurrent <= default_profile.resources["xray"]["capacity"]
+                assert_no_overbooking(patients, records, default_profile.resources)
 
                 if check_red:
                     self._check_red_immediacy(patients, windows, default_profile)

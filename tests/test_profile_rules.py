@@ -1,8 +1,8 @@
 """The profile format, rule by rule: one rejecting mutation of the default
-profile per rule (each required key, each type, each bound, each enum), and
-a set of boundary values that must be accepted. A rejected profile raises
-`ProfileError` naming the path of the fault, and `edsim run` exits 2 with
-no traceback."""
+profile per rule (each required key, each type, each bound, each enum, the
+threshold codes), and a set of boundary values that must be accepted. A
+rejected profile raises `ProfileError` naming the path of the fault, and
+`edsim run` exits 2 with no traceback."""
 
 import copy
 import json
@@ -125,6 +125,8 @@ def _rejecting_cases():
         yield pytest.param(path, value, path or "<root>", "", id=f"type:{path}={value!r}")
     for path, value in OUT_OF_BOUNDS:
         yield pytest.param(path, value, path, "", id=f"bound:{path}={str(value)[:12]}")
+    yield pytest.param("thresholds/PURPLE", 10, "thresholds/PURPLE", "'PURPLE'",
+                       id="key:thresholds/PURPLE")
     for field, extra in (("family", {"family": "gamma", "mean": 5.0, "cv": 0.2}),
                          ("cv", {"family": "triangular", "mean": 9.0, "cv": 1e308})):
         yield pytest.param("service/extra", extra, f"service/extra/{field}", "",

@@ -104,11 +104,14 @@ class TestProfileValidation:
 
     def test_entry_names_with_a_slash_are_read_whole(self, default_raw):
         raw = copy.deepcopy(default_raw)
-        raw["thresholds"]["a/b~c"] = 60
         raw["service"]["x/y"] = {"family": "lognormal", "mean": 3.0, "cv": 0.5}
-        assert Profile(raw).thresholds["a/b~c"] == 60.0
+        assert Profile(raw).service["x/y"].mean == 3.0
         raw["service"]["x/y"]["family"] = "gamma"
         with pytest.raises(ProfileError, match="at service/x~1y/family: 'gamma' is not one of"):
+            Profile(raw)
+        raw = copy.deepcopy(default_raw)
+        raw["thresholds"]["a/b~c"] = 60  # not an urgency code
+        with pytest.raises(ProfileError, match="at thresholds/a~1b~0c: 'a/b~c' is not one of"):
             Profile(raw)
 
 
