@@ -93,7 +93,7 @@ def _fit_thresholds(rows_per_rep, raw: dict, target: CalibrationTarget) -> dict:
 
 
 class _Confirmed(Exception):
-    """Ends the search with (multipliers, full-scale report, logs) of a confirmed probe."""
+    """Ends the search with (multipliers, full-scale report, KPI rows) of a confirmed probe."""
 
 
 def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
@@ -118,7 +118,7 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
     best: dict = {"err": math.inf, "mult": dict.fromkeys(PARAM_NAMES, 1.0)}
 
     def run(tag, mult, reps, run_days):
-        agg, logs = run_scenario(Profile(apply_multipliers(profile_raw, mult)), Scenario(),
+        agg, rows = run_scenario(Profile(apply_multipliers(profile_raw, mult)), Scenario(),
                                  seed, reps, run_days, jobs=jobs)
         trace.append({
             "eval": tag,
@@ -126,7 +126,7 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
             "kpis": {k: agg.value(k) for k in HEADLINE_KPIS},
             "error": weighted_error(agg, target),
         })
-        return agg, logs
+        return agg, rows
 
     def evaluate(x: np.ndarray) -> float:
         mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, x)}
@@ -135,9 +135,9 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
         if err < best["err"]:
             best.update(err=err, mult=mult)
         if within_bands(agg, target):
-            full, logs = run("full-scale", mult, final_replications, final_days)
+            full, rows = run("full-scale", mult, final_replications, final_days)
             if within_bands(full, target):
-                raise _Confirmed(mult, full, logs)
+                raise _Confirmed(mult, full, rows)
         return err
 
     x0 = np.zeros(len(PARAM_NAMES))
@@ -146,14 +146,14 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
                           options={"maxfev": budget, "xatol": 1e-3, "fatol": 1e-4,
                                    "initial_simplex": _initial_simplex(x0, 0.04)})
     except _Confirmed as done:
-        (mult, agg, logs), converged = done.args, True
+        (mult, agg, rows), converged = done.args, True
     else:
         mult = best["mult"]
-        agg, logs = run("full-scale", mult, final_replications, final_days)
+        agg, rows = run("full-scale", mult, final_replications, final_days)
         converged = within_bands(agg, target)
 
     fitted = apply_multipliers(profile_raw, mult)
-    fitted["thresholds"] = _fit_thresholds([log.rows for log in logs], fitted, target)
+    fitted["thresholds"] = _fit_thresholds(rows, fitted, target)
     message = ("converged: all targets within tolerance" if converged
                else "FAILED: best-so-far outside tolerance bands")
     return CalibrationResult(fitted, converged, message, trace, agg)

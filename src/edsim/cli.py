@@ -119,12 +119,10 @@ def _headline(agg: KpiReport) -> str:
 
 def cmd_run(args, profile: Profile) -> int:
     name, scenario = _resolve_scenario(args.scenario)
-    agg, logs = run_scenario(profile, scenario, args.seed, args.replications,
-                             args.days, jobs=args.jobs, keep_logs=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for log in logs:
-        log.write_csv(out / f"rep_{log.rep_id:02d}.csv")
+    agg, _ = run_scenario(profile, scenario, args.seed, args.replications,
+                          args.days, jobs=args.jobs, log_dir=out)
     meta = {**_meta(args, scenario, name), "profile_version": profile.version,
             "low_sample": args.replications < 2 or args.days < 2}
     write_report_json(out / "report.json", agg, meta)

@@ -1,5 +1,6 @@
-"""Replication harness: fan out seeded runs, collect KPI rows (and event
-logs, when kept) and aggregate their KPI reports."""
+"""Replication harness: fan out seeded runs, write their event logs where
+they ran (when asked), collect their KPI rows and aggregate their KPI
+reports."""
 
 from __future__ import annotations
 
@@ -13,13 +14,24 @@ from .scenario import Scenario
 from .stochastics import Profile
 
 
+def _replicate(profile: Profile, scen: Scenario, rep: int, seed: int, days: int,
+               log_dir, tape) -> list[tuple[int, ...]]:
+    """Run replication `rep` and return its KPI rows. With `log_dir` it keeps
+    the event log and writes it to `log_dir/rep_NN.csv` first, in the process
+    that ran it, so no log outlives its replication or crosses processes."""
+    log = run_replication(profile, scen, rep, seed, days, keep_log=log_dir is not None, tape=tape)
+    if log_dir is not None:
+        log.write_csv(os.path.join(log_dir, f"rep_{rep:02d}.csv"))
+    return log.rows
+
+
 def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
-                 days: int, jobs: int = 1, keep_logs: bool = False,
+                 days: int, jobs: int = 1, log_dir=None,
                  tapes: Sequence[Iterable[tuple]] | None = None):
     """Run all replications of one scenario; returns (aggregate report,
-    per-replication logs). The aggregate's `vectors` hold every
-    per-replication figure. Every log holds its KPI rows; only with
-    `keep_logs` does it hold event records too.
+    per-replication KPI rows). The aggregate's `vectors` hold every
+    per-replication figure. With `log_dir` (an existing directory),
+    replication r also writes its event log to `log_dir/rep_NN.csv`.
 
     Replication i runs on `tapes[i]` (stochastics.PatientTape(profile, seed,
     i, days), or its rows) if `tapes` is given, else it draws the same
@@ -30,17 +42,12 @@ def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
     (a fork pool starts all of them at its first submit), and none at all
     when that leaves one: the replications then run in this process."""
     tapes = tapes or [None] * replications
+    calls = [(profile, scen, rep, seed, days, log_dir, tapes[rep]) for rep in range(replications)]
     workers = min(jobs, replications, os.cpu_count() or 1)
     if workers <= 1:
-        logs = [run_replication(profile, scen, rep, seed, days, keep_log=keep_logs,
-                                tape=tapes[rep])
-                for rep in range(replications)]
+        rows = [_replicate(*call) for call in calls]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_replication, profile, scen, rep, seed, days, keep_log=keep_logs,
-                            tape=tapes[rep])
-                for rep in range(replications)
-            ]
-            logs = [f.result() for f in futures]
-    return aggregate([compute_kpis(log.rows, days, profile.thresholds) for log in logs]), logs
+            futures = [pool.submit(_replicate, *call) for call in calls]
+            rows = [f.result() for f in futures]
+    return aggregate([compute_kpis(r, days, profile.thresholds) for r in rows]), rows

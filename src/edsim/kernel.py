@@ -51,9 +51,10 @@ LOG_TEMPLATES = {
     "START_LAST": "team={} pool={}",
     "DISCHARGE": "",
 }
-# event -> (str.format of its template, field count, position of its "{+}"
+# event -> (its template as a % template, field count, position of its "{+}"
 # field or None)
-_LOG_RENDER = {event: (template.replace("{+}", "{}").format, template.count("{"),
+_LOG_RENDER = {event: (template.replace("{+}", "%s").replace("{:d}", "%d").replace("{}", "%s"),
+                       template.count("{"),
                        template[:template.index("{+}")].count("{") if "{+}" in template else None)
                for event, template in LOG_TEMPLATES.items()}
 _CSV_CHUNK = 4096  # records rendered and written per chunk
@@ -320,36 +321,36 @@ class EventLog:
     """Sink for every state transition of one replication.
 
     A kept log (`keep=True`) checks each `add` (a known event, its field
-    count) and appends the raw `(time_min, patient_id, event, fields)`, with
-    a "{+}" list already "+"-joined, so later changes to the caller's list
-    do not reach the log. The detail is rendered from LOG_TEMPLATES only when
-    the log is read (`records`) or written (`write_csv`). A log that is not
-    kept returns from `add` at once and holds no records. `rows` holds the
-    replication's KPI rows (kpi.ROW_FIELDS, one per patient) either way."""
+    count) and appends the flat record `(time_min, patient_id, event, *fields)`,
+    with a "{+}" list already "+"-joined, so later changes to the caller's
+    list do not reach the log. The detail is rendered from the `%` templates
+    in _LOG_RENDER only when the log is read (`records`) or written
+    (`write_csv`). A log that is not kept returns from `add` at once and holds
+    no records. `rows` holds the replication's KPI rows (kpi.ROW_FIELDS, one
+    per patient) either way."""
 
     def __init__(self, rep_id: int, keep: bool = True) -> None:
         self.rep_id = rep_id
         self.keep = keep
-        self.raw: list[tuple[int, int, str, tuple]] = []
+        self.raw: list[tuple] = []
         self.rows: list[tuple[int, ...]] = []
 
     def add(self, time_min: int, patient_id: int, event: str, *fields) -> None:
         if not self.keep:
             return
         try:
-            _render, arity, joined = _LOG_RENDER[event]
+            _detail, arity, joined = _LOG_RENDER[event]
         except KeyError:
             raise ValueError(f"unknown log event {event!r}") from None
         if len(fields) != arity:
             raise ValueError(f"log event {event} takes {arity} fields, got {len(fields)}")
         if joined is not None:
             fields = (*fields[:joined], "+".join(fields[joined]) or "-", *fields[joined + 1:])
-        self.raw.append((time_min, patient_id, event, fields))
+        self.raw.append((time_min, patient_id, event) + fields)
 
     def _render(self, raw) -> list[LogRecord]:
         rep_id = self.rep_id
-        return [_new_record((rep_id, t, pid, event, _LOG_RENDER[event][0](*fields)))
-                for t, pid, event, fields in raw]
+        return [_new_record((rep_id, *r[:3], _LOG_RENDER[r[2]][0] % r[3:])) for r in raw]
 
     @property
     def records(self) -> list[LogRecord]:
@@ -359,22 +360,21 @@ class EventLog:
     def write_csv(self, path) -> None:
         """Write the log as csv.writer writes LOG_HEADER and `records`.
 
-        Each chunk of records is rendered by one whole-line format per event.
-        The separators and the CRLF line end are fixed, so a chunk holds
-        exactly four commas, one CR and one LF per line and no quote unless
-        some field needs csv quoting; such a chunk goes through csv.writer
-        instead."""
+        Each line is one whole-line `%` template per event applied to the
+        flat record. The separators and the CRLF line end are fixed, so a
+        chunk of lines holds exactly four commas, one CR and one LF per line
+        and no quote unless some field needs csv quoting; such a chunk goes
+        through csv.writer instead."""
         if not self.keep:
             raise ValueError(f"event log of replication {self.rep_id} was not kept")
-        prefix = f"{self.rep_id},{{}},{{}},"
-        line = {event: f"{prefix}{event},{template.replace('{+}', '{}')}\r\n".format
-                for event, template in LOG_TEMPLATES.items()}
+        line = {event: f"{self.rep_id},%d,%d,%s,{detail}\r\n"
+                for event, (detail, _arity, _joined) in _LOG_RENDER.items()}
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(LOG_HEADER)
             for start in range(0, len(self.raw), _CSV_CHUNK):
                 chunk = self.raw[start:start + _CSV_CHUNK]
-                text = "".join([line[event](t, pid, *fields) for t, pid, event, fields in chunk])
+                text = "".join([line[r[2]] % r for r in chunk])
                 n = len(chunk)
                 if (text.count(",") == 4 * n and text.count("\n") == n
                         and text.count("\r") == n and '"' not in text):

@@ -5,9 +5,11 @@ from xml.dom import minidom
 
 import pytest
 
+import edsim.harness
 from edsim.calibrate import BANDS, CalibrationTarget
 from edsim.cli import main
 from edsim.harness import run_scenario
+from edsim.model import run_replication
 from edsim.report import svg_bar_chart
 from edsim.scenario import MAX_EXTRA_TEAMS, Scenario
 from edsim.stochastics import default_profile_path
@@ -31,13 +33,26 @@ class TestRun:
         for name in ("rep_00.csv", "rep_01.csv", "report.json"):
             assert read(out1 / name) == read(out2 / name)
 
-    def test_jobs_flag_does_not_change_results(self, tmp_path):
-        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-        args = ["run", "--seed", "5", "--replications", "2", "--days", "2"]
+    def test_jobs_flag_does_not_change_results(self, tmp_path, default_profile):
+        out1, out2, ref = tmp_path / "serial", tmp_path / "parallel", tmp_path / "ref.csv"
+        args = ["run", "--seed", "5", "--replications", "3", "--days", "2"]
         assert run_cli(*args, "--jobs", "1", "--out", str(out1)) == 0
         assert run_cli(*args, "--jobs", "2", "--out", str(out2)) == 0
         assert read(out1 / "report.json") == read(out2 / "report.json")
-        assert read(out1 / "rep_01.csv") == read(out2 / "rep_01.csv")
+        names = sorted(p.name for p in out1.glob("rep_*.csv"))
+        assert names == sorted(p.name for p in out2.glob("rep_*.csv"))
+        assert names == [f"rep_{rep:02d}.csv" for rep in range(3)]
+        for rep, name in enumerate(names):
+            run_replication(default_profile, Scenario(), rep, 5, 2, keep_log=True).write_csv(ref)
+            assert read(out1 / name) == read(out2 / name) == read(ref), name
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_log_write_exits_3(self, tmp_path, capsys, jobs):
+        (tmp_path / "rep_01.csv").mkdir()
+        assert run_cli("run", "--days", "1", "--replications", "2", "--jobs", jobs,
+                       "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "rep_01.csv" in err and "Traceback" not in err
 
     def test_low_sample_marked(self, tmp_path):
         out = tmp_path / "tiny"
@@ -229,12 +244,23 @@ class TestProfileHandling:
         assert run_cli("run", "--out", str(tmp_path / "o")) == 2
         assert "ghost.json" in capsys.readouterr().err
 
-    def test_unwritable_output_exits_3(self, tmp_path):
+    def test_unwritable_output_exits_3(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        run = edsim.harness.run_replication
+
+        def counting(*args, **kwargs):
+            runs.append(args[2])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(edsim.harness, "run_replication", counting)
         target = tmp_path / "file"
         target.write_text("x")
-        # out path collides with an existing file -> mkdir fails
-        assert run_cli("run", "--days", "1", "--replications", "1",
+        # out path collides with an existing file -> mkdir fails, before any replication
+        assert run_cli("run", "--days", "1", "--replications", "2",
                        "--out", str(target)) == 3
+        assert runs == []
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
 
 
 class TestSweep:

@@ -5,7 +5,7 @@ import pytest
 import edsim.harness
 from edsim.cli import main
 from edsim.harness import run_scenario
-from edsim.kernel import MINUTES_PER_DAY
+from edsim.kernel import MINUTES_PER_DAY, EventLog
 from edsim.kpi import NO_TIME, ROW_FIELDS, WARMUP_MIN, compute_kpis
 from edsim.model import Replication
 from edsim.scenario import Scenario
@@ -27,9 +27,9 @@ def test_run_scenario_builds_no_profile(default_profile, monkeypatch):
 
 def test_jobs_do_not_change_kpi_rows(default_profile):
     scen = Scenario(tau_g=90, l=20)
-    agg1, logs1 = run_scenario(default_profile, scen, 5, 3, 1, jobs=1)
-    agg2, logs2 = run_scenario(default_profile, scen, 5, 3, 1, jobs=2)
-    assert [log.rows for log in logs1] == [log.rows for log in logs2]
+    agg1, rows1 = run_scenario(default_profile, scen, 5, 3, 1, jobs=1)
+    agg2, rows2 = run_scenario(default_profile, scen, 5, 3, 1, jobs=2)
+    assert rows1 == rows2
     assert agg1.vectors == agg2.vectors
     assert agg1.to_dict() == agg2.to_dict()
 
@@ -41,11 +41,11 @@ def test_horizon_is_warmup_plus_days(default_profile):
 
 def test_n_admitted_counts_triaged_rows_after_the_warmup(default_profile):
     arrive, triage, dismissed = (ROW_FIELDS.index(f) for f in ("arrive", "triage", "dismissed"))
-    _, logs = run_scenario(default_profile, Scenario(e=20), 5, 2, 1)
-    for log in logs:
-        report = compute_kpis(log.rows, 1, default_profile.thresholds)
-        assert any(row[arrive] < WARMUP_MIN for row in log.rows)
-        admitted = [row for row in log.rows if row[arrive] >= WARMUP_MIN
+    _, rows_per_rep = run_scenario(default_profile, Scenario(e=20), 5, 2, 1)
+    for rows in rows_per_rep:
+        report = compute_kpis(rows, 1, default_profile.thresholds)
+        assert any(row[arrive] < WARMUP_MIN for row in rows)
+        admitted = [row for row in rows if row[arrive] >= WARMUP_MIN
                     and row[triage] != NO_TIME and not row[dismissed]]
         assert report.n_admitted == len(admitted) > 0
 
@@ -83,21 +83,46 @@ def inline_pool(monkeypatch):
                          [(4, 2, 2), (2, 3, 2), (3, 3, 3), (100_000, 2, 2)])
 def test_pool_starts_no_more_workers_than_replications(default_profile, inline_pool,
                                                        jobs, replications, workers):
-    agg, logs = run_scenario(default_profile, Scenario(), 5, replications, 1, jobs=jobs)
+    agg, rows = run_scenario(default_profile, Scenario(), 5, replications, 1, jobs=jobs)
     assert inline_pool.max_workers == [workers]
-    assert len(logs) == len(agg.vectors["los"]) == replications
+    assert len(rows) == len(agg.vectors["los"]) == replications
 
 
 @pytest.mark.parametrize(("cpus", "pools"), [(2, [2]), (1, []), (None, [])])
 def test_pool_starts_no_more_workers_than_cpus(default_profile, inline_pool, monkeypatch,
                                                cpus, pools):
     monkeypatch.setattr(edsim.harness.os, "cpu_count", lambda: cpus)
-    agg, logs = run_scenario(default_profile, Scenario(), 5, 4, 1, jobs=8)
+    agg, rows = run_scenario(default_profile, Scenario(), 5, 4, 1, jobs=8)
     assert inline_pool.max_workers == pools
-    assert len(logs) == len(agg.vectors["los"]) == 4
+    assert len(rows) == len(agg.vectors["los"]) == 4
 
 
 def test_run_command_sizes_its_pool_to_its_replications(inline_pool, tmp_path):
     argv = ["run", "--replications", "2", "--days", "1", "--jobs", "4", "--out", str(tmp_path)]
     assert main(argv) == 0
     assert inline_pool.max_workers == [2]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_log_is_written_before_the_next_replication_runs(default_profile, inline_pool,
+                                                              monkeypatch, tmp_path, jobs):
+    calls = []
+    run, write = edsim.harness.run_replication, EventLog.write_csv
+
+    def running(profile, scen, rep, *args, **kwargs):
+        calls.append(("run", rep))
+        return run(profile, scen, rep, *args, **kwargs)
+
+    def writing(log, path):
+        calls.append(("write", log.rep_id))
+        write(log, path)
+
+    monkeypatch.setattr(edsim.harness, "run_replication", running)
+    monkeypatch.setattr(EventLog, "write_csv", writing)
+    agg, rows = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs, log_dir=tmp_path)
+    assert calls == [("run", 0), ("write", 0), ("run", 1), ("write", 1)]
+    assert inline_pool.max_workers == ([2] if jobs == 2 else [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rep_00.csv", "rep_01.csv"]
+    assert all(isinstance(r, list) and r and all(isinstance(row, tuple) for row in r)
+               for r in rows)
+    assert len(agg.vectors["los"]) == 2

@@ -79,7 +79,7 @@ def test_high_team_picks_what_the_reference_rule_picks(default_raw, mode, tau_g,
         want = reference_pick(oracle, mode, now)
         logged = len(rep.log.raw)
         rep._pick_task(pool, "H1", now, queue)
-        started = [who for _t, who, event, _f in rep.log.raw[logged:] if event == "START_FIRST"]
+        started = [r[1] for r in rep.log.raw[logged:] if r[2] == "START_FIRST"]
         if want is None:
             assert started == [] and "H1" not in pool.busy
             continue

@@ -484,7 +484,7 @@ class TestDispatch:
         rep = SecondPassReplication(Profile(_raw_profile(routing)), parse(spec), 0, 42, 3)
         log = rep.run()
         assert rep.passes > 1000
-        assert sum(1 for _t, _pid, event, _f in log.raw if event == "START_LAST") > 500
+        assert sum(1 for r in log.raw if r[2] == "START_LAST") > 500
 
 
 class TestQueueingBasics:

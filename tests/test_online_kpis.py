@@ -12,7 +12,7 @@ from edsim.kpi import compute_kpis
 from edsim.model import run_replication
 from edsim.scenario import Scenario, parse
 
-from log_oracle import collect_patients, rows_from_log
+from log_oracle import collect_patients, read_log_csv, rows_from_log
 
 DAYS = 2
 SEEDS = (3, 42, 2020)
@@ -87,14 +87,17 @@ def test_log_not_kept_holds_no_records_and_same_kpis(default_profile):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_harness_keeps_records_only_when_asked(jobs, default_profile):
-    agg, logs = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs)
-    assert [log.records for log in logs] == [[], []]
-    assert all(log.rows for log in logs)
-    kept_agg, kept = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs,
-                                  keep_logs=True)
-    assert all(log.records for log in kept)
-    assert kept_agg.to_dict() == agg.to_dict()
+def test_harness_writes_logs_only_when_asked(jobs, default_profile, tmp_path):
+    agg, rows = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs)
+    assert all(r for r in rows)
+    assert list(tmp_path.iterdir()) == []
+    logged_agg, logged_rows = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs,
+                                           log_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rep_00.csv", "rep_01.csv"]
+    for rep in range(2):
+        records = read_log_csv(tmp_path / f"rep_{rep:02d}.csv")
+        assert records and rows_from_log(records) == logged_rows[rep] == rows[rep]
+    assert logged_agg.to_dict() == agg.to_dict()
 
 
 class TestEventLogSink:

@@ -122,11 +122,11 @@ def test_every_scenario_of_a_sweep_reads_one_tape(default_profile, jobs):
     tapes = [PatientTape(default_profile, 2020, rep, DAYS) for rep in range(2)]
     columns = {}
     for spec in SPECS:
-        _agg, logs = run_scenario(default_profile, parse(spec), 2020, 2, DAYS, jobs=jobs,
-                                  tapes=tapes)
-        columns[spec] = [[(row[arrive], row[rank]) for row in log.rows] for log in logs]
+        _agg, rows_per_rep = run_scenario(default_profile, parse(spec), 2020, 2, DAYS, jobs=jobs,
+                                          tapes=tapes)
+        columns[spec] = [[(row[arrive], row[rank]) for row in rows] for rows in rows_per_rep]
     first = columns["baseline"]
     assert first[0] != first[1] and all(len(col) > 300 for col in first)
     assert all(col == first for col in columns.values())
     _agg, drawn = run_scenario(default_profile, Scenario(), 2020, 2, DAYS, jobs=jobs)
-    assert [[(row[arrive], row[rank]) for row in log.rows] for log in drawn] == first
+    assert [[(row[arrive], row[rank]) for row in rows] for rows in drawn] == first
