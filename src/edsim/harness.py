@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
 from .kpi import aggregate, compute_kpis
 from .model import run_replication
@@ -16,12 +16,15 @@ from .stochastics import Profile
 
 def _replicate(profile: Profile, scen: Scenario, rep: int, seed: int, days: int,
                log_dir, tape) -> list[tuple[int, ...]]:
-    """Run replication `rep` and return its KPI rows. With `log_dir` it keeps
-    the event log and writes it to `log_dir/rep_NN.csv` first, in the process
-    that ran it, so no log outlives its replication or crosses processes."""
-    log = run_replication(profile, scen, rep, seed, days, keep_log=log_dir is not None, tape=tape)
-    if log_dir is not None:
-        log.write_csv(os.path.join(log_dir, f"rep_{rep:02d}.csv"))
+    """Run replication `rep` and return its KPI rows. With `log_dir` it
+    streams the event log to `log_dir/rep_NN.csv` while it runs, in the
+    process that runs it, so no log outlives its replication or crosses
+    processes."""
+    path = None if log_dir is None else os.path.join(log_dir, f"rep_{rep:02d}.csv")
+    log = run_replication(profile, scen, rep, seed, days, keep_log=path is not None, tape=tape,
+                          log_path=path)
+    if path is not None:
+        log.write_csv(path)
     return log.rows
 
 
@@ -40,7 +43,9 @@ def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
 
     The pool starts no more workers than there are replications or CPUs
     (a fork pool starts all of them at its first submit), and none at all
-    when that leaves one: the replications then run in this process."""
+    when that leaves one: the replications then run in this process. The
+    first replication that raises cancels those not yet started, and its
+    exception is raised here."""
     tapes = tapes or [None] * replications
     calls = [(profile, scen, rep, seed, days, log_dir, tapes[rep]) for rep in range(replications)]
     workers = min(jobs, replications, os.cpu_count() or 1)
@@ -49,5 +54,9 @@ def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_replicate, *call) for call in calls]
+            done, pending = wait(futures, return_when=FIRST_EXCEPTION)
+            if pending:  # some replication raised
+                pool.shutdown(cancel_futures=True)
+                raise next(f.exception() for f in futures if f in done and f.exception())
             rows = [f.result() for f in futures]
     return aggregate([compute_kpis(r, days, profile.thresholds) for r in rows]), rows

@@ -324,16 +324,29 @@ class EventLog:
     count) and appends the flat record `(time_min, patient_id, event, *fields)`,
     with a "{+}" list already "+"-joined, so later changes to the caller's
     list do not reach the log. The detail is rendered from the `%` templates
-    in _LOG_RENDER only when the log is read (`records`) or written
-    (`write_csv`). A log that is not kept returns from `add` at once and holds
-    no records. `rows` holds the replication's KPI rows (kpi.ROW_FIELDS, one
-    per patient) either way."""
+    in _LOG_RENDER only when the log is read (`records`) or written. A log
+    that is not kept returns from `add` at once and holds no records. `rows`
+    holds the replication's KPI rows (kpi.ROW_FIELDS, one per patient)
+    either way.
 
-    def __init__(self, rep_id: int, keep: bool = True) -> None:
+    A kept log with a `path` streams: it opens the file and writes
+    LOG_HEADER at once, each `flush` appends the buffered records once they
+    fill a chunk, and `write_csv(path)` appends the rest and closes the
+    file. Such a log holds one chunk of records at most, so `records`
+    refuses it."""
+
+    def __init__(self, rep_id: int, keep: bool = True, path=None) -> None:
+        if path is not None and not keep:
+            raise ValueError(f"event log of replication {rep_id} has a path but is not kept")
         self.rep_id = rep_id
         self.keep = keep
+        self.path = path
         self.raw: list[tuple] = []
         self.rows: list[tuple[int, ...]] = []
+        self._file = None
+        if path is not None:
+            self._file = open(path, "w", newline="")
+            csv.writer(self._file).writerow(LOG_HEADER)
 
     def add(self, time_min: int, patient_id: int, event: str, *fields) -> None:
         if not self.keep:
@@ -348,6 +361,18 @@ class EventLog:
             fields = (*fields[:joined], "+".join(fields[joined]) or "-", *fields[joined + 1:])
         self.raw.append((time_min, patient_id, event) + fields)
 
+    def flush(self) -> None:
+        """Append the buffered records to the file once they fill a chunk
+        (a log without a path keeps them)."""
+        if self._file is not None and len(self.raw) >= _CSV_CHUNK:
+            self._write(self._file, self.raw)
+            self.raw.clear()
+
+    def close(self) -> None:
+        """Close the file of a streamed log, writing nothing more."""
+        if self._file is not None:
+            self._file.close()
+
     def _render(self, raw) -> list[LogRecord]:
         rep_id = self.rep_id
         return [_new_record((rep_id, *r[:3], _LOG_RENDER[r[2]][0] % r[3:])) for r in raw]
@@ -355,29 +380,43 @@ class EventLog:
     @property
     def records(self) -> list[LogRecord]:
         """The kept records, rendered anew on each access."""
+        if self.path is not None:
+            raise ValueError(f"event log of replication {self.rep_id} is streamed to {self.path}")
         return self._render(self.raw)
 
-    def write_csv(self, path) -> None:
-        """Write the log as csv.writer writes LOG_HEADER and `records`.
+    def _write(self, fh, raw) -> None:
+        """Append `raw` to `fh` as csv.writer writes its records.
 
         Each line is one whole-line `%` template per event applied to the
         flat record. The separators and the CRLF line end are fixed, so a
         chunk of lines holds exactly four commas, one CR and one LF per line
         and no quote unless some field needs csv quoting; such a chunk goes
         through csv.writer instead."""
-        if not self.keep:
-            raise ValueError(f"event log of replication {self.rep_id} was not kept")
         line = {event: f"{self.rep_id},%d,%d,%s,{detail}\r\n"
                 for event, (detail, _arity, _joined) in _LOG_RENDER.items()}
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(LOG_HEADER)
-            for start in range(0, len(self.raw), _CSV_CHUNK):
-                chunk = self.raw[start:start + _CSV_CHUNK]
-                text = "".join([line[r[2]] % r for r in chunk])
-                n = len(chunk)
-                if (text.count(",") == 4 * n and text.count("\n") == n
-                        and text.count("\r") == n and '"' not in text):
-                    fh.write(text)
-                else:
-                    w.writerows(self._render(chunk))  # field order is LOG_HEADER's
+        for start in range(0, len(raw), _CSV_CHUNK):
+            chunk = raw[start:start + _CSV_CHUNK]
+            text = "".join([line[r[2]] % r for r in chunk])
+            n = len(chunk)
+            if (text.count(",") == 4 * n and text.count("\n") == n
+                    and text.count("\r") == n and '"' not in text):
+                fh.write(text)
+            else:
+                csv.writer(fh).writerows(self._render(chunk))  # field order is LOG_HEADER's
+
+    def write_csv(self, path) -> None:
+        """Write the log as csv.writer writes LOG_HEADER and `records`. A
+        streamed log's `path` is its own: it appends what it still buffers
+        and closes its file."""
+        if not self.keep:
+            raise ValueError(f"event log of replication {self.rep_id} was not kept")
+        if self.path is None:
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerow(LOG_HEADER)
+                self._write(fh, self.raw)
+            return
+        try:
+            self._write(self._file, self.raw)
+            self.raw.clear()
+        finally:
+            self._file.close()

@@ -86,11 +86,18 @@ class Replication:
 
     Its patients are the rows of `tape`, or, without one, of
     `draw_patients(profile, master_seed, rep_id, days)`, drawn as they
-    arrive. The replication itself holds no random stream."""
+    arrive. The replication itself holds no random stream.
+
+    `patients` maps pid to each patient still in the ED. A patient's KPI
+    row is final once they are discharged or dismissed, so it goes into
+    `rows` then and the patient is dropped; the ones still in the ED at the
+    end fill in theirs. With `log_path` the kept log streams to that file
+    (EventLog), so a run holds its in-flight patients, its KPI rows and one
+    chunk of its log."""
 
     def __init__(self, profile: Profile, scenario: Scenario, rep_id: int,
                  master_seed: int, days: int, drain: bool = False, keep_log: bool = True,
-                 tape: Iterable[tuple] | None = None):
+                 tape: Iterable[tuple] | None = None, log_path=None):
         self.profile = profile
         self.scenario = scenario
         self.rep_id = rep_id
@@ -99,8 +106,9 @@ class Replication:
         self.horizon = WARMUP_MIN + days * MINUTES_PER_DAY
 
         self.calendar = EventCalendar()
-        self.log = EventLog(rep_id, keep=keep_log)
-        self.patients: list[Patient] = []
+        self.patients: dict[int, Patient] = {}
+        self.rows: dict[int, tuple[int, ...]] = {}  # pid -> KPI row of a retired patient
+        self._next_pid = 0
         if tape is None:
             tape = draw_patients(profile, master_seed, rep_id, days)
         self._arrivals = iter(tape)
@@ -150,10 +158,16 @@ class Replication:
              [(team, self.team_last[team].items if team in self.team_last else None)
               for team in pool.calendar.teams])
             for pool_id, pool in self.pools.items()]
-        self.in_flight = 0
         self.arrivals_open = True
         self._waiting_first = 0
         self._waiting_last = 0
+        # last: a streamed log opens its file, which only run() closes
+        self.log = EventLog(rep_id, keep=keep_log, path=log_path)
+
+    @property
+    def in_flight(self) -> int:
+        """Patients arrived and not yet discharged or dismissed."""
+        return len(self.patients)
 
     # ------------------------------------------------------------------ setup
 
@@ -318,10 +332,18 @@ class Replication:
 
     # --------------------------------------------------------------- handlers
 
+    def _admit(self, p: Patient) -> None:
+        self.patients[p.pid] = p
+
+    def _retire(self, p: Patient) -> None:
+        self.rows[p.pid] = p.kpi_row()
+        del self.patients[p.pid]
+
     def _on_arrival(self, now: int, row: tuple) -> None:
-        p = Patient(len(self.patients), row)
-        self.patients.append(p)
-        self.in_flight += 1
+        p = Patient(self._next_pid, row)
+        self._next_pid += 1
+        self._admit(p)
+        self.log.flush()
         self.log.add(now, p.pid, "ARRIVE", p.mode, p.code)
         self.calendar.schedule(now + p.triage_d, self._on_triage_done, p)
         if self.arrivals_open:
@@ -338,7 +360,7 @@ class Replication:
         if dismissed:
             p.dismissed = True
             self.log.add(now, p.pid, "DISMISSED_AT_TRIAGE")
-            self.in_flight -= 1
+            self._retire(p)
             return
         if p.lab_at_triage:
             self._start_lab(p, now)
@@ -387,42 +409,52 @@ class Replication:
         p.t_discharge = now
         self.log.add(now, p.pid, "DISCHARGE")
         self.team_pool[p.last_team].release(p.last_team)
-        self.in_flight -= 1
+        self._retire(p)
         self._dispatch(now)
 
     def _on_shift_kick(self, now: int, minute: int) -> None:
         self._dispatch(now)
-        if self.in_flight > 0 or self.arrivals_open:
+        if self.in_flight or self.arrivals_open:
             self.calendar.schedule(now + MINUTES_PER_DAY, self._on_shift_kick, minute)
 
     # -------------------------------------------------------------------- run
 
     def run(self) -> EventLog:
         """Run to the horizon (or empty, with `drain`); the returned log
-        holds the KPI rows and, if kept, the event records."""
+        holds the KPI rows in pid order and, if kept, the event records (a
+        streamed log: those not yet written; its `write_csv` ends the file).
+        A run that raises closes the log's file."""
         self._schedule_kicks()
         self._schedule_next_arrival()
         heap, pop = self.calendar.heap, self.calendar.pop
         horizon = math.inf if self.drain else self.horizon
-        while heap and heap[0][0] <= horizon:
-            now, _seq, handler, entity = pop()
-            handler(now, entity)
+        try:
+            while heap and heap[0][0] <= horizon:
+                now, _seq, handler, entity = pop()
+                handler(now, entity)
+        except BaseException:
+            self.log.close()
+            raise
         # Entries left past the horizon hold bound handlers, a reference
         # cycle through this replication; dropping them lets it be freed
         # as soon as the caller lets go, not at the next full collection.
         self.calendar.clear()
-        self.log.rows = [p.kpi_row() for p in self.patients]
+        rows = self.rows
+        for p in self.patients.values():
+            rows[p.pid] = p.kpi_row()
+        self.log.rows = [rows[pid] for pid in sorted(rows)]
         return self.log
 
 
 def run_replication(profile: Profile, scenario: Scenario, rep_id: int, master_seed: int,
                     days: int, drain: bool = False, keep_log: bool = True,
-                    tape: Iterable[tuple] | None = None) -> EventLog:
+                    tape: Iterable[tuple] | None = None, log_path=None) -> EventLog:
     """Worker-safe entry point: the validated profile and the tape (a
     stochastics.PatientTape, or rows of draw_patients(profile, master_seed,
     rep_id, days)) pickle to workers as they are. Without a tape the
     patients are drawn as they arrive. The returned log always holds the KPI
-    rows; its event records only with `keep_log`."""
+    rows; its event records only with `keep_log`, and with `log_path` it
+    streams them to that file, which the log's `write_csv(log_path)` ends."""
     rep = Replication(profile, scenario, rep_id, master_seed, days,
-                      drain=drain, keep_log=keep_log, tape=tape)
+                      drain=drain, keep_log=keep_log, tape=tape, log_path=log_path)
     return rep.run()

@@ -13,13 +13,14 @@ import pytest
 
 from edsim.cli import main as cli_main
 from edsim.harness import run_scenario
-from edsim.kernel import CODE_RANK, MINUTES_PER_DAY
+from edsim.kernel import CODE_RANK
 from edsim.model import run_replication
 from edsim.scenario import Scenario, catalog, parse, parse_tuple
 from edsim.stochastics import PatientTape, Profile
 
 from conftest import make_mini_raw
-from log_oracle import assert_no_overbooking, collect_patients, parse_detail
+from log_oracle import (assert_no_overbooking, check_red_immediacy, collect_patients, on_shift,
+                        parse_detail, team_windows)
 
 SEED = 42
 FIXTURE = Path(__file__).parent / "data" / "table3_scenarios.json"
@@ -227,26 +228,6 @@ class TestAC4QueueOracle:
                 f"{total_mismatches} mismatches")
 
 
-def team_windows(profile: Profile) -> dict[str, tuple[int, int]]:
-    windows = {}
-    for pool in ("low_general", "high_general", "orthopaedic", "dermatological"):
-        for t in profile.resources[pool]["teams"]:
-            windows[t["id"]] = (t["start"], t["end"])
-    lv = profile.resources["last_visit_team"]
-    windows["LV1"] = (lv["start"], lv["end"])
-    return windows
-
-
-def on_shift(window, minute):
-    start, end = window
-    m = minute % MINUTES_PER_DAY
-    if start == end:
-        return True
-    if start < end:
-        return start <= m < end
-    return m >= start or m < end
-
-
 class TestAC5InvariantSuite:
     def test_invariants_over_a_million_events(self, default_profile):
         runs = [
@@ -283,7 +264,7 @@ class TestAC5InvariantSuite:
                 assert_no_overbooking(patients, records, default_profile.resources)
 
                 if check_red:
-                    self._check_red_immediacy(patients, windows, default_profile)
+                    check_red_immediacy(patients, windows, default_profile)
 
                 for p in patients.values():
                     if p.triage_detail is None:
@@ -303,50 +284,6 @@ class TestAC5InvariantSuite:
         verdict("AC5 invariants", total_events >= 1_000_000 and mix_ok,
                 f"{total_events} events; mixes "
                 + ", ".join(f"{k}={rates[k]:.3f}~{expected[k]}" for k in expected))
-
-    @staticmethod
-    def _check_red_immediacy(patients, windows, profile):
-        high_teams = [t["id"] for t in profile.resources["high_general"]["teams"]]
-        busy = []
-        for p in patients.values():
-            s, e = p.get("START_FIRST"), p.get("END_FIRST")
-            if s is not None and p.first_team in high_teams:
-                busy.append((s, e if e is not None else s))
-            sl, d = p.get("START_LAST"), p.get("DISCHARGE")
-            if sl is not None and p.last_team in high_teams:
-                busy.append((sl, d if d is not None else sl))
-        reds = sorted((p for p in patients.values()
-                       if p.code == "RED" and p.get("ENQUEUE_FIRST") is not None),
-                      key=lambda p: p.get("ENQUEUE_FIRST"))
-        for p in reds:
-            t = p.get("ENQUEUE_FIRST")
-            start = p.get("START_FIRST")
-            if start is None or start == t:
-                continue  # immediate service satisfies the invariant
-            # conservative reconstruction: inclusive ends, so same-minute
-            # handoffs are skipped rather than flagged
-            n_busy = sum(1 for s, e in busy if s <= t <= e)
-            capacity = sum(1 for team in high_teams if on_shift(windows[team], t))
-            other_red_waiting = any(
-                q is not p and q.get("ENQUEUE_FIRST") <= t and (q.get("START_FIRST") or 10**9) > t
-                for q in reds
-            )
-            if n_busy < capacity and not other_red_waiting:
-                raise AssertionError(f"red {p.pid} waited with an idle high slot at {t}")
-        # never overtaken at the high room by later non-red arrivals
-        non_red_high = sorted(
-            (q.get("ENQUEUE_FIRST"), q.get("START_FIRST"))
-            for q in patients.values()
-            if (q.code != "RED" and q.first_pool == "high_general"
-                and q.get("ENQUEUE_FIRST") is not None and q.get("START_FIRST") is not None)
-        )
-        for p in reds:
-            t, start = p.get("ENQUEUE_FIRST"), p.get("START_FIRST")
-            if start is None:
-                continue
-            for q_enq, q_start in non_red_high:
-                if q_enq > t and not (q_start >= start or q_start <= t):
-                    raise AssertionError("red overtaken at high room")
 
 
 class TestAC6CatalogFidelity:

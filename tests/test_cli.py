@@ -54,6 +54,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("i/o error:") and "rep_01.csv" in err and "Traceback" not in err
 
+    def test_a_pooled_run_stops_at_its_first_failed_replication(self, tmp_path, capsys):
+        (tmp_path / "rep_01.csv").mkdir()
+        assert run_cli("run", "--days", "2", "--replications", "8", "--jobs", "2",
+                       "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        assert not (tmp_path / "rep_07.csv").exists()  # not started: cancelled
+
     def test_low_sample_marked(self, tmp_path):
         out = tmp_path / "tiny"
         assert run_cli("run", "--days", "1", "--replications", "1",

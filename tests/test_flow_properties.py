@@ -1,18 +1,23 @@
 """Flow properties on random small profiles and scenarios: every patient who
 arrives is discharged, dismissed or still in the ED at the horizon, draining
-empties the ED, and no team or exam pool is ever overbooked."""
+empties the ED, no team or exam pool is ever overbooked, reds keep their
+precedence at the high room, and a log streamed to its file in small chunks
+is the file an in-memory log writes."""
 
 import copy
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edsim.kpi import NO_TIME, ROW_FIELDS
-from edsim.model import Replication
+from edsim import kernel
+from edsim.kpi import NO_TIME, ROW_FIELDS, WARMUP_MIN
+from edsim.model import Replication, run_replication
 from edsim.scenario import Scenario
 from edsim.stochastics import Profile
 
-from log_oracle import assert_no_overbooking, collect_patients
+from log_oracle import (assert_no_overbooking, check_red_immediacy, collect_patients,
+                        team_windows)
 from test_tape import mini_profiles
 
 DISMISSED, DISCHARGE = ROW_FIELDS.index("dismissed"), ROW_FIELDS.index("discharge")
@@ -47,7 +52,10 @@ def test_patients_are_conserved_and_no_one_is_overbooked(default_raw, data, scen
     log = rep.run()
     assert rep.in_flight == sum(1 for r in log.rows
                                 if not r[DISMISSED] and r[DISCHARGE] == NO_TIME)
-    assert_no_overbooking(collect_patients(log.records), log.records, profile.resources)
+    patients = collect_patients(log.records)
+    assert_no_overbooking(patients, log.records, profile.resources)
+    if scenario.p != 1:  # p=1 serves last visits first: no red zero-wait claim
+        check_red_immediacy(patients, team_windows(profile, 60 * (scenario.t or 0)), profile)
 
     # a room that receives patients but has no team never empties
     if all(profile.resources[room]["teams"] for visit, room in SPECIALIST_ROOMS.items()
@@ -57,3 +65,59 @@ def test_patients_are_conserved_and_no_one_is_overbooked(default_raw, data, scen
         assert drained.in_flight == 0
         assert all(r[DISCHARGE] != NO_TIME for r in log.rows if not r[DISMISSED])
         assert_no_overbooking(collect_patients(log.records), log.records, profile.resources)
+
+
+SMALL_CHUNK = 7  # records per streamed chunk, so that every run flushes many times
+
+
+def _kept_and_streamed(profile, scenario, seed, days, directory):
+    """One replication written twice with SMALL_CHUNK: by a kept in-memory
+    log's write_csv, and streamed to its file while it runs."""
+    kept_path, streamed_path = directory / "kept.csv", directory / "streamed.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_CSV_CHUNK", SMALL_CHUNK)
+        kept = run_replication(profile, scenario, 0, seed, days)
+        kept.write_csv(kept_path)
+        streamed = run_replication(profile, scenario, 0, seed, days, log_path=streamed_path)
+        assert len(streamed.raw) < len(kept.raw) // 2  # most records already went out
+        streamed.write_csv(streamed_path)
+    assert streamed.rows == kept.rows
+    return kept_path.read_bytes(), streamed_path.read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), scenario=SCENARIOS, seed=st.integers(0, 2**32 - 1),
+       days=st.integers(1, 2))
+def test_a_streamed_log_is_the_file_a_kept_log_writes(default_raw, tmp_path_factory, data,
+                                                      scenario, seed, days):
+    profile = data.draw(mini_profiles(default_raw))
+    kept, streamed = _kept_and_streamed(profile, scenario, seed, days,
+                                        tmp_path_factory.mktemp("logs"))
+    assert streamed == kept
+
+
+def test_a_streamed_chunk_that_needs_quotes_is_written_as_csv_writer_does(default_raw,
+                                                                          tmp_path):
+    raw = copy.deepcopy(default_raw)
+    raw["resources"]["orthopaedic"]["teams"][0]["id"] = 'OR,"1"'
+    kept, streamed = _kept_and_streamed(Profile(raw), Scenario(), 42, 1, tmp_path)
+    assert b'team=OR,""1"" pool=orthopaedic' in streamed
+    assert streamed == kept
+
+
+def test_a_run_that_raises_after_a_flush_closes_its_file(default_profile, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(kernel, "_CSV_CHUNK", SMALL_CHUNK)
+    path = tmp_path / "rep_00.csv"
+    rep = Replication(default_profile, Scenario(), 0, 42, 1, log_path=path)
+
+    def fail(now, _entity):
+        raise RuntimeError(f"handler failed at minute {now}")
+
+    rep.calendar.schedule(WARMUP_MIN, fail)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        rep.run()
+    assert rep.log._file.closed
+    assert path.read_text().count("\n") > SMALL_CHUNK  # the header and flushed chunks
+    with pytest.raises(ValueError, match="streamed"):
+        rep.log.records

@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import Future
 
 import pytest
@@ -8,7 +9,7 @@ from edsim.harness import run_scenario
 from edsim.kernel import MINUTES_PER_DAY, EventLog
 from edsim.kpi import NO_TIME, ROW_FIELDS, WARMUP_MIN, compute_kpis
 from edsim.model import Replication
-from edsim.scenario import Scenario
+from edsim.scenario import Scenario, parse
 from edsim.stochastics import Profile
 
 
@@ -126,3 +127,20 @@ def test_each_log_is_written_before_the_next_replication_runs(default_profile, i
     assert all(isinstance(r, list) and r and all(isinstance(row, tuple) for row in r)
                for r in rows)
     assert len(agg.vectors["los"]) == 2
+
+
+def _peak_traced_mb(profile, days, log_dir) -> float:
+    tracemalloc.start()
+    try:
+        edsim.harness._replicate(profile, parse("Cb.15"), 0, 42, days, str(log_dir), None)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_logged_replication_grows_by_its_kpi_rows_alone(default_profile, tmp_path):
+    # It holds its in-flight patients, one KPI row per patient and one chunk
+    # of its log. Holding every patient and every record grows by ~0.47
+    # MB per simulated day; the KPI rows alone grow by ~0.06.
+    short, long = (_peak_traced_mb(default_profile, days, tmp_path) for days in (16, 64))
+    assert (long - short) / (64 - 16) < 0.15

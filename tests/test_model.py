@@ -8,7 +8,7 @@ from collections import defaultdict
 import pytest
 
 from edsim.kernel import LOG_HEADER, MINUTES_PER_DAY, EventLog
-from edsim.kpi import NO_TIME, WARMUP_MIN
+from edsim.kpi import NO_TIME, ROW_FIELDS, WARMUP_MIN
 from edsim.model import Patient, Replication, run_replication
 from edsim.scenario import Scenario, parse
 from edsim.stochastics import Profile
@@ -23,6 +23,14 @@ def make_patient(pid, code, *, visit_type="GENERAL", needs_lab=False, exams=(),
     return Patient(pid, (0, code, "walking", triage_d, visit_type, needs_lab, u_lab_triage,
                          u_dismiss, list(exams), first_d, last_d, (0.0, 0.0, 0.0),
                          [5] * len(exams)))
+
+
+def admitted(rep, *args, **kwargs):
+    """make_patient, admitted to `rep` as an arrival is, so that the
+    replication can retire them at discharge or dismissal."""
+    p = make_patient(*args, **kwargs)
+    rep._admit(p)
+    return p
 
 
 def pump(rep):
@@ -54,33 +62,33 @@ def bare_rep(mini_raw_factory):
 class TestRouting:
     def test_green_prefers_low_room(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)]})
-        g = make_patient(0, "GREEN")
+        g = admitted(rep, 0, "GREEN")
         rep._on_triage_done(600, g)
         assert first_event(rep.log, 0, "START_FIRST").detail == "team=T1 pool=low_general"
 
     def test_green_pulled_to_idle_high_room(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)]})
-        rep._on_triage_done(600, make_patient(0, "GREEN"))
-        rep._on_triage_done(600, make_patient(1, "GREEN"))
+        rep._on_triage_done(600, admitted(rep, 0, "GREEN"))
+        rep._on_triage_done(600, admitted(rep, 1, "GREEN"))
         assert first_event(rep.log, 1, "START_FIRST").detail == "team=H1 pool=high_general"
 
     def test_green_not_pulled_while_yellow_waits(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)]})
-        rep._on_triage_done(600, make_patient(0, "YELLOW"))  # takes H1
-        rep._on_triage_done(601, make_patient(1, "YELLOW"))  # waits for high
-        rep._on_triage_done(602, make_patient(2, "GREEN"))   # takes T1
-        rep._on_triage_done(603, make_patient(3, "GREEN"))   # must NOT go to high
+        rep._on_triage_done(600, admitted(rep, 0, "YELLOW"))  # takes H1
+        rep._on_triage_done(601, admitted(rep, 1, "YELLOW"))  # waits for high
+        rep._on_triage_done(602, admitted(rep, 2, "GREEN"))   # takes T1
+        rep._on_triage_done(603, admitted(rep, 3, "GREEN"))   # must NOT go to high
         assert first_event(rep.log, 3, "START_FIRST") is None
 
     def test_yellow_waits_for_high_even_if_low_idle(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)]})
-        rep._on_triage_done(600, make_patient(0, "YELLOW"))
-        rep._on_triage_done(601, make_patient(1, "YELLOW"))
+        rep._on_triage_done(600, admitted(rep, 0, "YELLOW"))
+        rep._on_triage_done(601, admitted(rep, 1, "YELLOW"))
         assert first_event(rep.log, 1, "START_FIRST") is None  # low stays idle for it
 
     def test_red_goes_directly_to_high_with_zero_wait(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)]})
-        red = make_patient(0, "RED")
+        red = admitted(rep, 0, "RED")
         rep._on_triage_done(700, red)
         start = first_event(rep.log, 0, "START_FIRST")
         assert start.time_min == 700
@@ -89,14 +97,14 @@ class TestRouting:
     def test_red_orthopaedic_still_served_at_high_room(self, bare_rep):
         rep = bare_rep(teams={"low_general": [], "high_general": [("H1", 0, 0)],
                               "orthopaedic": [("ORT1", 0, 0)]})
-        red = make_patient(0, "RED", visit_type="ORTHOPAEDIC")
+        red = admitted(rep, 0, "RED", visit_type="ORTHOPAEDIC")
         rep._on_triage_done(700, red)
         assert parse_detail(first_event(rep.log, 0, "START_FIRST").detail)["pool"] == "high_general"
 
     def test_orthopaedic_green_uses_dedicated_room(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)],
                               "orthopaedic": [("ORT1", 0, 0)]})
-        rep._on_triage_done(600, make_patient(0, "GREEN", visit_type="ORTHOPAEDIC"))
+        rep._on_triage_done(600, admitted(rep, 0, "GREEN", visit_type="ORTHOPAEDIC"))
         start = first_event(rep.log, 0, "START_FIRST")
         assert parse_detail(start.detail)["team"] == "ORT1"
 
@@ -104,9 +112,9 @@ class TestRouting:
 class TestLastVisitDiscipline:
     def test_priority_flag_serves_last_before_first(self, bare_rep):
         rep = bare_rep(scenario=Scenario(p=1), teams={"low_general": [("T1", 0, 0)]})
-        rep._on_triage_done(100, make_patient(0, "GREEN", first_d=50))
-        rep._on_triage_done(110, make_patient(1, "GREEN"))
-        done = make_patient(2, "GREEN")
+        rep._on_triage_done(100, admitted(rep, 0, "GREEN", first_d=50))
+        rep._on_triage_done(110, admitted(rep, 1, "GREEN"))
+        done = admitted(rep, 2, "GREEN")
         done.first_team = "T1"
         rep._enqueue_last(done, 120)
         pump(rep)  # FIRST_DONE at 150 frees T1
@@ -117,9 +125,9 @@ class TestLastVisitDiscipline:
 
     def test_current_setting_is_category_fifo_between_first_and_last(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)]})
-        rep._on_triage_done(100, make_patient(0, "GREEN", first_d=50))
-        rep._on_triage_done(110, make_patient(1, "GREEN"))
-        done = make_patient(2, "GREEN")
+        rep._on_triage_done(100, admitted(rep, 0, "GREEN", first_d=50))
+        rep._on_triage_done(110, admitted(rep, 1, "GREEN"))
+        done = admitted(rep, 2, "GREEN")
         done.first_team = "T1"
         rep._enqueue_last(done, 120)  # enqueued after patient 1
         pump(rep)
@@ -128,9 +136,9 @@ class TestLastVisitDiscipline:
 
     def test_yellow_last_queues_at_routine_rank(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)]})
-        rep._on_triage_done(100, make_patient(0, "GREEN", first_d=50))
-        rep._on_triage_done(110, make_patient(1, "GREEN"))
-        done = make_patient(2, "YELLOW")
+        rep._on_triage_done(100, admitted(rep, 0, "GREEN", first_d=50))
+        rep._on_triage_done(110, admitted(rep, 1, "GREEN"))
+        done = admitted(rep, 2, "YELLOW")
         done.first_team = "T1"
         rep._enqueue_last(done, 120)
         pump(rep)
@@ -147,7 +155,7 @@ class TestLastVisitDiscipline:
     def test_off_shift_team_still_serves_its_own_last(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 480, 1200)],
                               "high_general": [("H1", 0, 0)]})
-        done = make_patient(0, "GREEN")
+        done = admitted(rep, 0, "GREEN")
         done.first_team = "T1"
         rep._enqueue_last(done, 1300)  # T1 went home at 20:00
         start = first_event(rep.log, 0, "START_LAST")
@@ -157,15 +165,15 @@ class TestLastVisitDiscipline:
     def test_off_shift_team_takes_no_new_first_visits(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 480, 1200)],
                               "high_general": [("H1", 480, 1200)]})
-        rep._on_triage_done(1300, make_patient(0, "GREEN"))
+        rep._on_triage_done(1300, admitted(rep, 0, "GREEN"))
         assert first_event(rep.log, 0, "START_FIRST") is None
 
 
 class TestExtraTeamScenario:
     def test_dedicated_pool_serves_pending_lasts(self, bare_rep):
         rep = bare_rep(scenario=Scenario(a=1), teams={"low_general": [("T1", 0, 0)]})
-        rep._on_triage_done(600, make_patient(0, "GREEN", first_d=120))  # T1 busy till 720
-        done = make_patient(1, "GREEN")
+        rep._on_triage_done(600, admitted(rep, 0, "GREEN", first_d=120))  # T1 busy till 720
+        done = admitted(rep, 1, "GREEN")
         done.first_team = "T1"
         rep._enqueue_last(done, 610)
         start = first_event(rep.log, 1, "START_LAST")
@@ -174,7 +182,7 @@ class TestExtraTeamScenario:
 
     def test_extra_team_respects_its_shift(self, bare_rep):
         rep = bare_rep(scenario=Scenario(a=1), teams={"low_general": [("T1", 480, 1200)]})
-        done = make_patient(0, "GREEN")
+        done = admitted(rep, 0, "GREEN")
         done.first_team = "T1"
         rep._enqueue_last(done, 1300)  # 21:40: extra team off, T1 drains it
         start = first_event(rep.log, 0, "START_LAST")
@@ -278,7 +286,7 @@ class TestExamsAndFlow:
 
     def test_no_work_left_means_immediate_last_queue(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)]})
-        p = make_patient(0, "GREEN", first_d=30)
+        p = admitted(rep, 0, "GREEN", first_d=30)
         rep._on_triage_done(600, p)
         pump(rep)
         assert first_event(rep.log, 0, "ENQUEUE_LAST").time_min == \
@@ -286,7 +294,7 @@ class TestExamsAndFlow:
 
     def test_exams_start_at_end_first_without_lab(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)]})
-        p = make_patient(0, "GREEN", first_d=30, exams=("xray", "misc"))
+        p = admitted(rep, 0, "GREEN", first_d=30, exams=("xray", "misc"))
         rep._on_triage_done(600, p)
         pump(rep)
         evs = events_of(rep.log, 0)
@@ -469,8 +477,8 @@ class TestDispatch:
 
     def test_promotion_is_logged_by_the_poll_that_serves_it(self, bare_rep):
         rep = bare_rep(scenario=Scenario(tau_g=30), teams={"low_general": [("T1", 0, 0)]})
-        rep._on_triage_done(600, make_patient(0, "GREEN", first_d=100))
-        rep._on_triage_done(601, make_patient(1, "GREEN"))
+        rep._on_triage_done(600, admitted(rep, 0, "GREEN", first_d=100))
+        rep._on_triage_done(601, admitted(rep, 1, "GREEN"))
         pump(rep)  # T1 frees at 700, when patient 1 has waited 99 > 30 minutes
         assert events_of(rep.log, 1)[1:4] == [
             (601, "ENQUEUE_FIRST", "queue=general"),
@@ -491,7 +499,7 @@ class TestQueueingBasics:
     def test_two_slots_three_services_third_starts_at_sixty(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0), ("T2", 0, 0)]})
         for pid in range(3):
-            rep._on_triage_done(0, make_patient(pid, "GREEN", first_d=60))
+            rep._on_triage_done(0, admitted(rep, pid, "GREEN", first_d=60))
         pump(rep)
         times = sorted(first_event(rep.log, pid, "START_FIRST").time_min for pid in range(3))
         assert times == [0, 0, 60]
@@ -565,6 +573,11 @@ class TestEventLogCsv:
         assert read_log_csv(path)[0].detail == detail
 
 
+    def test_a_log_that_is_not_kept_cannot_stream(self, tmp_path):
+        with pytest.raises(ValueError, match="not kept"):
+            EventLog(0, keep=False, path=tmp_path / "rep_00.csv")
+
+
 class TestDeterminism:
     def test_same_seed_identical_log(self, default_profile):
         a = run_replication(default_profile, Scenario(tau_g=90, l=20), 0, 7, 3)
@@ -614,9 +627,10 @@ class TestHorizon:
         rep.calendar.schedule(rep.horizon + 1, lambda now, tag: seen.append((now, tag)), "past")
         log = rep.run()
         assert seen == [(rep.horizon + 1, "past")]
-        assert len(rep.patients) == len(kept.patients) > 300
+        assert len(log.rows) == len(kept.log.rows) > 300
         assert rep.in_flight == rep._waiting_first == rep._waiting_last == 0
         assert all(not pool.busy for pool in rep.pools.values())
         assert all(pool.count == 0 and not pool.fifo for pool in rep.exam_pools.values())
-        assert all(p.dismissed or p.t_discharge != NO_TIME for p in rep.patients)
+        dismissed, discharge = ROW_FIELDS.index("dismissed"), ROW_FIELDS.index("discharge")
+        assert all(r[dismissed] or r[discharge] != NO_TIME for r in log.rows)
         assert max(r.time_min for r in log.records) > rep.horizon
