@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harness import run_scenario
-from .kpi import HEADLINE_KPIS, KpiReport, first_waits
+from .kpi import HEADLINE_KPIS, KpiReport
 from .scenario import Scenario
 from .stochastics import Profile
 
@@ -75,25 +75,24 @@ class CalibrationResult:
         return {"converged": self.converged, "message": self.message, "evals": self.trace}
 
 
-def _fit_thresholds(rows_per_rep, raw: dict, target: CalibrationTarget) -> dict:
-    """Set outlier thresholds to the empirical wait quantiles that reproduce
-    the published outlier rates, clamped to stay above the promotion taus.
-    `rows_per_rep` holds each replication's KPI rows."""
-    waits = {code: [w for rows in rows_per_rep for w in first_waits(rows, code)]
-             for code in ("GREEN", "WHITE")}
+def _fit_thresholds(report: KpiReport, raw: dict, target: CalibrationTarget) -> dict:
+    """Set outlier thresholds to the empirical quantiles of `report`'s first
+    waits that reproduce the published outlier rates, clamped to stay above
+    the promotion taus."""
     rates = {"GREEN": target.outlier_green, "WHITE": target.outlier_white}
     fitted = dict(raw["thresholds"])
-    for code, ws in waits.items():
+    for code, rate in rates.items():
+        ws = report.first_waits[code]
         if not ws:
             continue
-        q = float(np.quantile(ws, 1.0 - rates[code] / 100.0))
+        q = float(np.quantile(ws, 1.0 - rate / 100.0))
         lo, hi = THRESHOLD_CLAMP[code]
         fitted[code] = int(min(max(5 * round(q / 5.0), lo), hi))
     return fitted
 
 
 class _Confirmed(Exception):
-    """Ends the search with (multipliers, full-scale report, KPI rows) of a confirmed probe."""
+    """Ends the search with (multipliers, full-scale report) of a confirmed probe."""
 
 
 def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
@@ -118,26 +117,26 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
     best: dict = {"err": math.inf, "mult": dict.fromkeys(PARAM_NAMES, 1.0)}
 
     def run(tag, mult, reps, run_days):
-        agg, rows = run_scenario(Profile(apply_multipliers(profile_raw, mult)), Scenario(),
-                                 seed, reps, run_days, jobs=jobs)
+        agg = run_scenario(Profile(apply_multipliers(profile_raw, mult)), Scenario(),
+                           seed, reps, run_days, jobs=jobs)
         trace.append({
             "eval": tag,
             "multipliers": {k: round(v, 6) for k, v in mult.items()},
             "kpis": {k: agg.value(k) for k in HEADLINE_KPIS},
             "error": weighted_error(agg, target),
         })
-        return agg, rows
+        return agg
 
     def evaluate(x: np.ndarray) -> float:
         mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, x)}
-        agg, _ = run(len(trace) + 1, mult, replications, days)
+        agg = run(len(trace) + 1, mult, replications, days)
         err = weighted_error(agg, target)
         if err < best["err"]:
             best.update(err=err, mult=mult)
         if within_bands(agg, target):
-            full, rows = run("full-scale", mult, final_replications, final_days)
+            full = run("full-scale", mult, final_replications, final_days)
             if within_bands(full, target):
-                raise _Confirmed(mult, full, rows)
+                raise _Confirmed(mult, full)
         return err
 
     x0 = np.zeros(len(PARAM_NAMES))
@@ -146,14 +145,14 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
                           options={"maxfev": budget, "xatol": 1e-3, "fatol": 1e-4,
                                    "initial_simplex": _initial_simplex(x0, 0.04)})
     except _Confirmed as done:
-        (mult, agg, rows), converged = done.args, True
+        (mult, agg), converged = done.args, True
     else:
         mult = best["mult"]
-        agg, rows = run("full-scale", mult, final_replications, final_days)
+        agg = run("full-scale", mult, final_replications, final_days)
         converged = within_bands(agg, target)
 
     fitted = apply_multipliers(profile_raw, mult)
-    fitted["thresholds"] = _fit_thresholds(rows, fitted, target)
+    fitted["thresholds"] = _fit_thresholds(agg, fitted, target)
     message = ("converged: all targets within tolerance" if converged
                else "FAILED: best-so-far outside tolerance bands")
     return CalibrationResult(fitted, converged, message, trace, agg)

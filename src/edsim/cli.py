@@ -121,8 +121,8 @@ def cmd_run(args, profile: Profile) -> int:
     name, scenario = _resolve_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    agg, _ = run_scenario(profile, scenario, args.seed, args.replications,
-                          args.days, jobs=args.jobs, log_dir=out)
+    agg = run_scenario(profile, scenario, args.seed, args.replications,
+                       args.days, jobs=args.jobs, log_dir=out)
     meta = {**_meta(args, scenario, name), "profile_version": profile.version,
             "low_sample": args.replications < 2 or args.days < 2}
     write_report_json(out / "report.json", agg, meta)
@@ -154,8 +154,8 @@ def cmd_sweep(args, profile: Profile) -> int:
     base_agg = None
     rows, los = [], []
     for name, scenario in runs:
-        agg, _ = run_scenario(profile, scenario, args.seed, args.replications,
-                              args.days, jobs=args.jobs, tapes=tapes)
+        agg = run_scenario(profile, scenario, args.seed, args.replications,
+                           args.days, jobs=args.jobs, tapes=tapes)
         write_report_json(out / "reports" / f"{name}.json", agg, _meta(args, scenario, name))
         if base_agg is None:
             base_agg, cmp_ = agg, None
@@ -175,8 +175,8 @@ def cmd_sweep(args, profile: Profile) -> int:
 
 def cmd_validate(args, profile: Profile) -> int:
     target = cal.CalibrationTarget()
-    agg, _ = run_scenario(profile, Scenario(), args.seed, args.replications,
-                          args.days, jobs=args.jobs)
+    agg = run_scenario(profile, Scenario(), args.seed, args.replications,
+                       args.days, jobs=args.jobs)
     errs = cal.band_errors(agg, target)
     ok = cal.within_bands(agg, target)
     print(f"{'kpi':<12}{'simulated':>12}{'target':>10}{'delta':>9}{'band':>7}  verdict")
@@ -191,12 +191,12 @@ def cmd_validate(args, profile: Profile) -> int:
 
 
 def cmd_calibrate(args, profile: Profile) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     result = cal.calibrate(profile.raw, budget=args.budget, seed=args.seed,
                            replications=args.probe_replications, days=args.probe_days,
                            jobs=args.jobs, final_replications=args.replications,
                            final_days=args.days)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "fitted_profile.json", result.profile_raw)
     write_json(out / "calibration_trace.json", result.trace_dict())
     print(f"calibration: {result.message}")

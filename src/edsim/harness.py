@@ -1,6 +1,5 @@
-"""Replication harness: fan out seeded runs, write their event logs where
-they ran (when asked), collect their KPI rows and aggregate their KPI
-reports."""
+"""Replication harness: fan out seeded runs, write their event logs and
+reduce them to KPI reports where they ran, and aggregate those reports."""
 
 from __future__ import annotations
 
@@ -8,33 +7,33 @@ import os
 from collections.abc import Iterable, Sequence
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
-from .kpi import aggregate, compute_kpis
+from .kpi import KpiReport, aggregate, compute_kpis
 from .model import run_replication
 from .scenario import Scenario
 from .stochastics import Profile
 
 
 def _replicate(profile: Profile, scen: Scenario, rep: int, seed: int, days: int,
-               log_dir, tape) -> list[tuple[int, ...]]:
-    """Run replication `rep` and return its KPI rows. With `log_dir` it
-    streams the event log to `log_dir/rep_NN.csv` while it runs, in the
-    process that runs it, so no log outlives its replication or crosses
-    processes."""
+               log_dir, tape) -> KpiReport:
+    """Run replication `rep` and return its KPI report. With `log_dir` it
+    streams the event log to `log_dir/rep_NN.csv` while it runs. Both happen
+    in the process that runs it, so neither the log nor the KPI rows outlive
+    the replication or cross processes."""
     path = None if log_dir is None else os.path.join(log_dir, f"rep_{rep:02d}.csv")
     log = run_replication(profile, scen, rep, seed, days, keep_log=path is not None, tape=tape,
                           log_path=path)
     if path is not None:
         log.write_csv(path)
-    return log.rows
+    return compute_kpis(log.rows, days, profile.thresholds)
 
 
 def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
                  days: int, jobs: int = 1, log_dir=None,
-                 tapes: Sequence[Iterable[tuple]] | None = None):
-    """Run all replications of one scenario; returns (aggregate report,
-    per-replication KPI rows). The aggregate's `vectors` hold every
-    per-replication figure. With `log_dir` (an existing directory),
-    replication r also writes its event log to `log_dir/rep_NN.csv`.
+                 tapes: Sequence[Iterable[tuple]] | None = None) -> KpiReport:
+    """Run all replications of one scenario and return their aggregate KPI
+    report, whose `vectors` hold every per-replication figure. With
+    `log_dir` (an existing directory), replication r also writes its event
+    log to `log_dir/rep_NN.csv`.
 
     Replication i runs on `tapes[i]` (stochastics.PatientTape(profile, seed,
     i, days), or its rows) if `tapes` is given, else it draws the same
@@ -50,7 +49,7 @@ def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
     calls = [(profile, scen, rep, seed, days, log_dir, tapes[rep]) for rep in range(replications)]
     workers = min(jobs, replications, os.cpu_count() or 1)
     if workers <= 1:
-        rows = [_replicate(*call) for call in calls]
+        reports = [_replicate(*call) for call in calls]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_replicate, *call) for call in calls]
@@ -58,5 +57,5 @@ def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
             if pending:  # some replication raised
                 pool.shutdown(cancel_futures=True)
                 raise next(f.exception() for f in futures if f in done and f.exception())
-            rows = [f.result() for f in futures]
-    return aggregate([compute_kpis(r, days, profile.thresholds) for r in rows]), rows
+            reports = [f.result() for f in futures]
+    return aggregate(reports)

@@ -9,7 +9,7 @@ scenarios needs no scipy."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .kernel import CODE_RANK, MINUTES_PER_DAY
 
@@ -50,12 +50,15 @@ class KpiReport:
     by KPI_NAMES plus `outlier_<CODE>` for every threshold code, and the
     patient counts summed over the replications. Every reported figure is
     the mean of its vector, so aggregation and significance testing work
-    from the same numbers."""
+    from the same numbers. `first_waits` holds, per threshold code, the
+    completed first-visit waits the outlier rates count, for calibration's
+    threshold fit; no output carries it."""
 
     vectors: dict[str, list[float]]
     n_admitted: int = 0
     n_dismissed: int = 0
     n_censored: int = 0
+    first_waits: dict[str, list[int]] = field(default_factory=dict, repr=False)
 
     in_per_day = _vector_mean("in_per_day")
     wt_first = _vector_mean("wt_first")
@@ -85,32 +88,6 @@ class KpiReport:
         }
 
 
-def _admitted(rows: list[tuple[int, ...]],
-              warmup_min: int) -> tuple[list[tuple[int, ...]], int]:
-    """Rows of the patients the KPIs count (arrived after the warm-up,
-    triaged, not dismissed), and how many were dismissed."""
-    admitted = []
-    dismissed = 0
-    for row in rows:
-        if row[_ARRIVE] < warmup_min or row[_TRIAGE] == NO_TIME:
-            continue
-        if row[_DISMISSED]:
-            dismissed += 1
-        else:
-            admitted.append(row)
-    return admitted, dismissed
-
-
-def _first_waits(admitted, rank: int | None) -> list[int]:
-    return [r[_START_FIRST] - r[_ENQ_FIRST] for r in admitted
-            if r[_RANK] == rank and r[_START_FIRST] != NO_TIME]
-
-
-def first_waits(rows: list[tuple[int, ...]], code: str) -> list[int]:
-    """Completed first-visit waits of the admitted patients with one code."""
-    return _first_waits(_admitted(rows, WARMUP_MIN)[0], CODE_RANK[code])
-
-
 def compute_kpis(rows: list[tuple[int, ...]], days: int, thresholds: dict[str, float],
                  warmup_min: int = WARMUP_MIN) -> KpiReport:
     """KPIs of one complete replication from its KPI rows (ROW_FIELDS).
@@ -118,32 +95,40 @@ def compute_kpis(rows: list[tuple[int, ...]], days: int, thresholds: dict[str, f
     Patients arriving during the warm-up window are excluded from all
     accounting; admitted patients lacking DISCHARGE within the horizon are
     censored out of LoS but keep their completed waits."""
-    admitted, dismissed = _admitted(rows, warmup_min)
+    triaged = [r for r in rows if r[_ARRIVE] >= warmup_min and r[_TRIAGE] != NO_TIME]
+    admitted = [r for r in triaged if not r[_DISMISSED]]  # the patients the KPIs count
     wt_first = [r[_START_FIRST] - r[_ENQ_FIRST] for r in admitted if r[_START_FIRST] != NO_TIME]
     wt_last = [r[_START_LAST] - r[_ENQ_LAST] for r in admitted if r[_START_LAST] != NO_TIME]
     los = [r[_DISCHARGE] - r[_ARRIVE] for r in admitted if r[_DISCHARGE] != NO_TIME]
 
     vectors = {"in_per_day": [len(admitted) / days], "wt_first": [_mean(wt_first)],
                "wt_last": [_mean(wt_last)], "los": [_mean(los)]}
+    first_waits = {}
     for code, threshold in sorted(thresholds.items()):
-        waits = _first_waits(admitted, CODE_RANK[code])
+        rank = CODE_RANK[code]
+        waits = first_waits[code] = [r[_START_FIRST] - r[_ENQ_FIRST] for r in admitted
+                                     if r[_RANK] == rank and r[_START_FIRST] != NO_TIME]
         vectors[f"outlier_{code}"] = [100.0 * sum(1 for w in waits if w > threshold) / len(waits)
                                       if waits else float("nan")]
-    return KpiReport(vectors, n_admitted=len(admitted), n_dismissed=dismissed,
-                     n_censored=len(admitted) - len(los))
+    return KpiReport(vectors, n_admitted=len(admitted), n_dismissed=len(triaged) - len(admitted),
+                     n_censored=len(admitted) - len(los), first_waits=first_waits)
 
 
 def aggregate(reports: list[KpiReport]) -> KpiReport:
-    """Replication reports merged: vectors are concatenated, counts summed."""
+    """Replication reports merged: vectors and first waits are concatenated,
+    counts summed."""
     if not reports:
         raise UsageError("aggregate needs at least one report")
     vectors: dict[str, list[float]] = {}
+    first_waits: dict[str, list[int]] = {}
     for r in reports:
         for name, xs in r.vectors.items():
             vectors.setdefault(name, []).extend(xs)
+        for code, ws in r.first_waits.items():
+            first_waits.setdefault(code, []).extend(ws)
     return KpiReport(vectors, n_admitted=sum(r.n_admitted for r in reports),
                      n_dismissed=sum(r.n_dismissed for r in reports),
-                     n_censored=sum(r.n_censored for r in reports))
+                     n_censored=sum(r.n_censored for r in reports), first_waits=first_waits)
 
 
 _CF_EPS = 1e-16

@@ -3,7 +3,6 @@ pipeline, extra exams, same-team last visit, discharge."""
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Iterable
 
@@ -96,13 +95,12 @@ class Replication:
     chunk of its log."""
 
     def __init__(self, profile: Profile, scenario: Scenario, rep_id: int,
-                 master_seed: int, days: int, drain: bool = False, keep_log: bool = True,
+                 master_seed: int, days: int, keep_log: bool = True,
                  tape: Iterable[tuple] | None = None, log_path=None):
         self.profile = profile
         self.scenario = scenario
         self.rep_id = rep_id
         self.days = days
-        self.drain = drain
         self.horizon = WARMUP_MIN + days * MINUTES_PER_DAY
 
         self.calendar = EventCalendar()
@@ -420,14 +418,13 @@ class Replication:
     # -------------------------------------------------------------------- run
 
     def run(self) -> EventLog:
-        """Run to the horizon (or empty, with `drain`); the returned log
-        holds the KPI rows in pid order and, if kept, the event records (a
-        streamed log: those not yet written; its `write_csv` ends the file).
-        A run that raises closes the log's file."""
+        """Run to the horizon; the returned log holds the KPI rows in pid
+        order and, if kept, the event records (a streamed log: those not yet
+        written; its `write_csv` ends the file). A run that raises closes the
+        log's file."""
         self._schedule_kicks()
         self._schedule_next_arrival()
-        heap, pop = self.calendar.heap, self.calendar.pop
-        horizon = math.inf if self.drain else self.horizon
+        heap, pop, horizon = self.calendar.heap, self.calendar.pop, self.horizon
         try:
             while heap and heap[0][0] <= horizon:
                 now, _seq, handler, entity = pop()
@@ -447,8 +444,8 @@ class Replication:
 
 
 def run_replication(profile: Profile, scenario: Scenario, rep_id: int, master_seed: int,
-                    days: int, drain: bool = False, keep_log: bool = True,
-                    tape: Iterable[tuple] | None = None, log_path=None) -> EventLog:
+                    days: int, keep_log: bool = True, tape: Iterable[tuple] | None = None,
+                    log_path=None) -> EventLog:
     """Worker-safe entry point: the validated profile and the tape (a
     stochastics.PatientTape, or rows of draw_patients(profile, master_seed,
     rep_id, days)) pickle to workers as they are. Without a tape the
@@ -456,5 +453,5 @@ def run_replication(profile: Profile, scenario: Scenario, rep_id: int, master_se
     rows; its event records only with `keep_log`, and with `log_path` it
     streams them to that file, which the log's `write_csv(log_path)` ends."""
     rep = Replication(profile, scenario, rep_id, master_seed, days,
-                      drain=drain, keep_log=keep_log, tape=tape, log_path=log_path)
+                      keep_log=keep_log, tape=tape, log_path=log_path)
     return rep.run()

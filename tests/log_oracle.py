@@ -8,8 +8,9 @@ import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from edsim.kernel import CODE_RANK, LOG_HEADER, MINUTES_PER_DAY, LogRecord
+from edsim.kernel import CODE_RANK, LOG_HEADER, MINUTES_PER_DAY, EventLog, LogRecord
 from edsim.kpi import NO_TIME
 
 
@@ -76,6 +77,22 @@ def rows_from_log(records: list[LogRecord]) -> list[tuple[int, ...]]:
     """KPI rows rebuilt from an event log, one per patient in pid order: the
     log-side oracle for the rows a replication stamps while it runs."""
     return [p.row() for p in collect_patients(records).values()]
+
+
+def rows_from_log_dir(log_dir, replications: int) -> list[list[tuple[int, ...]]]:
+    """Each replication's KPI rows, rebuilt from the `rep_NN.csv` that
+    harness.run_scenario(..., log_dir=log_dir) wrote."""
+    return [rows_from_log(read_log_csv(Path(log_dir) / f"rep_{rep:02d}.csv"))
+            for rep in range(replications)]
+
+
+def run_drained(rep) -> EventLog:
+    """Run the model.Replication `rep` past its horizon until the ED is
+    empty, so that every patient who arrived is discharged or dismissed.
+    It never returns if a room that receives patients has no team: the
+    daily shift kicks keep rescheduling while those patients wait."""
+    rep.horizon = math.inf
+    return rep.run()
 
 
 def assert_no_overbooking(patients: dict[int, PatientTrace], records: list[LogRecord],

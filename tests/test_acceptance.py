@@ -14,13 +14,13 @@ import pytest
 from edsim.cli import main as cli_main
 from edsim.harness import run_scenario
 from edsim.kernel import CODE_RANK
-from edsim.model import run_replication
+from edsim.model import Replication, run_replication
 from edsim.scenario import Scenario, catalog, parse, parse_tuple
 from edsim.stochastics import PatientTape, Profile
 
 from conftest import make_mini_raw
 from log_oracle import (assert_no_overbooking, check_red_immediacy, collect_patients, on_shift,
-                        parse_detail, team_windows)
+                        parse_detail, run_drained, team_windows)
 
 SEED = 42
 FIXTURE = Path(__file__).parent / "data" / "table3_scenarios.json"
@@ -37,7 +37,7 @@ def ac1_result(default_raw):
 
     fit = calibrate(default_raw, budget=120)
     t0 = time.time()
-    agg, _ = run_scenario(Profile(fit.profile_raw), Scenario(), SEED, 10, 30, jobs=1)
+    agg = run_scenario(Profile(fit.profile_raw), Scenario(), SEED, 10, 30, jobs=1)
     return fit, agg, time.time() - t0
 
 
@@ -50,10 +50,10 @@ def sweep_results(default_profile):
     names = [n for n in cat if not n.startswith("Cb")] + ["Cb.15"]
     tapes = [PatientTape(default_profile, SEED, rep, 30) for rep in range(6)]
     out = {}
-    out["baseline"], _ = run_scenario(default_profile, Scenario(), SEED, 6, 30, jobs=2,
-                                      tapes=tapes)
+    out["baseline"] = run_scenario(default_profile, Scenario(), SEED, 6, 30, jobs=2,
+                                   tapes=tapes)
     for name in names:
-        out[name], _ = run_scenario(default_profile, cat[name], SEED, 6, 30, jobs=2, tapes=tapes)
+        out[name] = run_scenario(default_profile, cat[name], SEED, 6, 30, jobs=2, tapes=tapes)
     return out
 
 
@@ -219,7 +219,7 @@ class TestAC4QueueOracle:
         total_starts = 0
         total_mismatches = 0
         for s in range(100):
-            log = run_replication(profile, scen, s, 1000 + s, 1, drain=True)
+            log = run_drained(Replication(profile, scen, s, 1000 + s, 1))
             mism, starts = replay_first_visit_order(log.records, 45, 90)
             total_mismatches += mism
             total_starts += starts

@@ -5,12 +5,13 @@ import pytest
 from edsim.calibrate import (
     BANDS,
     CalibrationTarget,
+    _fit_thresholds,
     apply_multipliers,
     band_errors,
     calibrate,
     within_bands,
 )
-from edsim.kpi import compute_kpis
+from edsim.kpi import KpiReport, compute_kpis
 from edsim.model import run_replication
 from edsim.scenario import Scenario
 from edsim.stochastics import Profile
@@ -62,6 +63,36 @@ class TestBands:
 
         assert not within_bands(R2, t)
         assert set(BANDS) == {"in_per_day", "wt_first", "wt_last", "los"}
+
+
+class TestFitThresholds:
+    """Planted first waits 0, 1, ..., n - 1: the q-quantile (linear
+    interpolation) is q * (n - 1). Targets: 3.88% green and 25.47% white
+    outliers, so q is 0.9612 for green and 0.7453 for white."""
+
+    RAW = {"thresholds": {"RED": 0, "GREEN": 170, "WHITE": 310}}
+
+    @staticmethod
+    def fit(green: int, white: int) -> dict:
+        report = KpiReport({}, first_waits={"GREEN": list(range(green)),
+                                            "WHITE": list(range(white))})
+        return _fit_thresholds(report, TestFitThresholds.RAW, CalibrationTarget())
+
+    def test_quantile_rounded_to_five(self):
+        # green 0.9612 * 150 = 144.18 -> 145; white 0.7453 * 400 = 298.12 -> 300
+        assert self.fit(151, 401) == {"RED": 0, "GREEN": 145, "WHITE": 300}
+        # green 0.9612 * 140 = 134.57 -> 135; white 0.7453 * 350 = 260.86 -> 260
+        assert self.fit(141, 351) == {"RED": 0, "GREEN": 135, "WHITE": 260}
+
+    def test_quantile_is_clamped(self):
+        # green 95.2 and white 37.3 fall below their clamps; 960.2 and 744.6 above
+        assert self.fit(100, 51) == {"RED": 0, "GREEN": 120, "WHITE": 240}
+        assert self.fit(1000, 1000) == {"RED": 0, "GREEN": 180, "WHITE": 330}
+
+    def test_no_waits_keep_the_profile_value(self):
+        assert self.fit(0, 401) == {"RED": 0, "GREEN": 170, "WHITE": 300}
+        assert self.fit(151, 0) == {"RED": 0, "GREEN": 145, "WHITE": 310}
+        assert self.RAW == {"thresholds": {"RED": 0, "GREEN": 170, "WHITE": 310}}
 
 
 class TestCalibrate:

@@ -5,6 +5,7 @@ from xml.dom import minidom
 
 import pytest
 
+import edsim.calibrate
 import edsim.harness
 from edsim.calibrate import BANDS, CalibrationTarget
 from edsim.cli import main
@@ -357,6 +358,24 @@ class TestCalibrateCommand:
         assert "must be a non-negative integer" in capsys.readouterr().err
         assert not (out / "fitted_profile.json").exists()
 
+    def test_unwritable_output_exits_3_before_the_search(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        run = edsim.calibrate.run_scenario
+
+        def counting(*args, **kwargs):
+            runs.append(args[3])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(edsim.calibrate, "run_scenario", counting)
+        target = tmp_path / "file"
+        target.write_text("x")
+        assert run_cli("calibrate", "--budget", "2", "--probe-replications", "1",
+                       "--probe-days", "1", "--replications", "1", "--days", "1",
+                       "--out", str(target)) == 3
+        assert runs == []
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+
     def test_small_budget_writes_trace(self, tmp_path):
         out = tmp_path / "cal"
         run_cli("calibrate", "--budget", "2", "--probe-replications", "1",
@@ -394,7 +413,7 @@ class TestStdout:
 
     def test_validate_prints_its_table_and_outlier_line(self, default_profile, capsys):
         code = run_cli("validate", "--seed", "3", "--replications", "2", "--days", "2")
-        agg, _ = run_scenario(default_profile, Scenario(), 3, 2, 2)
+        agg = run_scenario(default_profile, Scenario(), 3, 2, 2)
         target = CalibrationTarget()
         lines = [f"{'kpi':<12}{'simulated':>12}{'target':>10}{'delta':>9}{'band':>7}  verdict"]
         for kpi, band in BANDS.items():

@@ -17,7 +17,7 @@ from edsim.scenario import Scenario
 from edsim.stochastics import Profile
 
 from log_oracle import (assert_no_overbooking, check_red_immediacy, collect_patients,
-                        team_windows)
+                        run_drained, team_windows)
 from test_tape import mini_profiles
 
 DISMISSED, DISCHARGE = ROW_FIELDS.index("dismissed"), ROW_FIELDS.index("discharge")
@@ -60,8 +60,8 @@ def test_patients_are_conserved_and_no_one_is_overbooked(default_raw, data, scen
     # a room that receives patients but has no team never empties
     if all(profile.resources[room]["teams"] for visit, room in SPECIALIST_ROOMS.items()
            if profile.mixes["visit_type"][visit] > 0):
-        drained = Replication(profile, scenario, 0, seed, days, drain=True)
-        log = drained.run()
+        drained = Replication(profile, scenario, 0, seed, days)
+        log = run_drained(drained)
         assert drained.in_flight == 0
         assert all(r[DISCHARGE] != NO_TIME for r in log.rows if not r[DISMISSED])
         assert_no_overbooking(collect_patients(log.records), log.records, profile.resources)

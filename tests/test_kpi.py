@@ -91,6 +91,19 @@ class TestComputeKpis:
         assert r.n_admitted == 1
         assert r.los == 40
 
+    def test_first_waits_are_the_completed_waits_the_outlier_rates_count(self):
+        # green waits 130 and 20, one green censored before its first visit,
+        # one white wait 10, one yellow wait 3 (no threshold, so not kept)
+        records = patient_records(1, 0, enq_first=5, start_first=135)
+        records += patient_records(2, 0, enq_first=4, start_first=24)
+        records += patient_records(3, 0, enq_first=6)
+        records += patient_records(4, 10, code="WHITE", enq_first=12, start_first=22)
+        records += patient_records(5, 10, code="YELLOW", enq_first=12, start_first=15)
+        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS, warmup_min=0)
+        assert r.first_waits == {"GREEN": [130, 20], "WHITE": [10]}
+        assert r.outlier_pct == {"GREEN": 50.0, "WHITE": 0.0}
+        assert "first_waits" not in r.to_dict()
+
     def test_los_at_least_wt_first_per_patient(self):
         records = patient_records(1, 0, enq_first=5, start_first=95, end_first=100,
                                   enq_last=101, start_last=102, discharge=110)
@@ -114,6 +127,12 @@ class TestAggregate:
     def test_two_values_average(self):
         agg = aggregate([self.one_report(200), self.one_report(210)])
         assert agg.los == pytest.approx(205.0)
+
+    def test_first_waits_are_concatenated_in_replication_order(self):
+        a = KpiReport({"los": [1.0]}, first_waits={"GREEN": [5, 7], "WHITE": []})
+        b = KpiReport({"los": [2.0]}, first_waits={"GREEN": [3], "WHITE": [9]})
+        assert aggregate([a, b]).first_waits == {"GREEN": [5, 7, 3], "WHITE": [9]}
+        assert a.first_waits == {"GREEN": [5, 7], "WHITE": []}
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):

@@ -13,7 +13,7 @@ from edsim.model import Patient, Replication, run_replication
 from edsim.scenario import Scenario, parse
 from edsim.stochastics import Profile
 
-from log_oracle import collect_patients, parse_detail, read_log_csv
+from log_oracle import collect_patients, parse_detail, read_log_csv, run_drained
 from test_golden_logs import CASES, _raw_profile
 
 
@@ -306,7 +306,7 @@ class TestExamsAndFlow:
         assert starts[1] == ends[0]  # serial execution
 
     def test_flow_conservation_under_drain(self, default_profile):
-        log = run_replication(default_profile, Scenario(e=10), 0, 5, 2, drain=True)
+        log = run_drained(Replication(default_profile, Scenario(e=10), 0, 5, 2))
         by_pid = defaultdict(list)
         for r in log.records:
             by_pid[r.patient_id].append(r.event)
@@ -622,15 +622,16 @@ class TestHorizon:
         kept = Replication(default_profile, Scenario(e=10), 0, 5, 1)
         kept.run()
         assert kept.in_flight > 0
-        rep = Replication(default_profile, Scenario(e=10), 0, 5, 1, drain=True)
+        rep = Replication(default_profile, Scenario(e=10), 0, 5, 1)
+        horizon = rep.horizon
         seen = []
-        rep.calendar.schedule(rep.horizon + 1, lambda now, tag: seen.append((now, tag)), "past")
-        log = rep.run()
-        assert seen == [(rep.horizon + 1, "past")]
+        rep.calendar.schedule(horizon + 1, lambda now, tag: seen.append((now, tag)), "past")
+        log = run_drained(rep)
+        assert seen == [(horizon + 1, "past")]
         assert len(log.rows) == len(kept.log.rows) > 300
         assert rep.in_flight == rep._waiting_first == rep._waiting_last == 0
         assert all(not pool.busy for pool in rep.pools.values())
         assert all(pool.count == 0 and not pool.fifo for pool in rep.exam_pools.values())
         dismissed, discharge = ROW_FIELDS.index("dismissed"), ROW_FIELDS.index("discharge")
         assert all(r[dismissed] or r[discharge] != NO_TIME for r in log.rows)
-        assert max(r.time_min for r in log.records) > rep.horizon
+        assert max(r.time_min for r in log.records) > horizon

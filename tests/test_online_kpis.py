@@ -9,10 +9,10 @@ import pytest
 from edsim.harness import run_scenario
 from edsim.kernel import EventLog
 from edsim.kpi import compute_kpis
-from edsim.model import run_replication
+from edsim.model import Replication, run_replication
 from edsim.scenario import Scenario, parse
 
-from log_oracle import collect_patients, read_log_csv, rows_from_log
+from log_oracle import collect_patients, rows_from_log, rows_from_log_dir, run_drained
 
 DAYS = 2
 SEEDS = (3, 42, 2020)
@@ -56,7 +56,7 @@ def test_online_kpis_equal_log_kpis(name, seed, default_profile):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_online_kpis_equal_log_kpis_when_draining(seed, default_profile):
-    log = run_replication(default_profile, Scenario(e=10, tau_g=90), 0, seed, DAYS, drain=True)
+    log = run_drained(Replication(default_profile, Scenario(e=10, tau_g=90), 0, seed, DAYS))
     assert all(p.get("DISCHARGE") is not None or p.dismissed
                for p in collect_patients(log.records).values())
     _assert_online_matches_log(log, default_profile.thresholds, 1440)
@@ -87,17 +87,18 @@ def test_log_not_kept_holds_no_records_and_same_kpis(default_profile):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_harness_writes_logs_only_when_asked(jobs, default_profile, tmp_path):
-    agg, rows = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs)
-    assert all(r for r in rows)
+def test_harness_writes_logs_only_when_asked(jobs, default_profile, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    agg = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs)
+    assert len(agg.vectors["los"]) == 2
     assert list(tmp_path.iterdir()) == []
-    logged_agg, logged_rows = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs,
-                                           log_dir=tmp_path)
+    logged_agg = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs, log_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rep_00.csv", "rep_01.csv"]
-    for rep in range(2):
-        records = read_log_csv(tmp_path / f"rep_{rep:02d}.csv")
-        assert records and rows_from_log(records) == logged_rows[rep] == rows[rep]
+    for rep, rows in enumerate(rows_from_log_dir(tmp_path, 2)):
+        assert rows and rows == run_replication(default_profile, Scenario(), rep, 5, 1,
+                                                keep_log=False).rows
     assert logged_agg.to_dict() == agg.to_dict()
+    assert logged_agg.first_waits == agg.first_waits
 
 
 class TestEventLogSink:

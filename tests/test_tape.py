@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from edsim.harness import run_scenario
 from edsim.kpi import ROW_FIELDS
-from edsim.model import run_replication
+from edsim.model import Replication, run_replication
 from edsim.scenario import Scenario, parse
 from edsim.stochastics import SERVICES, ArrivalSampler, PatientTape, Profile, draw_patients
 
 import tape_oracle
 from conftest import make_mini_raw
+from log_oracle import rows_from_log_dir, run_drained
 
 SEEDS = (42, 2020, 7)
 DAYS = 2
@@ -51,8 +52,8 @@ def test_run_from_tape_equals_run_without_one(default_profile, spec, seed, tmp_p
 def test_drained_run_from_tape_equals_run_without_one(default_profile, seed, tmp_path):
     tape = PatientTape(default_profile, seed, 0, DAYS)
     data = tape.data
-    drawn = run_replication(default_profile, parse("C.3"), 0, seed, DAYS, drain=True)
-    taped = run_replication(default_profile, parse("C.3"), 0, seed, DAYS, drain=True, tape=tape)
+    drawn = run_drained(Replication(default_profile, parse("C.3"), 0, seed, DAYS))
+    taped = run_drained(Replication(default_profile, parse("C.3"), 0, seed, DAYS, tape=tape))
     assert taped.rows == drawn.rows
     assert _csv(taped, tmp_path / "taped.csv") == _csv(drawn, tmp_path / "drawn.csv")
     assert tape.data == data
@@ -117,16 +118,21 @@ def test_arrival_draws_go_through_the_sampler_class(default_profile, monkeypatch
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_every_scenario_of_a_sweep_reads_one_tape(default_profile, jobs):
+def test_every_scenario_of_a_sweep_reads_one_tape(default_profile, jobs, tmp_path):
     arrive, rank = ROW_FIELDS.index("arrive"), ROW_FIELDS.index("rank")
     tapes = [PatientTape(default_profile, 2020, rep, DAYS) for rep in range(2)]
-    columns = {}
-    for spec in SPECS:
-        _agg, rows_per_rep = run_scenario(default_profile, parse(spec), 2020, 2, DAYS, jobs=jobs,
-                                          tapes=tapes)
-        columns[spec] = [[(row[arrive], row[rank]) for row in rows] for rows in rows_per_rep]
-    first = columns["baseline"]
+
+    def columns(scenario, name, tapes=None):
+        """(arrive, rank) of every patient of each replication, from its log."""
+        log_dir = tmp_path / name
+        log_dir.mkdir()
+        run_scenario(default_profile, scenario, 2020, 2, DAYS, jobs=jobs, log_dir=log_dir,
+                     tapes=tapes)
+        return [[(row[arrive], row[rank]) for row in rows]
+                for rows in rows_from_log_dir(log_dir, 2)]
+
+    by_spec = {spec: columns(parse(spec), spec, tapes) for spec in SPECS}
+    first = by_spec["baseline"]
     assert first[0] != first[1] and all(len(col) > 300 for col in first)
-    assert all(col == first for col in columns.values())
-    _agg, drawn = run_scenario(default_profile, Scenario(), 2020, 2, DAYS, jobs=jobs)
-    assert [[(row[arrive], row[rank]) for row in rows] for rows in drawn] == first
+    assert all(col == first for col in by_spec.values())
+    assert columns(Scenario(), "drawn") == first
