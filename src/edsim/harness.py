@@ -20,8 +20,7 @@ def _replicate(profile: Profile, scen: Scenario, rep: int, seed: int, days: int,
     in the process that runs it, so neither the log nor the KPI rows outlive
     the replication or cross processes."""
     path = None if log_dir is None else os.path.join(log_dir, f"rep_{rep:02d}.csv")
-    log = run_replication(profile, scen, rep, seed, days, keep_log=path is not None, tape=tape,
-                          log_path=path)
+    log = run_replication(profile, scen, rep, seed, days, tape=tape, log_path=path)
     if path is not None:
         log.write_csv(path)
     return compute_kpis(log.rows, days, profile.thresholds)

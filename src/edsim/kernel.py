@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import csv
 import heapq
+import os
 import zlib
 from collections import deque
 from collections.abc import Callable
-from functools import partial
 from operator import attrgetter
-from typing import NamedTuple
 
 # numpy.random loads lazily, with secrets, hmac and _hashlib behind it; import
 # it here so a sweep's forked workers inherit it instead of each paying ~20 ms.
@@ -306,40 +305,23 @@ class PromotionQueue:
         self.items.remove(item)
 
 
-class LogRecord(NamedTuple):
-    rep_id: int
-    time_min: int
-    patient_id: int
-    event: str
-    detail: str = ""
-
-
-_new_record = partial(tuple.__new__, LogRecord)  # LogRecord from one tuple, no checks
-
-
 class EventLog:
     """Sink for every state transition of one replication.
 
-    A kept log (`keep=True`) checks each `add` (a known event, its field
-    count) and appends the flat record `(time_min, patient_id, event, *fields)`,
+    A log with a `path` streams to that file: it opens it and writes
+    LOG_HEADER at once, checks each `add` (a known event, its field count)
+    and buffers the flat record `(time_min, patient_id, event, *fields)`,
     with a "{+}" list already "+"-joined, so later changes to the caller's
-    list do not reach the log. The detail is rendered from the `%` templates
-    in _LOG_RENDER only when the log is read (`records`) or written. A log
-    that is not kept returns from `add` at once and holds no records. `rows`
-    holds the replication's KPI rows (kpi.ROW_FIELDS, one per patient)
-    either way.
+    list do not reach the log. Each `flush` appends the buffered records
+    once they fill a chunk, and `write_csv(path)` appends the rest and
+    closes the file, so the log holds one chunk of records at most. The
+    detail is rendered from the `%` templates in _LOG_RENDER as it is
+    written. A log without a path keeps nothing: `add` returns at once.
+    `rows` holds the replication's KPI rows (kpi.ROW_FIELDS, one per
+    patient) either way."""
 
-    A kept log with a `path` streams: it opens the file and writes
-    LOG_HEADER at once, each `flush` appends the buffered records once they
-    fill a chunk, and `write_csv(path)` appends the rest and closes the
-    file. Such a log holds one chunk of records at most, so `records`
-    refuses it."""
-
-    def __init__(self, rep_id: int, keep: bool = True, path=None) -> None:
-        if path is not None and not keep:
-            raise ValueError(f"event log of replication {rep_id} has a path but is not kept")
+    def __init__(self, rep_id: int, path=None) -> None:
         self.rep_id = rep_id
-        self.keep = keep
         self.path = path
         self.raw: list[tuple] = []
         self.rows: list[tuple[int, ...]] = []
@@ -349,7 +331,7 @@ class EventLog:
             csv.writer(self._file).writerow(LOG_HEADER)
 
     def add(self, time_min: int, patient_id: int, event: str, *fields) -> None:
-        if not self.keep:
+        if self._file is None:
             return
         try:
             _detail, arity, joined = _LOG_RENDER[event]
@@ -362,37 +344,26 @@ class EventLog:
         self.raw.append((time_min, patient_id, event) + fields)
 
     def flush(self) -> None:
-        """Append the buffered records to the file once they fill a chunk
-        (a log without a path keeps them)."""
+        """Append the buffered records to the file once they fill a chunk."""
         if self._file is not None and len(self.raw) >= _CSV_CHUNK:
-            self._write(self._file, self.raw)
-            self.raw.clear()
+            self._write()
 
     def close(self) -> None:
-        """Close the file of a streamed log, writing nothing more."""
+        """Close the file, writing nothing more."""
         if self._file is not None:
             self._file.close()
 
-    def _render(self, raw) -> list[LogRecord]:
-        rep_id = self.rep_id
-        return [_new_record((rep_id, *r[:3], _LOG_RENDER[r[2]][0] % r[3:])) for r in raw]
-
-    @property
-    def records(self) -> list[LogRecord]:
-        """The kept records, rendered anew on each access."""
-        if self.path is not None:
-            raise ValueError(f"event log of replication {self.rep_id} is streamed to {self.path}")
-        return self._render(self.raw)
-
-    def _write(self, fh, raw) -> None:
-        """Append `raw` to `fh` as csv.writer writes its records.
+    def _write(self) -> None:
+        """Append the buffered records to the file as csv.writer writes
+        them, and empty the buffer.
 
         Each line is one whole-line `%` template per event applied to the
         flat record. The separators and the CRLF line end are fixed, so a
         chunk of lines holds exactly four commas, one CR and one LF per line
         and no quote unless some field needs csv quoting; such a chunk goes
         through csv.writer instead."""
-        line = {event: f"{self.rep_id},%d,%d,%s,{detail}\r\n"
+        rep_id, fh, raw = self.rep_id, self._file, self.raw
+        line = {event: f"{rep_id},%d,%d,%s,{detail}\r\n"
                 for event, (detail, _arity, _joined) in _LOG_RENDER.items()}
         for start in range(0, len(raw), _CSV_CHUNK):
             chunk = raw[start:start + _CSV_CHUNK]
@@ -401,22 +372,22 @@ class EventLog:
             if (text.count(",") == 4 * n and text.count("\n") == n
                     and text.count("\r") == n and '"' not in text):
                 fh.write(text)
-            else:
-                csv.writer(fh).writerows(self._render(chunk))  # field order is LOG_HEADER's
+            else:  # field order is LOG_HEADER's
+                csv.writer(fh).writerows((rep_id, *r[:3], _LOG_RENDER[r[2]][0] % r[3:])
+                                         for r in chunk)
+        raw.clear()
 
     def write_csv(self, path) -> None:
-        """Write the log as csv.writer writes LOG_HEADER and `records`. A
-        streamed log's `path` is its own: it appends what it still buffers
-        and closes its file."""
-        if not self.keep:
+        """End the log's file, `path`: append what the log still buffers and
+        close it. The file then holds what csv.writer writes for LOG_HEADER
+        and every record. Any other path, or a log that keeps nothing,
+        raises ValueError."""
+        if self._file is None:
             raise ValueError(f"event log of replication {self.rep_id} was not kept")
-        if self.path is None:
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerow(LOG_HEADER)
-                self._write(fh, self.raw)
-            return
+        if os.fspath(path) != os.fspath(self.path):
+            raise ValueError(f"event log of replication {self.rep_id} streams to "
+                             f"{self.path}, not to {path}")
         try:
-            self._write(self._file, self.raw)
-            self.raw.clear()
+            self._write()
         finally:
             self._file.close()

@@ -90,13 +90,13 @@ class Replication:
     `patients` maps pid to each patient still in the ED. A patient's KPI
     row is final once they are discharged or dismissed, so it goes into
     `rows` then and the patient is dropped; the ones still in the ED at the
-    end fill in theirs. With `log_path` the kept log streams to that file
+    end fill in theirs. With `log_path` the event log streams to that file
     (EventLog), so a run holds its in-flight patients, its KPI rows and one
-    chunk of its log."""
+    chunk of its log; without one it keeps no log."""
 
     def __init__(self, profile: Profile, scenario: Scenario, rep_id: int,
-                 master_seed: int, days: int, keep_log: bool = True,
-                 tape: Iterable[tuple] | None = None, log_path=None):
+                 master_seed: int, days: int, tape: Iterable[tuple] | None = None,
+                 log_path=None):
         self.profile = profile
         self.scenario = scenario
         self.rep_id = rep_id
@@ -146,21 +146,21 @@ class Replication:
             team: PromotionQueue() for team, pool in self.team_pool.items()
             if pool.pool_id != "last_visit"}
 
-        # Dispatch visiting order: pools low -> high -> ortho -> derma -> LV,
-        # each with its first queue (None for LV), its shift table, its busy
-        # set and its teams in calendar order, each with its last queue's
-        # waiting items (None for LV). The queues and sets change in place.
+        # Dispatch visiting order, one entry per team: pools low -> high ->
+        # ortho -> derma -> LV, teams in calendar order, each with its pool,
+        # the pool's first queue (None for LV), shift table and busy set, and
+        # its last queue's waiting items (None for LV). The queues and sets
+        # change in place.
         self._dispatch_order = [
             (pool, self.first_queues.get(FIRST_QUEUE_OF.get(pool_id)),
-             pool.calendar.on_by_minute, pool.busy,
-             [(team, self.team_last[team].items if team in self.team_last else None)
-              for team in pool.calendar.teams])
-            for pool_id, pool in self.pools.items()]
+             pool.calendar.on_by_minute, pool.busy, team,
+             self.team_last[team].items if team in self.team_last else None)
+            for pool_id, pool in self.pools.items() for team in pool.calendar.teams]
         self.arrivals_open = True
         self._waiting_first = 0
         self._waiting_last = 0
         # last: a streamed log opens its file, which only run() closes
-        self.log = EventLog(rep_id, keep=keep_log, path=log_path)
+        self.log = EventLog(rep_id, log_path)
 
     @property
     def in_flight(self) -> int:
@@ -255,17 +255,14 @@ class Replication:
         if not (self._waiting_first or self._waiting_last):
             return
         minute = now % MINUTES_PER_DAY
-        for pool, first_q, on_by_minute, busy, teams in self._dispatch_order:
-            on = on_by_minute[minute]
-            if first_q is None:
-                for team, _ in teams:
-                    if self._waiting_last and team in on and team not in busy:
-                        self._pick_task(pool, team, now, None)
+        for pool, first_q, on_by_minute, busy, team, last_waiting in self._dispatch_order:
+            if team in busy:
                 continue
-            waiting = first_q.items
-            for team, last_waiting in teams:
-                if team not in busy and (last_waiting or (waiting and team in on)):
-                    self._pick_task(pool, team, now, first_q)
+            if first_q is None:
+                if self._waiting_last and team in on_by_minute[minute]:
+                    self._pick_task(pool, team, now, None)
+            elif last_waiting or (first_q.items and team in on_by_minute[minute]):
+                self._pick_task(pool, team, now, first_q)
 
     # --------------------------------------------------------------- service
 
@@ -419,8 +416,8 @@ class Replication:
 
     def run(self) -> EventLog:
         """Run to the horizon; the returned log holds the KPI rows in pid
-        order and, if kept, the event records (a streamed log: those not yet
-        written; its `write_csv` ends the file). A run that raises closes the
+        order and, if it streams to a file, the event records not yet
+        written (its `write_csv` ends the file). A run that raises closes the
         log's file."""
         self._schedule_kicks()
         self._schedule_next_arrival()
@@ -444,14 +441,13 @@ class Replication:
 
 
 def run_replication(profile: Profile, scenario: Scenario, rep_id: int, master_seed: int,
-                    days: int, keep_log: bool = True, tape: Iterable[tuple] | None = None,
+                    days: int, tape: Iterable[tuple] | None = None,
                     log_path=None) -> EventLog:
     """Worker-safe entry point: the validated profile and the tape (a
     stochastics.PatientTape, or rows of draw_patients(profile, master_seed,
     rep_id, days)) pickle to workers as they are. Without a tape the
     patients are drawn as they arrive. The returned log always holds the KPI
-    rows; its event records only with `keep_log`, and with `log_path` it
-    streams them to that file, which the log's `write_csv(log_path)` ends."""
-    rep = Replication(profile, scenario, rep_id, master_seed, days,
-                      keep_log=keep_log, tape=tape, log_path=log_path)
-    return rep.run()
+    rows; with `log_path` it streams the event records to that file, which
+    the log's `write_csv(log_path)` ends."""
+    return Replication(profile, scenario, rep_id, master_seed, days, tape=tape,
+                       log_path=log_path).run()

@@ -1,17 +1,34 @@
-"""Log-side oracle: per-patient traces and KPI rows rebuilt from an event
-log, to check the rows and behaviour a replication records while it runs,
-and the checks of no overbooking and of red precedence at the high room."""
+"""Log-side oracle: event logs streamed to files and read back as records,
+per-patient traces and KPI rows rebuilt from them, to check the rows and
+behaviour a replication records while it runs, and the checks of no
+overbooking and of red precedence at the high room."""
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import tempfile
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
-from edsim.kernel import CODE_RANK, LOG_HEADER, MINUTES_PER_DAY, EventLog, LogRecord
+from edsim.kernel import CODE_RANK, LOG_HEADER, MINUTES_PER_DAY, EventLog
 from edsim.kpi import NO_TIME
+from edsim.model import run_replication
+
+DRAIN_DAYS = 30  # simulated days past the horizon that run_drained waits for the ED to empty
+
+
+class LogRecord(NamedTuple):
+    """One line of an event-log CSV, in LOG_HEADER order."""
+
+    rep_id: int
+    time_min: int
+    patient_id: int
+    event: str
+    detail: str = ""
 
 
 @dataclass
@@ -89,10 +106,16 @@ def rows_from_log_dir(log_dir, replications: int) -> list[list[tuple[int, ...]]]
 def run_drained(rep) -> EventLog:
     """Run the model.Replication `rep` past its horizon until the ED is
     empty, so that every patient who arrived is discharged or dismissed.
-    It never returns if a room that receives patients has no team: the
-    daily shift kicks keep rescheduling while those patients wait."""
-    rep.horizon = math.inf
-    return rep.run()
+    The run stops DRAIN_DAYS past the horizon, where the daily shift kicks
+    would otherwise go on forever (a room that receives patients has no
+    team), and raises AssertionError naming the patients still in the ED."""
+    rep.horizon += DRAIN_DAYS * MINUTES_PER_DAY
+    log = rep.run()
+    if rep.in_flight:
+        log.close()
+        raise AssertionError(f"{rep.in_flight} patients still in the ED {DRAIN_DAYS} days "
+                             f"past the horizon: pids {sorted(rep.patients)}")
+    return log
 
 
 def assert_no_overbooking(patients: dict[int, PatientTrace], records: list[LogRecord],
@@ -199,3 +222,19 @@ def read_log_csv(path) -> list[LogRecord]:
         for row in reader:
             records.append(LogRecord(int(row[0]), int(row[1]), int(row[2]), row[3], row[4]))
     return records
+
+
+def records_of(log: EventLog) -> list[LogRecord]:
+    """End the file `log` streams to and read its records back."""
+    log.write_csv(log.path)
+    return read_log_csv(log.path)
+
+
+def run_logged(profile, scenario, rep_id: int, master_seed: int, days: int,
+               tape=None) -> tuple[EventLog, list[LogRecord]]:
+    """model.run_replication with its log streamed to a temporary file: the
+    returned log and the records read back from that file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log = run_replication(profile, scenario, rep_id, master_seed, days, tape=tape,
+                              log_path=os.path.join(tmp, f"rep_{rep_id:02d}.csv"))
+        return log, records_of(log)

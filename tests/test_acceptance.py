@@ -14,13 +14,13 @@ import pytest
 from edsim.cli import main as cli_main
 from edsim.harness import run_scenario
 from edsim.kernel import CODE_RANK
-from edsim.model import Replication, run_replication
+from edsim.model import Replication
 from edsim.scenario import Scenario, catalog, parse, parse_tuple
 from edsim.stochastics import PatientTape, Profile
 
 from conftest import make_mini_raw
 from log_oracle import (assert_no_overbooking, check_red_immediacy, collect_patients, on_shift,
-                        parse_detail, run_drained, team_windows)
+                        parse_detail, records_of, run_drained, run_logged, team_windows)
 
 SEED = 42
 FIXTURE = Path(__file__).parent / "data" / "table3_scenarios.json"
@@ -204,7 +204,7 @@ def replay_first_visit_order(records, tau_g, tau_w):
 
 
 class TestAC4QueueOracle:
-    def test_shrunken_instance_replay(self, default_raw):
+    def test_shrunken_instance_replay(self, default_raw, tmp_path):
         # one team, ~20 patients arriving in a morning burst, promotions on
         raw = make_mini_raw(default_raw, codes={"GREEN": 0.55, "WHITE": 0.45},
                             teams={"low_general": [("T1", 0, 0)]},
@@ -219,8 +219,9 @@ class TestAC4QueueOracle:
         total_starts = 0
         total_mismatches = 0
         for s in range(100):
-            log = run_drained(Replication(profile, scen, s, 1000 + s, 1))
-            mism, starts = replay_first_visit_order(log.records, 45, 90)
+            log = run_drained(Replication(profile, scen, s, 1000 + s, 1,
+                                          log_path=tmp_path / f"rep_{s:02d}.csv"))
+            mism, starts = replay_first_visit_order(records_of(log), 45, 90)
             total_mismatches += mism
             total_starts += starts
         verdict("AC4 queue oracle", total_mismatches == 0 and total_starts > 1500,
@@ -245,8 +246,7 @@ class TestAC5InvariantSuite:
 
         for scen, reps, check_affinity, check_red in runs:
             for rep in range(reps):
-                log = run_replication(default_profile, scen, rep, SEED, 30)
-                records = log.records
+                _, records = run_logged(default_profile, scen, rep, SEED, 30)
                 total_events += len(records)
                 patients = collect_patients(records)
 

@@ -108,8 +108,8 @@ class TestCalibrate:
         for name in ("first_general", "first_ortho", "first_derma", "last_visit"):
             heavier["service"][name]["mean"] *= 2.0
         heavier = Profile(heavier)
-        base = run_replication(default_profile, Scenario(), 0, 4242, 8, keep_log=False)
-        slow = run_replication(heavier, Scenario(), 0, 4242, 8, keep_log=False)
+        base = run_replication(default_profile, Scenario(), 0, 4242, 8)
+        slow = run_replication(heavier, Scenario(), 0, 4242, 8)
         k_base = compute_kpis(base.rows, 8, default_profile.thresholds)
         k_slow = compute_kpis(slow.rows, 8, heavier.thresholds)
         assert k_slow.los > k_base.los

@@ -1,10 +1,12 @@
 """Flow properties on random small profiles and scenarios: every patient who
 arrives is discharged, dismissed or still in the ED at the horizon, draining
 empties the ED, no team or exam pool is ever overbooked, reds keep their
-precedence at the high room, and a log streamed to its file in small chunks
-is the file an in-memory log writes."""
+precedence at the high room, logging never changes the KPI rows, and a log
+streamed to its file in small chunks is the file one chunk writes."""
 
 import copy
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from edsim.scenario import Scenario
 from edsim.stochastics import Profile
 
 from log_oracle import (assert_no_overbooking, check_red_immediacy, collect_patients,
-                        run_drained, team_windows)
+                        records_of, run_drained, team_windows)
 from test_tape import mini_profiles
 
 DISMISSED, DISCHARGE = ROW_FIELDS.index("dismissed"), ROW_FIELDS.index("discharge")
@@ -48,61 +50,83 @@ def test_patients_are_conserved_and_no_one_is_overbooked(default_raw, data, scen
         raw["resources"]["dermatological"]["teams"] = [{"id": "D1", "start": 480, "end": 1200}]
         profile = Profile(raw)
 
-    rep = Replication(profile, scenario, 0, seed, days)
-    log = rep.run()
-    assert rep.in_flight == sum(1 for r in log.rows
-                                if not r[DISMISSED] and r[DISCHARGE] == NO_TIME)
-    patients = collect_patients(log.records)
-    assert_no_overbooking(patients, log.records, profile.resources)
-    if scenario.p != 1:  # p=1 serves last visits first: no red zero-wait claim
-        check_red_immediacy(patients, team_windows(profile, 60 * (scenario.t or 0)), profile)
+    with tempfile.TemporaryDirectory() as tmp:
+        rep = Replication(profile, scenario, 0, seed, days, log_path=Path(tmp) / "rep_00.csv")
+        log = rep.run()
+        records = records_of(log)
+        assert rep.in_flight == sum(1 for r in log.rows
+                                    if not r[DISMISSED] and r[DISCHARGE] == NO_TIME)
+        patients = collect_patients(records)
+        assert_no_overbooking(patients, records, profile.resources)
+        if scenario.p != 1:  # p=1 serves last visits first: no red zero-wait claim
+            check_red_immediacy(patients, team_windows(profile, 60 * (scenario.t or 0)),
+                                profile)
 
-    # a room that receives patients but has no team never empties
-    if all(profile.resources[room]["teams"] for visit, room in SPECIALIST_ROOMS.items()
-           if profile.mixes["visit_type"][visit] > 0):
-        drained = Replication(profile, scenario, 0, seed, days)
-        log = run_drained(drained)
-        assert drained.in_flight == 0
-        assert all(r[DISCHARGE] != NO_TIME for r in log.rows if not r[DISMISSED])
-        assert_no_overbooking(collect_patients(log.records), log.records, profile.resources)
-
-
-SMALL_CHUNK = 7  # records per streamed chunk, so that every run flushes many times
-
-
-def _kept_and_streamed(profile, scenario, seed, days, directory):
-    """One replication written twice with SMALL_CHUNK: by a kept in-memory
-    log's write_csv, and streamed to its file while it runs."""
-    kept_path, streamed_path = directory / "kept.csv", directory / "streamed.csv"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "_CSV_CHUNK", SMALL_CHUNK)
-        kept = run_replication(profile, scenario, 0, seed, days)
-        kept.write_csv(kept_path)
-        streamed = run_replication(profile, scenario, 0, seed, days, log_path=streamed_path)
-        assert len(streamed.raw) < len(kept.raw) // 2  # most records already went out
-        streamed.write_csv(streamed_path)
-    assert streamed.rows == kept.rows
-    return kept_path.read_bytes(), streamed_path.read_bytes()
+        # a room that receives patients but has no team never empties, and
+        # run_drained raises there
+        if all(profile.resources[room]["teams"] for visit, room in SPECIALIST_ROOMS.items()
+               if profile.mixes["visit_type"][visit] > 0):
+            drained = Replication(profile, scenario, 0, seed, days,
+                                  log_path=Path(tmp) / "drained.csv")
+            log = run_drained(drained)
+            records = records_of(log)
+            assert drained.in_flight == 0
+            assert all(r[DISCHARGE] != NO_TIME for r in log.rows if not r[DISMISSED])
+            assert_no_overbooking(collect_patients(records), records, profile.resources)
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), scenario=SCENARIOS, seed=st.integers(0, 2**32 - 1),
        days=st.integers(1, 2))
-def test_a_streamed_log_is_the_file_a_kept_log_writes(default_raw, tmp_path_factory, data,
-                                                      scenario, seed, days):
+def test_logging_never_changes_the_kpi_rows(default_raw, data, scenario, seed, days):
     profile = data.draw(mini_profiles(default_raw))
-    kept, streamed = _kept_and_streamed(profile, scenario, seed, days,
-                                        tmp_path_factory.mktemp("logs"))
-    assert streamed == kept
+    unlogged = run_replication(profile, scenario, 0, seed, days)
+    assert unlogged.raw == []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rep_00.csv"
+        streamed = run_replication(profile, scenario, 0, seed, days, log_path=path)
+        streamed.write_csv(path)
+        assert len(path.read_bytes().splitlines()) > 1
+    assert unlogged.rows == streamed.rows
+
+
+SMALL_CHUNK = 7  # records per streamed chunk, so that every run flushes many times
+WHOLE = 10**9  # records per chunk, so that a run never flushes
+
+
+def _whole_and_streamed(profile, scenario, seed, days, directory):
+    """One replication's log written twice: in one chunk when write_csv
+    ends it, and streamed in chunks of SMALL_CHUNK records while it runs."""
+    files, held, rows = {}, {}, {}
+    for name, chunk in (("whole", WHOLE), ("streamed", SMALL_CHUNK)):
+        files[name] = directory / f"{name}.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "_CSV_CHUNK", chunk)
+            log = run_replication(profile, scenario, 0, seed, days, log_path=files[name])
+            held[name], rows[name] = len(log.raw), log.rows
+            log.write_csv(files[name])
+    assert held["streamed"] < held["whole"] // 2  # most records already went out
+    assert rows["streamed"] == rows["whole"]
+    return files["whole"].read_bytes(), files["streamed"].read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), scenario=SCENARIOS, seed=st.integers(0, 2**32 - 1),
+       days=st.integers(1, 2))
+def test_a_streamed_log_is_the_file_one_chunk_writes(default_raw, data, scenario, seed, days):
+    profile = data.draw(mini_profiles(default_raw))
+    with tempfile.TemporaryDirectory() as tmp:
+        whole, streamed = _whole_and_streamed(profile, scenario, seed, days, Path(tmp))
+    assert streamed == whole
 
 
 def test_a_streamed_chunk_that_needs_quotes_is_written_as_csv_writer_does(default_raw,
                                                                           tmp_path):
     raw = copy.deepcopy(default_raw)
     raw["resources"]["orthopaedic"]["teams"][0]["id"] = 'OR,"1"'
-    kept, streamed = _kept_and_streamed(Profile(raw), Scenario(), 42, 1, tmp_path)
+    whole, streamed = _whole_and_streamed(Profile(raw), Scenario(), 42, 1, tmp_path)
     assert b'team=OR,""1"" pool=orthopaedic' in streamed
-    assert streamed == kept
+    assert streamed == whole
 
 
 def test_a_run_that_raises_after_a_flush_closes_its_file(default_profile, tmp_path,
@@ -119,5 +143,3 @@ def test_a_run_that_raises_after_a_flush_closes_its_file(default_profile, tmp_pa
         rep.run()
     assert rep.log._file.closed
     assert path.read_text().count("\n") > SMALL_CHUNK  # the header and flushed chunks
-    with pytest.raises(ValueError, match="streamed"):
-        rep.log.records

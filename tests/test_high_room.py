@@ -9,6 +9,10 @@ patient waits and the pull rule is on at this minute ("always", "never", or
 
 from __future__ import annotations
 
+import tempfile
+from contextlib import closing
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,8 +68,17 @@ ops = st.one_of(
        st.lists(ops, min_size=1, max_size=40))
 def test_high_team_picks_what_the_reference_rule_picks(default_raw, mode, tau_g, tau_w,
                                                         start, operations):
-    rep = Replication(profile_for(default_raw, mode), Scenario(tau_g=tau_g, tau_w=tau_w),
-                      rep_id=0, master_seed=1, days=2)
+    # the log streams to a file, so that it holds the records the picks add
+    with tempfile.TemporaryDirectory() as tmp:
+        rep = Replication(profile_for(default_raw, mode), Scenario(tau_g=tau_g, tau_w=tau_w),
+                          rep_id=0, master_seed=1, days=2, log_path=Path(tmp) / "rep_00.csv")
+        with closing(rep.log):
+            _replay(rep, mode, tau_g, tau_w, start, operations)
+
+
+def _replay(rep, mode, tau_g, tau_w, start, operations):
+    """Apply `operations` to the general queue of `rep` from minute `start`,
+    checking each pick of the high team H1 against the reference rule."""
     pool, queue = rep.pools["high_general"], rep.first_queues["general"]
     oracle = LinearPromotionQueue(tau_g, tau_w)
     now = start

@@ -3,11 +3,10 @@ import random
 import pytest
 from scipy import stats
 
-from edsim.kernel import LogRecord
 from edsim.kpi import (KPI_NAMES, KpiReport, UsageError, _t_two_sided_p, _welch_p, aggregate,
                        compare, compute_kpis)
 
-from log_oracle import rows_from_log
+from log_oracle import LogRecord, rows_from_log
 
 THRESHOLDS = {"GREEN": 120, "WHITE": 240}
 

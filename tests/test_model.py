@@ -2,6 +2,7 @@ import copy
 import csv
 import gc
 import io
+import time
 import weakref
 from collections import defaultdict
 
@@ -13,7 +14,9 @@ from edsim.model import Patient, Replication, run_replication
 from edsim.scenario import Scenario, parse
 from edsim.stochastics import Profile
 
-from log_oracle import collect_patients, parse_detail, read_log_csv, run_drained
+from conftest import make_mini_raw
+from log_oracle import (collect_patients, parse_detail, read_log_csv, records_of, run_drained,
+                        run_logged)
 from test_golden_logs import CASES, _raw_profile
 
 
@@ -39,22 +42,25 @@ def pump(rep):
         handler(now, entity)
 
 
-def events_of(log, pid):
-    return [(r.time_min, r.event, r.detail) for r in log.records if r.patient_id == pid]
+def events_of(records, pid):
+    return [(r.time_min, r.event, r.detail) for r in records if r.patient_id == pid]
 
 
-def first_event(log, pid, event):
-    for r in log.records:
+def first_event(records, pid, event):
+    for r in records:
         if r.patient_id == pid and r.event == event:
             return r
     return None
 
 
 @pytest.fixture()
-def bare_rep(mini_raw_factory):
+def bare_rep(mini_raw_factory, tmp_path):
+    """Replications whose log streams to a file; the test reads its records
+    back with records_of once it has driven them."""
     def build(scenario=Scenario(), teams=None, **kwargs):
         raw = mini_raw_factory(teams=teams, **kwargs)
-        return Replication(Profile(raw), scenario, rep_id=0, master_seed=1, days=2)
+        return Replication(Profile(raw), scenario, rep_id=0, master_seed=1, days=2,
+                           log_path=tmp_path / "rep_00.csv")
 
     return build
 
@@ -64,13 +70,15 @@ class TestRouting:
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)]})
         g = admitted(rep, 0, "GREEN")
         rep._on_triage_done(600, g)
-        assert first_event(rep.log, 0, "START_FIRST").detail == "team=T1 pool=low_general"
+        records = records_of(rep.log)
+        assert first_event(records, 0, "START_FIRST").detail == "team=T1 pool=low_general"
 
     def test_green_pulled_to_idle_high_room(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)]})
         rep._on_triage_done(600, admitted(rep, 0, "GREEN"))
         rep._on_triage_done(600, admitted(rep, 1, "GREEN"))
-        assert first_event(rep.log, 1, "START_FIRST").detail == "team=H1 pool=high_general"
+        records = records_of(rep.log)
+        assert first_event(records, 1, "START_FIRST").detail == "team=H1 pool=high_general"
 
     def test_green_not_pulled_while_yellow_waits(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)]})
@@ -78,19 +86,22 @@ class TestRouting:
         rep._on_triage_done(601, admitted(rep, 1, "YELLOW"))  # waits for high
         rep._on_triage_done(602, admitted(rep, 2, "GREEN"))   # takes T1
         rep._on_triage_done(603, admitted(rep, 3, "GREEN"))   # must NOT go to high
-        assert first_event(rep.log, 3, "START_FIRST") is None
+        records = records_of(rep.log)
+        assert first_event(records, 3, "START_FIRST") is None
 
     def test_yellow_waits_for_high_even_if_low_idle(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)]})
         rep._on_triage_done(600, admitted(rep, 0, "YELLOW"))
         rep._on_triage_done(601, admitted(rep, 1, "YELLOW"))
-        assert first_event(rep.log, 1, "START_FIRST") is None  # low stays idle for it
+        records = records_of(rep.log)
+        assert first_event(records, 1, "START_FIRST") is None  # low stays idle for it
 
     def test_red_goes_directly_to_high_with_zero_wait(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)]})
         red = admitted(rep, 0, "RED")
         rep._on_triage_done(700, red)
-        start = first_event(rep.log, 0, "START_FIRST")
+        records = records_of(rep.log)
+        start = first_event(records, 0, "START_FIRST")
         assert start.time_min == 700
         assert parse_detail(start.detail)["pool"] == "high_general"
 
@@ -99,13 +110,15 @@ class TestRouting:
                               "orthopaedic": [("ORT1", 0, 0)]})
         red = admitted(rep, 0, "RED", visit_type="ORTHOPAEDIC")
         rep._on_triage_done(700, red)
-        assert parse_detail(first_event(rep.log, 0, "START_FIRST").detail)["pool"] == "high_general"
+        records = records_of(rep.log)
+        assert parse_detail(first_event(records, 0, "START_FIRST").detail)["pool"] == "high_general"
 
     def test_orthopaedic_green_uses_dedicated_room(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)], "high_general": [("H1", 0, 0)],
                               "orthopaedic": [("ORT1", 0, 0)]})
         rep._on_triage_done(600, admitted(rep, 0, "GREEN", visit_type="ORTHOPAEDIC"))
-        start = first_event(rep.log, 0, "START_FIRST")
+        records = records_of(rep.log)
+        start = first_event(records, 0, "START_FIRST")
         assert parse_detail(start.detail)["team"] == "ORT1"
 
 
@@ -118,8 +131,9 @@ class TestLastVisitDiscipline:
         done.first_team = "T1"
         rep._enqueue_last(done, 120)
         pump(rep)  # FIRST_DONE at 150 frees T1
-        start_last = first_event(rep.log, 2, "START_LAST")
-        start_first = first_event(rep.log, 1, "START_FIRST")
+        records = records_of(rep.log)
+        start_last = first_event(records, 2, "START_LAST")
+        start_first = first_event(records, 1, "START_FIRST")
         assert start_last.time_min == 150
         assert start_first.time_min > 150
 
@@ -131,8 +145,9 @@ class TestLastVisitDiscipline:
         done.first_team = "T1"
         rep._enqueue_last(done, 120)  # enqueued after patient 1
         pump(rep)
-        assert first_event(rep.log, 1, "START_FIRST").time_min == 150
-        assert first_event(rep.log, 2, "START_LAST").time_min > 150
+        records = records_of(rep.log)
+        assert first_event(records, 1, "START_FIRST").time_min == 150
+        assert first_event(records, 2, "START_LAST").time_min > 150
 
     def test_yellow_last_queues_at_routine_rank(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)]})
@@ -143,12 +158,13 @@ class TestLastVisitDiscipline:
         rep._enqueue_last(done, 120)
         pump(rep)
         # a stabilized yellow re-evaluation does not jump the earlier green
-        assert first_event(rep.log, 1, "START_FIRST").time_min == 150
-        assert first_event(rep.log, 2, "START_LAST").time_min > 150
+        records = records_of(rep.log)
+        assert first_event(records, 1, "START_FIRST").time_min == 150
+        assert first_event(records, 2, "START_LAST").time_min > 150
 
     def test_same_team_affinity_in_baseline(self, default_profile):
-        log = run_replication(default_profile, Scenario(), 0, 11, 4)
-        for p in collect_patients(log.records).values():
+        _, records = run_logged(default_profile, Scenario(), 0, 11, 4)
+        for p in collect_patients(records).values():
             if p.last_team is not None:
                 assert p.last_team == p.first_team
 
@@ -158,7 +174,8 @@ class TestLastVisitDiscipline:
         done = admitted(rep, 0, "GREEN")
         done.first_team = "T1"
         rep._enqueue_last(done, 1300)  # T1 went home at 20:00
-        start = first_event(rep.log, 0, "START_LAST")
+        records = records_of(rep.log)
+        start = first_event(records, 0, "START_LAST")
         assert start is not None and start.time_min == 1300
         assert parse_detail(start.detail)["team"] == "T1"
 
@@ -166,7 +183,8 @@ class TestLastVisitDiscipline:
         rep = bare_rep(teams={"low_general": [("T1", 480, 1200)],
                               "high_general": [("H1", 480, 1200)]})
         rep._on_triage_done(1300, admitted(rep, 0, "GREEN"))
-        assert first_event(rep.log, 0, "START_FIRST") is None
+        records = records_of(rep.log)
+        assert first_event(records, 0, "START_FIRST") is None
 
 
 class TestExtraTeamScenario:
@@ -176,7 +194,8 @@ class TestExtraTeamScenario:
         done = admitted(rep, 1, "GREEN")
         done.first_team = "T1"
         rep._enqueue_last(done, 610)
-        start = first_event(rep.log, 1, "START_LAST")
+        records = records_of(rep.log)
+        start = first_event(records, 1, "START_LAST")
         assert start is not None and start.time_min == 610
         assert parse_detail(start.detail) == {"team": "LV1", "pool": "last_visit"}
 
@@ -185,14 +204,15 @@ class TestExtraTeamScenario:
         done = admitted(rep, 0, "GREEN")
         done.first_team = "T1"
         rep._enqueue_last(done, 1300)  # 21:40: extra team off, T1 drains it
-        start = first_event(rep.log, 0, "START_LAST")
+        records = records_of(rep.log)
+        start = first_event(records, 0, "START_LAST")
         assert parse_detail(start.detail)["team"] == "T1"
 
     def test_wt_last_drops_with_extra_team(self, default_profile):
         from edsim.kpi import compute_kpis
 
-        base = run_replication(default_profile, Scenario(), 0, 5, 8, keep_log=False)
-        extra = run_replication(default_profile, Scenario(a=1), 0, 5, 8, keep_log=False)
+        base = run_replication(default_profile, Scenario(), 0, 5, 8)
+        extra = run_replication(default_profile, Scenario(a=1), 0, 5, 8)
         k_base = compute_kpis(base.rows, 8, default_profile.thresholds)
         k_extra = compute_kpis(extra.rows, 8, default_profile.thresholds)
         assert k_extra.wt_last < 0.7 * k_base.wt_last
@@ -204,21 +224,21 @@ class TestTriageOutcomes:
                                teams={"low_general": [(f"T{i}", 0, 0) for i in range(6)],
                                       "high_general": [("H1", 0, 0)]},
                                first_mean=1.0, last_mean=1.0)
-        log = run_replication(Profile(raw), Scenario(e=20), 0, 3, 28)
-        pts = collect_patients(log.records)
+        _, records = run_logged(Profile(raw), Scenario(e=20), 0, 3, 28)
+        pts = collect_patients(records)
         whites = [p for p in pts.values() if p.get("TRIAGE_DONE") is not None]
         assert len(whites) > 100_000
         frac = sum(p.dismissed for p in whites) / len(whites)
         assert abs(frac - 0.20) < 0.01
 
     def test_no_dismissals_without_scenario_e(self, default_profile):
-        log = run_replication(default_profile, Scenario(), 0, 5, 3)
-        assert all(r.event != "DISMISSED_AT_TRIAGE" for r in log.records)
+        _, records = run_logged(default_profile, Scenario(), 0, 5, 3)
+        assert all(r.event != "DISMISSED_AT_TRIAGE" for r in records)
 
     def test_dismissed_have_no_further_events(self, default_profile):
-        log = run_replication(default_profile, Scenario(e=50), 0, 5, 4)
+        _, records = run_logged(default_profile, Scenario(e=50), 0, 5, 4)
         by_pid = defaultdict(list)
-        for r in log.records:
+        for r in records:
             by_pid[r.patient_id].append(r.event)
         dismissed = [evs for evs in by_pid.values() if "DISMISSED_AT_TRIAGE" in evs]
         assert dismissed
@@ -228,8 +248,8 @@ class TestTriageOutcomes:
     def test_raising_e_never_increases_admitted_whites(self, default_profile):
         def admitted_whites(e):
             scen = Scenario(e=e) if e else Scenario()
-            log = run_replication(default_profile, scen, 0, 17, 6)
-            return {p.pid for p in collect_patients(log.records).values()
+            _, records = run_logged(default_profile, scen, 0, 17, 6)
+            return {p.pid for p in collect_patients(records).values()
                     if p.code == "WHITE" and not p.dismissed and p.get("TRIAGE_DONE")}
 
         w0, w10, w20 = admitted_whites(0), admitted_whites(10), admitted_whites(20)
@@ -238,16 +258,16 @@ class TestTriageOutcomes:
 
 class TestLabPipeline:
     def test_lab_never_at_triage_when_l_zero(self, default_profile):
-        log = run_replication(default_profile, Scenario(l=0), 0, 5, 3)
-        for p in collect_patients(log.records).values():
+        _, records = run_logged(default_profile, Scenario(l=0), 0, 5, 3)
+        for p in collect_patients(records).values():
             draw, end_first = p.get("LAB_DRAW"), p.get("END_FIRST")
             if draw is not None:
                 assert end_first is not None and draw == end_first
 
     def test_lab_at_triage_when_l_hundred(self, default_profile):
-        log = run_replication(default_profile, Scenario(l=100), 0, 5, 3)
+        _, records = run_logged(default_profile, Scenario(l=100), 0, 5, 3)
         seen = 0
-        for p in collect_patients(log.records).values():
+        for p in collect_patients(records).values():
             draw = p.get("LAB_DRAW")
             if draw is not None and not p.dismissed:
                 assert draw == p.get("TRIAGE_DONE")
@@ -255,8 +275,8 @@ class TestLabPipeline:
         assert seen > 50
 
     def test_dispatch_on_half_hour_boundary(self, default_profile):
-        log = run_replication(default_profile, Scenario(), 0, 5, 3)
-        for p in collect_patients(log.records).values():
+        _, records = run_logged(default_profile, Scenario(), 0, 5, 3)
+        for p in collect_patients(records).values():
             draw, dispatch = p.get("LAB_DRAW"), p.get("LAB_DISPATCH")
             if draw is not None and dispatch is not None:
                 assert dispatch % 30 == 0
@@ -264,9 +284,9 @@ class TestLabPipeline:
 
     def test_reduction_shrinks_lab_turnaround_by_r(self, default_profile):
         def mean_turnaround(scen):
-            log = run_replication(default_profile, scen, 0, 5, 10)
+            _, records = run_logged(default_profile, scen, 0, 5, 10)
             spans = []
-            for p in collect_patients(log.records).values():
+            for p in collect_patients(records).values():
                 draw, result = p.get("LAB_DRAW"), p.get("LAB_RESULT")
                 if draw is not None and result is not None:
                     spans.append(result - draw)
@@ -278,8 +298,8 @@ class TestLabPipeline:
 
 class TestExamsAndFlow:
     def test_exams_wait_for_lab_result(self, default_profile):
-        log = run_replication(default_profile, Scenario(), 0, 5, 4)
-        for p in collect_patients(log.records).values():
+        _, records = run_logged(default_profile, Scenario(), 0, 5, 4)
+        for p in collect_patients(records).values():
             result, exam = p.get("LAB_RESULT"), p.get("START_EXAM")
             if result is not None and exam is not None:
                 assert exam >= result
@@ -289,26 +309,30 @@ class TestExamsAndFlow:
         p = admitted(rep, 0, "GREEN", first_d=30)
         rep._on_triage_done(600, p)
         pump(rep)
-        assert first_event(rep.log, 0, "ENQUEUE_LAST").time_min == \
-            first_event(rep.log, 0, "END_FIRST").time_min
+        records = records_of(rep.log)
+        assert first_event(records, 0, "ENQUEUE_LAST").time_min == \
+            first_event(records, 0, "END_FIRST").time_min
 
     def test_exams_start_at_end_first_without_lab(self, bare_rep):
         rep = bare_rep(teams={"low_general": [("T1", 0, 0)]})
         p = admitted(rep, 0, "GREEN", first_d=30, exams=("xray", "misc"))
         rep._on_triage_done(600, p)
         pump(rep)
-        evs = events_of(rep.log, 0)
-        end_first = first_event(rep.log, 0, "END_FIRST").time_min
+        records = records_of(rep.log)
+        evs = events_of(records, 0)
+        end_first = first_event(records, 0, "END_FIRST").time_min
         starts = [t for t, e, _ in evs if e == "START_EXAM"]
         ends = [t for t, e, _ in evs if e == "END_EXAM"]
         assert starts[0] == end_first
         assert len(starts) == len(ends) == 2
         assert starts[1] == ends[0]  # serial execution
 
-    def test_flow_conservation_under_drain(self, default_profile):
-        log = run_drained(Replication(default_profile, Scenario(e=10), 0, 5, 2))
+    def test_flow_conservation_under_drain(self, default_profile, tmp_path):
+        rep = Replication(default_profile, Scenario(e=10), 0, 5, 2,
+                          log_path=tmp_path / "rep_00.csv")
+        records = records_of(run_drained(rep))
         by_pid = defaultdict(list)
-        for r in log.records:
+        for r in records:
             by_pid[r.patient_id].append(r.event)
         assert len(by_pid) > 300
         for evs in by_pid.values():
@@ -318,17 +342,17 @@ class TestExamsAndFlow:
                 assert evs.count("DISCHARGE") == 1
 
     def test_timestamp_chain(self, default_profile):
-        log = run_replication(default_profile, Scenario(), 0, 5, 4)
+        _, records = run_logged(default_profile, Scenario(), 0, 5, 4)
         order = ["ARRIVE", "TRIAGE_DONE", "ENQUEUE_FIRST", "START_FIRST",
                  "END_FIRST", "ENQUEUE_LAST", "START_LAST", "DISCHARGE"]
-        for p in collect_patients(log.records).values():
+        for p in collect_patients(records).values():
             times = [p.get(e) for e in order]
             present = [t for t in times if t is not None]
             assert present == sorted(present)
 
     def test_log_times_non_decreasing(self, default_profile):
-        log = run_replication(default_profile, Scenario(tau_g=60), 0, 5, 3)
-        times = [r.time_min for r in log.records]
+        _, records = run_logged(default_profile, Scenario(tau_g=60), 0, 5, 3)
+        times = [r.time_min for r in records]
         assert times == sorted(times)
 
     def test_finished_replication_is_freed_by_reference_counting(self, default_profile):
@@ -347,13 +371,13 @@ class TestExamsAndFlow:
 
 class TestCapacityAndShifts:
     def test_teams_never_overlap_and_firsts_only_on_shift(self, default_profile):
-        log = run_replication(default_profile, Scenario(), 0, 5, 4)
+        _, records = run_logged(default_profile, Scenario(), 0, 5, 4)
         pools = {pid_: default_profile.resources[pid_]["teams"]
                  for pid_ in ("low_general", "high_general")}
         windows = {t["id"]: (t["start"], t["end"]) for ts in pools.values() for t in ts}
         busy_until = {}
-        by_pid = collect_patients(log.records)
-        for r in log.records:
+        by_pid = collect_patients(records)
+        for r in records:
             if r.event not in ("START_FIRST", "START_LAST"):
                 continue
             team = parse_detail(r.detail).get("team")
@@ -372,9 +396,9 @@ class TestCapacityAndShifts:
                 assert on, f"off-shift first visit by {team} at {r.time_min}"
 
     def test_services_cross_shift_change_and_complete(self, default_profile):
-        log = run_replication(default_profile, Scenario(), 0, 5, 4)
+        _, records = run_logged(default_profile, Scenario(), 0, 5, 4)
         crossing = 0
-        for p in collect_patients(log.records).values():
+        for p in collect_patients(records).values():
             s, e = p.get("START_FIRST"), p.get("END_FIRST")
             if s is not None and e is not None and s % 1440 < 1200 <= (s % 1440) + (e - s):
                 crossing += 1
@@ -385,16 +409,16 @@ class TestCapacityAndShifts:
         # dispatch point of its own, not the next arrival or completion
         raw = copy.deepcopy(default_raw)
         raw["resources"]["orthopaedic"]["teams"] = [{"id": "ORT1", "start": 545, "end": 1200}]
-        log = Replication(Profile(raw), Scenario(), 0, 42, 3).run()
+        _, records = run_logged(Profile(raw), Scenario(), 0, 42, 3)
         first_start = {}
-        for r in log.records:
+        for r in records:
             if r.event == "START_FIRST" and parse_detail(r.detail).get("team") == "ORT1":
                 first_start.setdefault(r.time_min // 1440, r.time_min % 1440)
         assert first_start == {day: 545 for day in range(4)}
 
     @pytest.mark.parametrize("spec", ["baseline", "F.1"])
     @pytest.mark.parametrize("second_band", [(1200, 480), (0, 0)], ids=["night", "all-day"])
-    def test_slots_are_grouped_by_band(self, default_raw, spec, second_band):
+    def test_slots_are_grouped_by_band(self, default_raw, spec, second_band, tmp_path):
         # Same-band teams listed apart still share one band, and slots are
         # ordered band by band, bands in order of first appearance: listed
         # C E D F, the high room runs exactly as listed C D E F. With E and F
@@ -407,10 +431,12 @@ class TestCapacityAndShifts:
         runs = []
         for order in ("CEDF", "CDEF"):
             raw["resources"]["high_general"]["teams"] = [teams[i] for i in order]
-            rep = Replication(Profile(copy.deepcopy(raw)), parse(spec), 0, 42, 3)
+            rep = Replication(Profile(copy.deepcopy(raw)), parse(spec), 0, 42, 3,
+                              log_path=tmp_path / f"{order}.csv")
             assert rep.pools["high_general"].calendar.teams == ("C", "D", "E", "F")
-            runs.append(rep.run().records)
+            runs.append(records_of(rep.run()))
         assert runs[0] == runs[1]
+
 
 class SecondPassReplication(Replication):
     """Runs a second dispatch pass after every dispatch and checks that it
@@ -480,19 +506,21 @@ class TestDispatch:
         rep._on_triage_done(600, admitted(rep, 0, "GREEN", first_d=100))
         rep._on_triage_done(601, admitted(rep, 1, "GREEN"))
         pump(rep)  # T1 frees at 700, when patient 1 has waited 99 > 30 minutes
-        assert events_of(rep.log, 1)[1:4] == [
+        records = records_of(rep.log)
+        assert events_of(records, 1)[1:4] == [
             (601, "ENQUEUE_FIRST", "queue=general"),
             (700, "PROMOTED", ""),
             (700, "START_FIRST", "team=T1 pool=low_general"),
         ]
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_second_dispatch_pass_starts_nothing(self, case):
+    def test_second_dispatch_pass_starts_nothing(self, case, tmp_path):
         spec, routing = CASES[case]
-        rep = SecondPassReplication(Profile(_raw_profile(routing)), parse(spec), 0, 42, 3)
-        log = rep.run()
+        rep = SecondPassReplication(Profile(_raw_profile(routing)), parse(spec), 0, 42, 3,
+                                    log_path=tmp_path / "rep_00.csv")
+        records = records_of(rep.run())
         assert rep.passes > 1000
-        assert sum(1 for r in log.raw if r[2] == "START_LAST") > 500
+        assert sum(1 for r in records if r.event == "START_LAST") > 500
 
 
 class TestQueueingBasics:
@@ -501,17 +529,18 @@ class TestQueueingBasics:
         for pid in range(3):
             rep._on_triage_done(0, admitted(rep, pid, "GREEN", first_d=60))
         pump(rep)
-        times = sorted(first_event(rep.log, pid, "START_FIRST").time_min for pid in range(3))
+        records = records_of(rep.log)
+        times = sorted(first_event(records, pid, "START_FIRST").time_min for pid in range(3))
         assert times == [0, 0, 60]
 
     def test_fifo_within_class_without_promotions(self, default_profile):
-        log = run_replication(default_profile, Scenario(), 0, 23, 4)
+        _, records = run_logged(default_profile, Scenario(), 0, 23, 4)
         queue_of = {}
-        for r in log.records:
+        for r in records:
             if r.event == "ENQUEUE_FIRST":
                 queue_of[r.patient_id] = parse_detail(r.detail)["queue"]
         by_group = defaultdict(list)
-        for p in collect_patients(log.records).values():
+        for p in collect_patients(records).values():
             enq, start = p.get("ENQUEUE_FIRST"), p.get("START_FIRST")
             if enq is not None and start is not None:
                 by_group[(queue_of[p.pid], p.code)].append((enq, start))
@@ -522,10 +551,11 @@ class TestQueueingBasics:
             assert starts == sorted(starts), f"FIFO broken within {group}"
 
     def test_event_log_csv_round_trip(self, default_profile, tmp_path):
-        log = run_replication(default_profile, Scenario(), 3, 17, 1)
-        path = tmp_path / "events.csv"
-        log.write_csv(path)
-        assert read_log_csv(path) == log.records
+        path = tmp_path / "rep_03.csv"
+        run_replication(default_profile, Scenario(), 3, 17, 1, log_path=path).write_csv(path)
+        records = read_log_csv(path)
+        assert len(records) > 1000 and {r.rep_id for r in records} == {3}
+        assert path.read_bytes() == csv_writer_bytes(records)
 
 
 def csv_writer_bytes(records) -> bytes:
@@ -543,56 +573,63 @@ class TestEventLogCsv:
             self, default_raw, ortho_id, tmp_path):
         raw = copy.deepcopy(default_raw)
         raw["resources"]["orthopaedic"]["teams"][0]["id"] = ortho_id
-        log = run_replication(Profile(raw), Scenario(), 0, 42, 1)
-        records = log.records
-        assert any(r.detail == f"team={ortho_id} pool=orthopaedic" for r in records)
         path = tmp_path / "rep_00.csv"
-        log.write_csv(path)
+        log = run_replication(Profile(raw), Scenario(), 0, 42, 1, log_path=path)
+        records = records_of(log)
+        assert any(r.detail == f"team={ortho_id} pool=orthopaedic" for r in records)
         assert path.read_bytes() == csv_writer_bytes(records)
-        assert read_log_csv(path) == records
 
     def test_one_quoted_row_among_many_plain_ones(self, tmp_path):
-        log = EventLog(2)
+        path = tmp_path / "rep_02.csv"
+        log = EventLog(2, path)
         for i in range(20000):
             log.add(i, i % 97, "START_FIRST", 'OR,"1"' if i == 9000 else "T1", "orthopaedic")
-        records = log.records
-        path = tmp_path / "rep_02.csv"
-        log.write_csv(path)
+        records = records_of(log)
+        assert [r.time_min for r in records] == list(range(20000))
+        assert records[9000].detail == 'team=OR,"1" pool=orthopaedic'
+        assert records[8999].detail == records[9001].detail == "team=T1 pool=orthopaedic"
         assert path.read_bytes() == csv_writer_bytes(records)
-        assert read_log_csv(path) == records
 
     def test_kept_log_renders_add_time_values(self, tmp_path):
-        log = EventLog(0)
+        log = EventLog(0, tmp_path / "rep_00.csv")
         exams = ["xray", "misc"]
         log.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, exams)
         exams[:] = ["misc"]
         detail = "code=GREEN type=GENERAL lab=1 labtriage=0 exams=xray+misc"
-        assert log.records[0].detail == detail
-        path = tmp_path / "rep_00.csv"
-        log.write_csv(path)
-        assert read_log_csv(path)[0].detail == detail
+        assert records_of(log)[0].detail == detail
 
+    def test_write_csv_refuses_a_path_that_is_not_its_own(self, tmp_path):
+        path, other = tmp_path / "rep_00.csv", tmp_path / "rep_01.csv"
+        log = EventLog(0, path)
+        log.add(10, 1, "PROMOTED")
+        with pytest.raises(ValueError, match="streams to .*rep_00.csv, not to .*rep_01.csv"):
+            log.write_csv(other)
+        assert not other.exists()
+        log.write_csv(str(path))  # the same path, spelt as a string
+        assert [r[:4] for r in read_log_csv(path)] == [(0, 10, 1, "PROMOTED")]
 
-    def test_a_log_that_is_not_kept_cannot_stream(self, tmp_path):
+    def test_a_log_without_a_path_has_no_file_to_write(self, tmp_path):
+        log = EventLog(0)
         with pytest.raises(ValueError, match="not kept"):
-            EventLog(0, keep=False, path=tmp_path / "rep_00.csv")
+            log.write_csv(tmp_path / "rep_00.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:
     def test_same_seed_identical_log(self, default_profile):
-        a = run_replication(default_profile, Scenario(tau_g=90, l=20), 0, 7, 3)
-        b = run_replication(default_profile, Scenario(tau_g=90, l=20), 0, 7, 3)
-        assert a.records == b.records
+        a = run_logged(default_profile, Scenario(tau_g=90, l=20), 0, 7, 3)[1]
+        b = run_logged(default_profile, Scenario(tau_g=90, l=20), 0, 7, 3)[1]
+        assert a == b
 
     def test_different_reps_differ(self, default_profile):
-        a = run_replication(default_profile, Scenario(), 0, 7, 2)
-        b = run_replication(default_profile, Scenario(), 1, 7, 2)
-        assert a.records != b.records
+        a = run_logged(default_profile, Scenario(), 0, 7, 2)[1]
+        b = run_logged(default_profile, Scenario(), 1, 7, 2)[1]
+        assert a != b
 
     def test_baseline_scenario_equals_no_scenario(self, default_profile):
-        a = run_replication(default_profile, Scenario(), 0, 7, 3)
-        b = run_replication(default_profile, Scenario(t=None, p=None), 0, 7, 3)
-        assert a.records == b.records
+        a = run_logged(default_profile, Scenario(), 0, 7, 3)[1]
+        b = run_logged(default_profile, Scenario(t=None, p=None), 0, 7, 3)[1]
+        assert a == b
 
 
 def tape_row(minute, code="GREEN"):
@@ -612,17 +649,17 @@ class TestHorizon:
 
     def test_arrival_at_the_horizon_is_admitted_and_one_past_it_is_not(self, default_profile):
         horizon = WARMUP_MIN + MINUTES_PER_DAY
-        rep = Replication(default_profile, Scenario(), 0, 5, 1,
-                          tape=[tape_row(horizon), tape_row(horizon + 1)])
-        log = rep.run()
-        assert [(r.time_min, r.event) for r in log.records] == [(rep.horizon, "ARRIVE")]
-        assert [row[1] for row in log.rows] == [rep.horizon]
+        log, records = run_logged(default_profile, Scenario(), 0, 5, 1,
+                                  tape=[tape_row(horizon), tape_row(horizon + 1)])
+        assert [(r.time_min, r.event) for r in records] == [(horizon, "ARRIVE")]
+        assert [row[1] for row in log.rows] == [horizon]
 
-    def test_drain_runs_past_the_horizon_until_the_ed_is_empty(self, default_profile):
+    def test_drain_runs_past_the_horizon_until_the_ed_is_empty(self, default_profile, tmp_path):
         kept = Replication(default_profile, Scenario(e=10), 0, 5, 1)
         kept.run()
         assert kept.in_flight > 0
-        rep = Replication(default_profile, Scenario(e=10), 0, 5, 1)
+        rep = Replication(default_profile, Scenario(e=10), 0, 5, 1,
+                          log_path=tmp_path / "rep_00.csv")
         horizon = rep.horizon
         seen = []
         rep.calendar.schedule(horizon + 1, lambda now, tag: seen.append((now, tag)), "past")
@@ -634,4 +671,16 @@ class TestHorizon:
         assert all(pool.count == 0 and not pool.fifo for pool in rep.exam_pools.values())
         dismissed, discharge = ROW_FIELDS.index("dismissed"), ROW_FIELDS.index("discharge")
         assert all(r[dismissed] or r[discharge] != NO_TIME for r in log.rows)
-        assert max(r.time_min for r in log.records) > horizon
+        assert max(r.time_min for r in records_of(log)) > horizon
+
+    def test_drain_of_a_room_without_a_team_ends_and_names_who_waits(self, default_raw):
+        # half the patients are routed to orthopaedic and dermatological
+        # rooms that have no team, so the ED never empties
+        rep = Replication(Profile(make_mini_raw(default_raw, visit_general=0.5)), Scenario(),
+                          0, 5, 1)
+        started = time.monotonic()
+        with pytest.raises(AssertionError, match=r"patients still in the ED 30 days past the "
+                                                 r"horizon: pids \[\d+, "):
+            run_drained(rep)
+        assert time.monotonic() - started < 10
+        assert rep.in_flight > 10

@@ -18,7 +18,6 @@ ALLOWED = {
     "__init__.__all__": "the package's export list, read by star imports",
     "kernel.ShiftCalendar.teams_on": "hooked by name in perfbench/tracer.py",
     "kernel.PromotionQueue.has_rank_at_most": "hooked by name in perfbench/tracer.py",
-    "kernel.EventLog.records": "read by the tests' event-log oracle",
 }
 
 

@@ -12,7 +12,8 @@ from edsim.kpi import compute_kpis
 from edsim.model import Replication, run_replication
 from edsim.scenario import Scenario, parse
 
-from log_oracle import collect_patients, rows_from_log, rows_from_log_dir, run_drained
+from log_oracle import (collect_patients, records_of, rows_from_log, rows_from_log_dir,
+                        run_drained, run_logged)
 
 DAYS = 2
 SEEDS = (3, 42, 2020)
@@ -20,27 +21,28 @@ SEEDS = (3, 42, 2020)
 # scenario -> check that the replication exercised what the scenario is for
 SCENARIOS = {
     "baseline": (Scenario(), None),
-    "e=30": (Scenario(e=30), lambda log: _has(log, "DISMISSED_AT_TRIAGE")),
-    "l=100": (Scenario(l=100), lambda log: any(
-        r.event == "TRIAGE_DONE" and "labtriage=1" in r.detail for r in log.records)),
-    "a=1": (Scenario(a=1), lambda log: any(
-        r.event == "START_LAST" and r.detail.endswith("pool=last_visit") for r in log.records)),
-    "tau_g=60,tau_w=90": (Scenario(tau_g=60, tau_w=90), lambda log: _has(log, "PROMOTED")),
+    "e=30": (Scenario(e=30), lambda records: _has(records, "DISMISSED_AT_TRIAGE")),
+    "l=100": (Scenario(l=100), lambda records: any(
+        r.event == "TRIAGE_DONE" and "labtriage=1" in r.detail for r in records)),
+    "a=1": (Scenario(a=1), lambda records: any(
+        r.event == "START_LAST" and r.detail.endswith("pool=last_visit") for r in records)),
+    "tau_g=60,tau_w=90": (Scenario(tau_g=60, tau_w=90), lambda records: _has(records, "PROMOTED")),
     "B.1": (parse("B.1"), None),
-    "F.1": (parse("F.1"), lambda log: any(
-        r.event == "START_LAST" and r.detail.endswith("pool=last_visit") for r in log.records)),
-    "Cb.15": (parse("Cb.15"), lambda log: _has(log, "DISMISSED_AT_TRIAGE")),
+    "F.1": (parse("F.1"), lambda records: any(
+        r.event == "START_LAST" and r.detail.endswith("pool=last_visit") for r in records)),
+    "Cb.15": (parse("Cb.15"), lambda records: _has(records, "DISMISSED_AT_TRIAGE")),
 }
 
 
-def _has(log: EventLog, event: str) -> bool:
-    return any(r.event == event for r in log.records)
+def _has(records, event: str) -> bool:
+    return any(r.event == event for r in records)
 
 
-def _assert_online_matches_log(log: EventLog, thresholds: dict, warmup_min: int) -> None:
-    assert log.rows == rows_from_log(log.records)
+def _assert_online_matches_log(log: EventLog, records, thresholds: dict,
+                               warmup_min: int) -> None:
+    assert log.rows == rows_from_log(records)
     online = compute_kpis(log.rows, DAYS, thresholds, warmup_min=warmup_min)
-    from_log = compute_kpis(rows_from_log(log.records), DAYS, thresholds, warmup_min=warmup_min)
+    from_log = compute_kpis(rows_from_log(records), DAYS, thresholds, warmup_min=warmup_min)
     assert online.to_dict() == from_log.to_dict()
 
 
@@ -48,36 +50,38 @@ def _assert_online_matches_log(log: EventLog, thresholds: dict, warmup_min: int)
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_online_kpis_equal_log_kpis(name, seed, default_profile):
     scenario, exercised = SCENARIOS[name]
-    log = run_replication(default_profile, scenario, 0, seed, DAYS)
+    log, records = run_logged(default_profile, scenario, 0, seed, DAYS)
     if exercised is not None:
-        assert exercised(log), f"{name} seed {seed} did not exercise its lever"
-    _assert_online_matches_log(log, default_profile.thresholds, 1440)
+        assert exercised(records), f"{name} seed {seed} did not exercise its lever"
+    _assert_online_matches_log(log, records, default_profile.thresholds, 1440)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_online_kpis_equal_log_kpis_when_draining(seed, default_profile):
-    log = run_drained(Replication(default_profile, Scenario(e=10, tau_g=90), 0, seed, DAYS))
+def test_online_kpis_equal_log_kpis_when_draining(seed, default_profile, tmp_path):
+    log = run_drained(Replication(default_profile, Scenario(e=10, tau_g=90), 0, seed, DAYS,
+                                  log_path=tmp_path / "rep_00.csv"))
+    records = records_of(log)
     assert all(p.get("DISCHARGE") is not None or p.dismissed
-               for p in collect_patients(log.records).values())
-    _assert_online_matches_log(log, default_profile.thresholds, 1440)
+               for p in collect_patients(records).values())
+    _assert_online_matches_log(log, records, default_profile.thresholds, 1440)
 
 
 def test_patient_arriving_at_the_warmup_boundary_counts_on_both_paths(default_profile):
-    log = run_replication(default_profile, Scenario(), 0, 42, DAYS)
+    log, records = run_logged(default_profile, Scenario(), 0, 42, DAYS)
     # the first triaged, not dismissed patient after the first day sets the boundary
-    boundary = next(p.get("ARRIVE") for p in collect_patients(log.records).values()
+    boundary = next(p.get("ARRIVE") for p in collect_patients(records).values()
                     if p.get("ARRIVE") >= 1440 and p.get("TRIAGE_DONE") is not None
                     and not p.dismissed)
-    _assert_online_matches_log(log, default_profile.thresholds, boundary)
+    _assert_online_matches_log(log, records, default_profile.thresholds, boundary)
     at = compute_kpis(log.rows, DAYS, default_profile.thresholds, warmup_min=boundary)
     after = compute_kpis(log.rows, DAYS, default_profile.thresholds, warmup_min=boundary + 1)
     assert at.n_admitted > after.n_admitted
 
 
 def test_log_not_kept_holds_no_records_and_same_kpis(default_profile):
-    kept = run_replication(default_profile, Scenario(tau_g=90), 1, 7, DAYS)
-    bare = run_replication(default_profile, Scenario(tau_g=90), 1, 7, DAYS, keep_log=False)
-    assert kept.records and bare.records == []
+    kept, records = run_logged(default_profile, Scenario(tau_g=90), 1, 7, DAYS)
+    bare = run_replication(default_profile, Scenario(tau_g=90), 1, 7, DAYS)
+    assert records and bare.raw == []
     assert bare.rows == kept.rows
     thresholds = default_profile.thresholds
     assert (compute_kpis(bare.rows, DAYS, thresholds).to_dict()
@@ -95,36 +99,42 @@ def test_harness_writes_logs_only_when_asked(jobs, default_profile, tmp_path, mo
     logged_agg = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs, log_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rep_00.csv", "rep_01.csv"]
     for rep, rows in enumerate(rows_from_log_dir(tmp_path, 2)):
-        assert rows and rows == run_replication(default_profile, Scenario(), rep, 5, 1,
-                                                keep_log=False).rows
+        assert rows and rows == run_replication(default_profile, Scenario(), rep, 5, 1).rows
     assert logged_agg.to_dict() == agg.to_dict()
     assert logged_agg.first_waits == agg.first_waits
 
 
 class TestEventLogSink:
-    def test_unknown_event_raises_when_kept(self):
-        with pytest.raises(ValueError, match="unknown log event 'TELEPORT'"):
-            EventLog(0).add(5, 1, "TELEPORT")
+    @pytest.fixture()
+    def streamed(self, tmp_path):
+        log = EventLog(0, tmp_path / "rep_00.csv")
+        yield log
+        log.close()
 
-    def test_field_count_is_checked_when_kept(self):
+    def test_unknown_event_raises_when_kept(self, streamed):
+        with pytest.raises(ValueError, match="unknown log event 'TELEPORT'"):
+            streamed.add(5, 1, "TELEPORT")
+
+    def test_field_count_is_checked_when_kept(self, streamed):
         with pytest.raises(ValueError, match="START_FIRST takes 2 fields, got 1"):
-            EventLog(0).add(5, 1, "START_FIRST", "T1")
+            streamed.add(5, 1, "START_FIRST", "T1")
 
     def test_log_not_kept_returns_at_once(self):
-        log = EventLog(0, keep=False)
+        log = EventLog(0)
         log.add(5, 1, "TELEPORT")
-        assert log.records == []
+        assert log.raw == []
 
-    def test_details_render_from_templates(self):
-        log = EventLog(3)
+    def test_details_render_from_templates(self, tmp_path):
+        log = EventLog(3, tmp_path / "rep_03.csv")
         log.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, ["xray", "misc"])
         log.add(11, 2, "TRIAGE_DONE", "WHITE", "ORTHOPAEDIC", False, False, [])
         log.add(12, 1, "START_FIRST", "T1", "low_general")
         log.add(13, 1, "PROMOTED")
-        assert [r.detail for r in log.records] == [
+        records = records_of(log)
+        assert [r.detail for r in records] == [
             "code=GREEN type=GENERAL lab=1 labtriage=0 exams=xray+misc",
             "code=WHITE type=ORTHOPAEDIC lab=0 labtriage=0 exams=-",
             "team=T1 pool=low_general",
             "",
         ]
-        assert log.records[0][:4] == (3, 10, 1, "TRIAGE_DONE")
+        assert records[0][:4] == (3, 10, 1, "TRIAGE_DONE")

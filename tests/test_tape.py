@@ -30,9 +30,10 @@ DAYS = 2
 SPECS = ("baseline", "B.1", "C.3", "E.3", "D.2", "F.1", "Cb.15")
 
 
-def _csv(log, path):
-    log.write_csv(path)
-    return path.read_bytes()
+def _csv(log):
+    """The bytes of the file `log` streams to, once write_csv ends it."""
+    log.write_csv(log.path)
+    return log.path.read_bytes()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -41,10 +42,12 @@ def test_run_from_tape_equals_run_without_one(default_profile, spec, seed, tmp_p
     scenario = parse(spec)
     tape = list(draw_patients(default_profile, seed, 1, DAYS))
     before = copy.deepcopy(tape)
-    drawn = run_replication(default_profile, scenario, 1, seed, DAYS)
-    taped = run_replication(default_profile, scenario, 1, seed, DAYS, tape=tape)
+    drawn = run_replication(default_profile, scenario, 1, seed, DAYS,
+                            log_path=tmp_path / "drawn.csv")
+    taped = run_replication(default_profile, scenario, 1, seed, DAYS, tape=tape,
+                            log_path=tmp_path / "taped.csv")
     assert taped.rows == drawn.rows
-    assert _csv(taped, tmp_path / "taped.csv") == _csv(drawn, tmp_path / "drawn.csv")
+    assert _csv(taped) == _csv(drawn)
     assert tape == before
 
 
@@ -52,10 +55,12 @@ def test_run_from_tape_equals_run_without_one(default_profile, spec, seed, tmp_p
 def test_drained_run_from_tape_equals_run_without_one(default_profile, seed, tmp_path):
     tape = PatientTape(default_profile, seed, 0, DAYS)
     data = tape.data
-    drawn = run_drained(Replication(default_profile, parse("C.3"), 0, seed, DAYS))
-    taped = run_drained(Replication(default_profile, parse("C.3"), 0, seed, DAYS, tape=tape))
+    drawn = run_drained(Replication(default_profile, parse("C.3"), 0, seed, DAYS,
+                                    log_path=tmp_path / "drawn.csv"))
+    taped = run_drained(Replication(default_profile, parse("C.3"), 0, seed, DAYS, tape=tape,
+                                    log_path=tmp_path / "taped.csv"))
     assert taped.rows == drawn.rows
-    assert _csv(taped, tmp_path / "taped.csv") == _csv(drawn, tmp_path / "drawn.csv")
+    assert _csv(taped) == _csv(drawn)
     assert tape.data == data
     assert list(tape) == list(draw_patients(default_profile, seed, 0, DAYS))
 
