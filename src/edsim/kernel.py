@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import os
+import re
 import zlib
 from collections import deque
 from collections.abc import Callable
@@ -31,7 +33,7 @@ STATIC_RANKS = (RANK_RED, RANK_YELLOW, RANK_GREEN, RANK_WHITE)
 
 # Event-log vocabulary (CSV schema: rep_id,time_min,patient_id,event,detail):
 # each event's detail template, filled in order from the raw fields the model
-# passes to EventLog.add. "{+}" takes a list of names and renders it
+# passes to EventLog.add. "{+}" takes a sequence of names and renders it
 # "+"-joined, "-" when empty.
 LOG_TEMPLATES = {
     "ARRIVE": "mode={} code={}",
@@ -50,13 +52,12 @@ LOG_TEMPLATES = {
     "START_LAST": "team={} pool={}",
     "DISCHARGE": "",
 }
-# event -> (its template as a % template, field count, position of its "{+}"
-# field or None)
+# event -> (its template as a % template, the kind of each field: "" for a
+# "{}" str, ":d" for a "{:d}" integer, "+" for a "{+}" sequence of names)
 _LOG_RENDER = {event: (template.replace("{+}", "%s").replace("{:d}", "%d").replace("{}", "%s"),
-                       template.count("{"),
-                       template[:template.index("{+}")].count("{") if "{+}" in template else None)
+                       tuple(re.findall(r"\{(\+|:d|)\}", template)))
                for event, template in LOG_TEMPLATES.items()}
-_CSV_CHUNK = 4096  # records rendered and written per chunk
+_CSV_CHUNK = 4096  # lines buffered before they are written
 
 LOG_HEADER = ("rep_id", "time_min", "patient_id", "event", "detail")
 
@@ -309,24 +310,28 @@ class EventLog:
     """Sink for every state transition of one replication.
 
     A log with a `path` streams to that file: it opens it and writes
-    LOG_HEADER at once, checks each `add` (a known event, its field count)
-    and buffers the flat record `(time_min, patient_id, event, *fields)`,
-    with a "{+}" list already "+"-joined, so later changes to the caller's
-    list do not reach the log. Each `flush` appends the buffered records
-    once they fill a chunk, and `write_csv(path)` appends the rest and
-    closes the file, so the log holds one chunk of records at most. The
-    detail is rendered from the `%` templates in _LOG_RENDER as it is
-    written. A log without a path keeps nothing: `add` returns at once.
-    `rows` holds the replication's KPI rows (kpi.ROW_FIELDS, one per
+    LOG_HEADER at once, and each `add` buffers the record's finished CSV
+    line. The line's `event,detail\r\n` tail depends only on the event and
+    its fields, so the log renders each distinct tail once and keeps it per
+    event, keyed by the `fields` tuple; a field that cannot be hashed, such
+    as a list, is rendered each time. Rendering checks the event, its field
+    count and that each "{}" field is a str (so equal fields render alike),
+    fills the event's `%` template from _LOG_RENDER and has csv.writer write
+    `(event, detail)`, which quotes a detail that needs it. Each `flush`
+    appends the buffered lines once they fill a chunk, and `write_csv(path)`
+    appends the rest and closes the file, so the log holds one chunk of
+    lines at most. A log without a path keeps nothing: `add` returns at
+    once. `rows` holds the replication's KPI rows (kpi.ROW_FIELDS, one per
     patient) either way."""
 
     def __init__(self, rep_id: int, path=None) -> None:
         self.rep_id = rep_id
         self.path = path
-        self.raw: list[tuple] = []
+        self.raw: list[str] = []
         self.rows: list[tuple[int, ...]] = []
         self._file = None
         if path is not None:
+            self._tails: dict[str, dict[tuple, str]] = {event: {} for event in _LOG_RENDER}
             self._file = open(path, "w", newline="")
             csv.writer(self._file).writerow(LOG_HEADER)
 
@@ -334,17 +339,38 @@ class EventLog:
         if self._file is None:
             return
         try:
-            _detail, arity, joined = _LOG_RENDER[event]
+            tail = self._tails[event][fields]
+        except (KeyError, TypeError):  # a new tail, an unknown event or an unhashable field
+            tail = self._render_tail(event, fields)
+        self.raw.append(f"{self.rep_id},{time_min},{patient_id},{tail}")
+
+    def _render_tail(self, event: str, fields: tuple) -> str:
+        """`event,detail\r\n` as csv.writer writes it, kept for `fields`
+        when they can be hashed."""
+        try:
+            template, kinds = _LOG_RENDER[event]
         except KeyError:
             raise ValueError(f"unknown log event {event!r}") from None
-        if len(fields) != arity:
-            raise ValueError(f"log event {event} takes {arity} fields, got {len(fields)}")
-        if joined is not None:
-            fields = (*fields[:joined], "+".join(fields[joined]) or "-", *fields[joined + 1:])
-        self.raw.append((time_min, patient_id, event) + fields)
+        if len(fields) != len(kinds):
+            raise ValueError(f"log event {event} takes {len(kinds)} fields, got {len(fields)}")
+        values = []
+        for kind, field in zip(kinds, fields):
+            if kind == "+":
+                field = "+".join(field) or "-"
+            elif kind == "" and not isinstance(field, str):
+                raise ValueError(f"log event {event} takes str fields, got {field!r}")
+            values.append(field)
+        buf = io.StringIO()
+        csv.writer(buf).writerow((event, template % tuple(values)))
+        tail = buf.getvalue()
+        try:
+            self._tails[event][fields] = tail
+        except TypeError:  # unhashable, such as a list of exam kinds
+            pass
+        return tail
 
     def flush(self) -> None:
-        """Append the buffered records to the file once they fill a chunk."""
+        """Append the buffered lines to the file once they fill a chunk."""
         if self._file is not None and len(self.raw) >= _CSV_CHUNK:
             self._write()
 
@@ -354,28 +380,9 @@ class EventLog:
             self._file.close()
 
     def _write(self) -> None:
-        """Append the buffered records to the file as csv.writer writes
-        them, and empty the buffer.
-
-        Each line is one whole-line `%` template per event applied to the
-        flat record. The separators and the CRLF line end are fixed, so a
-        chunk of lines holds exactly four commas, one CR and one LF per line
-        and no quote unless some field needs csv quoting; such a chunk goes
-        through csv.writer instead."""
-        rep_id, fh, raw = self.rep_id, self._file, self.raw
-        line = {event: f"{rep_id},%d,%d,%s,{detail}\r\n"
-                for event, (detail, _arity, _joined) in _LOG_RENDER.items()}
-        for start in range(0, len(raw), _CSV_CHUNK):
-            chunk = raw[start:start + _CSV_CHUNK]
-            text = "".join([line[r[2]] % r for r in chunk])
-            n = len(chunk)
-            if (text.count(",") == 4 * n and text.count("\n") == n
-                    and text.count("\r") == n and '"' not in text):
-                fh.write(text)
-            else:  # field order is LOG_HEADER's
-                csv.writer(fh).writerows((rep_id, *r[:3], _LOG_RENDER[r[2]][0] % r[3:])
-                                         for r in chunk)
-        raw.clear()
+        """Append the buffered lines to the file and empty the buffer."""
+        self._file.write("".join(self.raw))
+        self.raw.clear()
 
     def write_csv(self, path) -> None:
         """End the log's file, `path`: append what the log still buffers and

@@ -330,9 +330,10 @@ def draw_patients(profile: Profile, seed: int, rep: int, days: int) -> Iterator[
     triage_d, last_d = svc["triage"].from_normal, svc["last_visit"].from_normal
     first_d = {v: svc[FIRST_SERVICE[v]].from_normal for v in VISIT_TYPES}
     exam_d = {"xray": svc["exam_xray"].from_normal, "misc": svc["exam_misc"].from_normal}
-    # (extra-exam kinds, their duration draws) by x-ray flag, then by count
+    # (extra-exam kinds, their duration draws) by x-ray flag, then by count;
+    # every row with that plan shares its kinds tuple, which the log hashes
     exam_plans = [[(kinds, [exam_d[k] for k in kinds]) for kinds in (
-        ["xray"] + ["misc"] * (n - 1) if xray else ["misc"] * n
+        ("xray",) + ("misc",) * (n - 1) if xray else ("misc",) * n
         for n in range(EXAM_COUNT_MAX + 1))] for xray in (False, True)]
     horizon = WARMUP_MIN + days * MINUTES_PER_DAY
     t_real = 0.0
@@ -353,7 +354,7 @@ def draw_patients(profile: Profile, seed: int, rep: int, days: int) -> Iterator[
         z_first, z_last, z_wait, z_eff, z_misc, *z_exams = normal(5 + len(exam_kinds)).tolist()
         exam_ds = [int(d(z) + 0.5) or 1 for d, z in zip(exam_draws, z_exams)]
         yield (round_half_up(t_real), code, mode, triage, visit_type, u_lab < p_lab,
-               u_lab_triage, u_dismiss, list(exam_kinds),
+               u_lab_triage, u_dismiss, exam_kinds,
                int(first_d["GENERAL" if code == "RED" else visit_type](z_first) + 0.5) or 1,
                int(last_d(z_last) + 0.5) or 1, (z_wait, z_eff, z_misc), exam_ds)
 

@@ -37,15 +37,15 @@ def draw_exam_count(u: float, profile: Profile) -> int:
     return EXAM_COUNT_MAX
 
 
-def draw_exam_list(u_xray: float, u_count: float, profile: Profile) -> list[str]:
+def draw_exam_list(u_xray: float, u_count: float, profile: Profile) -> tuple[str, ...]:
     """Extra-exam kinds. The x-ray flag is drawn independently of the count;
     an x-ray patient with count 0 still gets the x-ray, which leaves both the
     x-ray share and P(count < 4) at their configured values."""
     count = draw_exam_count(u_count, profile)
     has_xray = u_xray < profile.mixes["xray"]
     if has_xray:
-        return ["xray"] + ["misc"] * max(0, count - 1)
-    return ["misc"] * count
+        return ("xray",) + ("misc",) * max(0, count - 1)
+    return ("misc",) * count
 
 
 def draw_patient(profile: Profile, minute: int, code: str, rng: np.random.Generator) -> tuple:

@@ -19,7 +19,8 @@ from edsim.scenario import Scenario
 from edsim.stochastics import Profile
 
 from log_oracle import (assert_no_overbooking, check_red_immediacy, collect_patients,
-                        records_of, run_drained, team_windows)
+                        parse_detail, read_log_csv, records_of, run_drained, team_windows)
+from test_model import csv_writer_bytes
 from test_tape import mini_profiles
 
 DISMISSED, DISCHARGE = ROW_FIELDS.index("dismissed"), ROW_FIELDS.index("discharge")
@@ -62,10 +63,18 @@ def test_patients_are_conserved_and_no_one_is_overbooked(default_raw, data, scen
             check_red_immediacy(patients, team_windows(profile, 60 * (scenario.t or 0)),
                                 profile)
 
-        # a room that receives patients but has no team never empties, and
-        # run_drained raises there
-        if all(profile.resources[room]["teams"] for visit, room in SPECIALIST_ROOMS.items()
-               if profile.mixes["visit_type"][visit] > 0):
+        # a room that receives patients but has no team never empties: once
+        # a patient has queued there (each room's queue bears its name),
+        # run_drained raises
+        unstaffed = {room for visit, room in SPECIALIST_ROOMS.items()
+                     if profile.mixes["visit_type"][visit] > 0
+                     and not profile.resources[room]["teams"]}
+        if any(r.event == "ENQUEUE_FIRST" and parse_detail(r.detail)["queue"] in unstaffed
+               for r in records):
+            with pytest.raises(AssertionError, match="patients still in the ED"):
+                run_drained(Replication(profile, scenario, 0, seed, days,
+                                        log_path=Path(tmp) / "drained.csv"))
+        elif not unstaffed:
             drained = Replication(profile, scenario, 0, seed, days,
                                   log_path=Path(tmp) / "drained.csv")
             log = run_drained(drained)
@@ -120,13 +129,15 @@ def test_a_streamed_log_is_the_file_one_chunk_writes(default_raw, data, scenario
     assert streamed == whole
 
 
+@pytest.mark.parametrize("ortho_id", ['OR,"1"', "OR\r1", "OR\n1", "OR%s{}1"])
 def test_a_streamed_chunk_that_needs_quotes_is_written_as_csv_writer_does(default_raw,
-                                                                          tmp_path):
+                                                                          ortho_id, tmp_path):
     raw = copy.deepcopy(default_raw)
-    raw["resources"]["orthopaedic"]["teams"][0]["id"] = 'OR,"1"'
+    raw["resources"]["orthopaedic"]["teams"][0]["id"] = ortho_id
     whole, streamed = _whole_and_streamed(Profile(raw), Scenario(), 42, 1, tmp_path)
-    assert b'team=OR,""1"" pool=orthopaedic' in streamed
-    assert streamed == whole
+    records = read_log_csv(tmp_path / "whole.csv")
+    assert any(r.detail == f"team={ortho_id} pool=orthopaedic" for r in records)
+    assert whole == streamed == csv_writer_bytes(records)
 
 
 def test_a_run_that_raises_after_a_flush_closes_its_file(default_profile, tmp_path,

@@ -92,7 +92,10 @@ def _replay(rep, mode, tau_g, tau_w, start, operations):
         want = reference_pick(oracle, mode, now)
         logged = len(rep.log.raw)
         rep._pick_task(pool, "H1", now, queue)
-        started = [r[1] for r in rep.log.raw[logged:] if r[2] == "START_FIRST"]
+        # the buffered rep_id,time_min,patient_id,event,detail lines
+        started = [int(pid) for _rep, _time, pid, event, _detail
+                   in (line.split(",", 4) for line in rep.log.raw[logged:])
+                   if event == "START_FIRST"]
         if want is None:
             assert started == [] and "H1" not in pool.busy
             continue

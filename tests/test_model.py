@@ -24,7 +24,7 @@ def make_patient(pid, code, *, visit_type="GENERAL", needs_lab=False, exams=(),
                  first_d=10, last_d=2, triage_d=1, u_dismiss=1.0, u_lab_triage=1.0):
     # a tape row in stochastics.draw_patients field order
     return Patient(pid, (0, code, "walking", triage_d, visit_type, needs_lab, u_lab_triage,
-                         u_dismiss, list(exams), first_d, last_d, (0.0, 0.0, 0.0),
+                         u_dismiss, tuple(exams), first_d, last_d, (0.0, 0.0, 0.0),
                          [5] * len(exams)))
 
 
@@ -634,7 +634,7 @@ class TestDeterminism:
 
 def tape_row(minute, code="GREEN"):
     # a tape row in stochastics.draw_patients field order
-    return (minute, code, "walking", 1, "GENERAL", False, 1.0, 1.0, [], 10, 2,
+    return (minute, code, "walking", 1, "GENERAL", False, 1.0, 1.0, (), 10, 2,
             (0.0, 0.0, 0.0), [])
 
 

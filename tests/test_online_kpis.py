@@ -138,3 +138,34 @@ class TestEventLogSink:
             "",
         ]
         assert records[0][:4] == (3, 10, 1, "TRIAGE_DONE")
+
+    def test_a_list_field_renders_the_line_a_tuple_does_without_being_kept(self, streamed):
+        streamed.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, ("xray", "misc"))
+        streamed.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, ["xray", "misc"])
+        assert streamed.raw == [
+            "0,10,1,TRIAGE_DONE,code=GREEN type=GENERAL lab=1 labtriage=0 exams=xray+misc\r\n"] * 2
+        assert list(streamed._tails["TRIAGE_DONE"]) == [
+            ("GREEN", "GENERAL", True, False, ("xray", "misc"))]
+
+    def test_a_str_field_must_be_a_str_and_equal_integers_render_alike(self, streamed):
+        with pytest.raises(ValueError, match="START_FIRST takes str fields, got 1"):
+            streamed.add(5, 1, "START_FIRST", 1, "low_general")
+        with pytest.raises(ValueError, match="ENQUEUE_FIRST takes str fields, got True"):
+            streamed.add(5, 1, "ENQUEUE_FIRST", True)
+        assert streamed.raw == []
+        for lab in (True, 1, 1.0):  # equal keys: the first one's tail serves them all
+            streamed.add(5, 1, "TRIAGE_DONE", "RED", "GENERAL", lab, 0, ())
+        assert streamed.raw == [
+            "0,5,1,TRIAGE_DONE,code=RED type=GENERAL lab=1 labtriage=0 exams=-\r\n"] * 3
+
+    def test_one_detail_reused_by_many_records_writes_each_line(self, tmp_path):
+        log = EventLog(7, tmp_path / "rep_07.csv")
+        teams = ("T1", "T2", 'OR,"1"')
+        for i in range(3000):
+            log.add(i, i % 101, "START_FIRST", teams[i % 3], "low_general")
+            log.add(i, i % 101, "PROMOTED")
+            log.flush()  # a full chunk goes out as the model's arrivals send it
+        records = records_of(log)
+        assert records == [rec for i in range(3000) for rec in (
+            (7, i, i % 101, "START_FIRST", f"team={teams[i % 3]} pool=low_general"),
+            (7, i, i % 101, "PROMOTED", ""))]
