@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harness import run_scenario
-from .kpi import HEADLINE_KPIS, KpiReport
+from .kpi import HEADLINE_KPIS, KpiReport, nan_to_none
 from .scenario import Scenario
 from .stochastics import Profile
 
@@ -122,8 +122,8 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
         trace.append({
             "eval": tag,
             "multipliers": {k: round(v, 6) for k, v in mult.items()},
-            "kpis": {k: agg.value(k) for k in HEADLINE_KPIS},
-            "error": weighted_error(agg, target),
+            "kpis": {k: nan_to_none(agg.value(k)) for k in HEADLINE_KPIS},
+            "error": nan_to_none(weighted_error(agg, target)),
         })
         return agg
 

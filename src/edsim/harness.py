@@ -1,16 +1,22 @@
 """Replication harness: fan out seeded runs, write their event logs and
-reduce them to KPI reports where they ran, and aggregate those reports."""
+reduce them to KPI reports where they ran, and aggregate those reports.
+
+Only a run that pools imports concurrent.futures (and with it
+multiprocessing), so a run that does not pool never loads them."""
 
 from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Sequence
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
 from .kpi import KpiReport, aggregate, compute_kpis
 from .model import run_replication
 from .scenario import Scenario
 from .stochastics import Profile
+
+# The pool class run_scenario builds; None stands for
+# concurrent.futures.ProcessPoolExecutor, imported by each run that pools.
+ProcessPoolExecutor = None
 
 
 def _replicate(profile: Profile, scen: Scenario, rep: int, seed: int, days: int,
@@ -50,7 +56,8 @@ def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,
     if workers <= 1:
         reports = [_replicate(*call) for call in calls]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor as default_pool, wait
+        with (ProcessPoolExecutor or default_pool)(max_workers=workers) as pool:
             futures = [pool.submit(_replicate, *call) for call in calls]
             done, pending = wait(futures, return_when=FIRST_EXCEPTION)
             if pending:  # some replication raised

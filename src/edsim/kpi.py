@@ -39,6 +39,11 @@ def _mean(xs: list[float]) -> float:
     return sum(xs) / len(xs) if xs else float("nan")
 
 
+def nan_to_none(x):
+    """`x`, or None for a float NaN, which JSON has no value for."""
+    return None if isinstance(x, float) and math.isnan(x) else x
+
+
 def _vector_mean(name: str) -> property:
     return property(lambda self: self.value(name),
                     doc=f"Mean of the per-replication {name} values.")
@@ -75,16 +80,13 @@ class KpiReport:
         return _mean(self.vectors[name])
 
     def to_dict(self) -> dict:
-        def clean(x):
-            return None if isinstance(x, float) and math.isnan(x) else x
-
         return {
-            **{k: clean(self.value(k)) for k in HEADLINE_KPIS},
-            "outlier_pct": {k: clean(v) for k, v in self.outlier_pct.items()},
+            **{k: nan_to_none(self.value(k)) for k in HEADLINE_KPIS},
+            "outlier_pct": {k: nan_to_none(v) for k, v in self.outlier_pct.items()},
             "n_admitted": self.n_admitted,
             "n_dismissed": self.n_dismissed,
             "n_censored": self.n_censored,
-            "replications": {k: [clean(x) for x in self.vectors[k]] for k in KPI_NAMES},
+            "replications": {k: [nan_to_none(x) for x in self.vectors[k]] for k in KPI_NAMES},
         }
 
 

@@ -419,10 +419,10 @@ class Replication:
         order and, if it streams to a file, the event records not yet
         written (its `write_csv` ends the file). A run that raises closes the
         log's file."""
-        self._schedule_kicks()
-        self._schedule_next_arrival()
         heap, pop, horizon = self.calendar.heap, self.calendar.pop, self.horizon
         try:
+            self._schedule_kicks()
+            self._schedule_next_arrival()  # draws the first tape row
             while heap and heap[0][0] <= horizon:
                 now, _seq, handler, entity = pop()
                 handler(now, entity)

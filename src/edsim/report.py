@@ -13,7 +13,7 @@ from .kpi import HEADLINE_KPIS, KPI_NAMES, Comparison, KpiReport
 
 def write_json(path, obj, sort_keys: bool = False) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=sort_keys)
+        json.dump(obj, fh, indent=1, sort_keys=sort_keys, allow_nan=False)
         fh.write("\n")
 
 

@@ -385,6 +385,25 @@ class TestCalibrateCommand:
         assert len(trace["evals"]) >= 2
         assert trace["evals"][0]["multipliers"]["arrival_scale"] == 1.0
 
+    def test_trace_of_kpis_no_patient_reaches_is_strict_json(self, tmp_path):
+        with open(default_profile_path()) as fh:
+            raw = json.load(fh)
+        raw["service"]["last_visit"]["mean"] = 9000  # no one is discharged within a day
+        slow = tmp_path / "slow.json"
+        slow.write_text(json.dumps(raw))
+        out = tmp_path / "cal"
+        assert run_cli("calibrate", "--profile", str(slow), "--budget", "1",
+                       "--probe-replications", "1", "--probe-days", "1",
+                       "--replications", "1", "--days", "1", "--out", str(out)) == 1
+
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        trace = json.loads((out / "calibration_trace.json").read_text(),
+                           parse_constant=no_constants)
+        assert trace["evals"] and all(e["kpis"]["los"] is None and e["error"] is None
+                                      for e in trace["evals"])
+
 
 class TestStdout:
     """Every command's printed lines, rebuilt from what the same run wrote

@@ -154,3 +154,15 @@ def test_a_run_that_raises_after_a_flush_closes_its_file(default_profile, tmp_pa
         rep.run()
     assert rep.log._file.closed
     assert path.read_text().count("\n") > SMALL_CHUNK  # the header and flushed chunks
+
+
+def test_a_run_whose_first_tape_row_raises_closes_its_file(default_profile, tmp_path):
+    def tape():
+        raise RuntimeError("no first row")
+        yield
+
+    rep = Replication(default_profile, Scenario(), 0, 42, 1, tape=tape(),
+                      log_path=tmp_path / "rep_00.csv")
+    with pytest.raises(RuntimeError, match="no first row"):
+        rep.run()
+    assert rep.log._file.closed
