@@ -22,14 +22,12 @@ ProcessPoolExecutor = None
 def _replicate(profile: Profile, scen: Scenario, rep: int, seed: int, days: int,
                log_dir, tape) -> KpiReport:
     """Run replication `rep` and return its KPI report. With `log_dir` it
-    streams the event log to `log_dir/rep_NN.csv` while it runs. Both happen
-    in the process that runs it, so neither the log nor the KPI rows outlive
-    the replication or cross processes."""
+    streams the event log to `log_dir/rep_NN.csv`, which the run ends. Both
+    happen in the process that runs it, so neither the log nor the KPI rows
+    outlive the replication or cross processes."""
     path = None if log_dir is None else os.path.join(log_dir, f"rep_{rep:02d}.csv")
-    log = run_replication(profile, scen, rep, seed, days, tape=tape, log_path=path)
-    if path is not None:
-        log.write_csv(path)
-    return compute_kpis(log.rows, days, profile.thresholds)
+    return compute_kpis(run_replication(profile, scen, rep, seed, days, tape=tape, log_path=path),
+                        days, profile.thresholds)
 
 
 def run_scenario(profile: Profile, scen: Scenario, seed: int, replications: int,

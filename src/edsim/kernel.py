@@ -313,22 +313,20 @@ class EventLog:
     LOG_HEADER at once, and each `add` buffers the record's finished CSV
     line. The line's `event,detail\r\n` tail depends only on the event and
     its fields, so the log renders each distinct tail once and keeps it per
-    event, keyed by the `fields` tuple; a field that cannot be hashed, such
-    as a list, is rendered each time. Rendering checks the event, its field
-    count and that each "{}" field is a str (so equal fields render alike),
-    fills the event's `%` template from _LOG_RENDER and has csv.writer write
+    event, keyed by the `fields` tuple, which must hash (a list field
+    raises TypeError). Rendering checks the event, its field count and that
+    each "{}" field is a str (so equal fields render alike), fills the
+    event's `%` template from _LOG_RENDER and has csv.writer write
     `(event, detail)`, which quotes a detail that needs it. Each `flush`
     appends the buffered lines once they fill a chunk, and `write_csv(path)`
     appends the rest and closes the file, so the log holds one chunk of
-    lines at most. A log without a path keeps nothing: `add` returns at
-    once. `rows` holds the replication's KPI rows (kpi.ROW_FIELDS, one per
-    patient) either way."""
+    lines at most; model.Replication.run ends the log of a run. A log
+    without a path keeps nothing: `add` returns at once."""
 
     def __init__(self, rep_id: int, path=None) -> None:
         self.rep_id = rep_id
         self.path = path
         self.raw: list[str] = []
-        self.rows: list[tuple[int, ...]] = []
         self._file = None
         if path is not None:
             self._tails: dict[str, dict[tuple, str]] = {event: {} for event in _LOG_RENDER}
@@ -340,13 +338,12 @@ class EventLog:
             return
         try:
             tail = self._tails[event][fields]
-        except (KeyError, TypeError):  # a new tail, an unknown event or an unhashable field
+        except KeyError:  # a new tail or an unknown event
             tail = self._render_tail(event, fields)
         self.raw.append(f"{self.rep_id},{time_min},{patient_id},{tail}")
 
     def _render_tail(self, event: str, fields: tuple) -> str:
-        """`event,detail\r\n` as csv.writer writes it, kept for `fields`
-        when they can be hashed."""
+        """`event,detail\r\n` as csv.writer writes it, kept for `fields`."""
         try:
             template, kinds = _LOG_RENDER[event]
         except KeyError:
@@ -362,11 +359,7 @@ class EventLog:
             values.append(field)
         buf = io.StringIO()
         csv.writer(buf).writerow((event, template % tuple(values)))
-        tail = buf.getvalue()
-        try:
-            self._tails[event][fields] = tail
-        except TypeError:  # unhashable, such as a list of exam kinds
-            pass
+        tail = self._tails[event][fields] = buf.getvalue()
         return tail
 
     def flush(self) -> None:

@@ -81,22 +81,21 @@ class CountedPool:
 
 
 class Replication:
-    """Single seeded run of the ED model; strictly single-threaded.
+    """Single run of the ED model; strictly single-threaded.
 
-    Its patients are the rows of `tape`, or, without one, of
-    `draw_patients(profile, master_seed, rep_id, days)`, drawn as they
-    arrive. The replication itself holds no random stream.
+    Its patients are the tape rows `patients` (stochastics.draw_patients
+    or a PatientTape), read as they arrive. The replication holds no random
+    stream and draws nothing.
 
-    `patients` maps pid to each patient still in the ED. A patient's KPI
-    row is final once they are discharged or dismissed, so it goes into
+    `self.patients` maps pid to each patient still in the ED. A patient's
+    KPI row is final once they are discharged or dismissed, so it goes into
     `rows` then and the patient is dropped; the ones still in the ED at the
     end fill in theirs. With `log_path` the event log streams to that file
     (EventLog), so a run holds its in-flight patients, its KPI rows and one
     chunk of its log; without one it keeps no log."""
 
-    def __init__(self, profile: Profile, scenario: Scenario, rep_id: int,
-                 master_seed: int, days: int, tape: Iterable[tuple] | None = None,
-                 log_path=None):
+    def __init__(self, profile: Profile, scenario: Scenario, rep_id: int, days: int,
+                 patients: Iterable[tuple], log_path=None):
         self.profile = profile
         self.scenario = scenario
         self.rep_id = rep_id
@@ -107,9 +106,7 @@ class Replication:
         self.patients: dict[int, Patient] = {}
         self.rows: dict[int, tuple[int, ...]] = {}  # pid -> KPI row of a retired patient
         self._next_pid = 0
-        if tape is None:
-            tape = draw_patients(profile, master_seed, rep_id, days)
-        self._arrivals = iter(tape)
+        self._arrivals = iter(patients)
 
         offset = 60 * (scenario.t or 0)
         res = profile.resources
@@ -414,18 +411,19 @@ class Replication:
 
     # -------------------------------------------------------------------- run
 
-    def run(self) -> EventLog:
-        """Run to the horizon; the returned log holds the KPI rows in pid
-        order and, if it streams to a file, the event records not yet
-        written (its `write_csv` ends the file). A run that raises closes the
-        log's file."""
+    def run(self) -> list[tuple[int, ...]]:
+        """Run to the horizon and return the KPI rows in pid order. A log
+        that streams to a file is ended here: `write_csv` once the run is
+        done, `close` if it raises."""
         heap, pop, horizon = self.calendar.heap, self.calendar.pop, self.horizon
         try:
             self._schedule_kicks()
-            self._schedule_next_arrival()  # draws the first tape row
+            self._schedule_next_arrival()  # reads the first tape row
             while heap and heap[0][0] <= horizon:
                 now, _seq, handler, entity = pop()
                 handler(now, entity)
+            if self.log.path is not None:
+                self.log.write_csv(self.log.path)
         except BaseException:
             self.log.close()
             raise
@@ -436,18 +434,18 @@ class Replication:
         rows = self.rows
         for p in self.patients.values():
             rows[p.pid] = p.kpi_row()
-        self.log.rows = [rows[pid] for pid in sorted(rows)]
-        return self.log
+        return [rows[pid] for pid in sorted(rows)]
 
 
 def run_replication(profile: Profile, scenario: Scenario, rep_id: int, master_seed: int,
                     days: int, tape: Iterable[tuple] | None = None,
-                    log_path=None) -> EventLog:
+                    log_path=None) -> list[tuple[int, ...]]:
     """Worker-safe entry point: the validated profile and the tape (a
     stochastics.PatientTape, or rows of draw_patients(profile, master_seed,
-    rep_id, days)) pickle to workers as they are. Without a tape the
-    patients are drawn as they arrive. The returned log always holds the KPI
-    rows; with `log_path` it streams the event records to that file, which
-    the log's `write_csv(log_path)` ends."""
-    return Replication(profile, scenario, rep_id, master_seed, days, tape=tape,
-                       log_path=log_path).run()
+    rep_id, days)) pickle to workers as they are. Without a tape it draws
+    those rows, as the patients arrive. Returns the KPI rows in pid order;
+    with `log_path` the event log streams to that file and is ended when
+    this returns."""
+    if tape is None:
+        tape = draw_patients(profile, master_seed, rep_id, days)
+    return Replication(profile, scenario, rep_id, days, tape, log_path).run()

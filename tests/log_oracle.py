@@ -103,19 +103,19 @@ def rows_from_log_dir(log_dir, replications: int) -> list[list[tuple[int, ...]]]
             for rep in range(replications)]
 
 
-def run_drained(rep) -> EventLog:
+def run_drained(rep) -> list[tuple[int, ...]]:
     """Run the model.Replication `rep` past its horizon until the ED is
-    empty, so that every patient who arrived is discharged or dismissed.
-    The run stops DRAIN_DAYS past the horizon, where the daily shift kicks
-    would otherwise go on forever (a room that receives patients has no
-    team), and raises AssertionError naming the patients still in the ED."""
+    empty, so that every patient who arrived is discharged or dismissed,
+    and return its KPI rows. The run stops DRAIN_DAYS past the horizon,
+    where the daily shift kicks would otherwise go on forever (a room that
+    receives patients has no team), and raises AssertionError naming the
+    patients still in the ED."""
     rep.horizon += DRAIN_DAYS * MINUTES_PER_DAY
-    log = rep.run()
+    rows = rep.run()
     if rep.in_flight:
-        log.close()
         raise AssertionError(f"{rep.in_flight} patients still in the ED {DRAIN_DAYS} days "
                              f"past the horizon: pids {sorted(rep.patients)}")
-    return log
+    return rows
 
 
 def assert_no_overbooking(patients: dict[int, PatientTrace], records: list[LogRecord],
@@ -225,16 +225,18 @@ def read_log_csv(path) -> list[LogRecord]:
 
 
 def records_of(log: EventLog) -> list[LogRecord]:
-    """End the file `log` streams to and read its records back."""
+    """End the file that `log`, driven by hand rather than by a run, streams
+    to, and read its records back."""
     log.write_csv(log.path)
     return read_log_csv(log.path)
 
 
 def run_logged(profile, scenario, rep_id: int, master_seed: int, days: int,
-               tape=None) -> tuple[EventLog, list[LogRecord]]:
+               tape=None) -> tuple[list[tuple[int, ...]], list[LogRecord]]:
     """model.run_replication with its log streamed to a temporary file: the
-    returned log and the records read back from that file."""
+    returned KPI rows and the records read back from that file."""
     with tempfile.TemporaryDirectory() as tmp:
-        log = run_replication(profile, scenario, rep_id, master_seed, days, tape=tape,
-                              log_path=os.path.join(tmp, f"rep_{rep_id:02d}.csv"))
-        return log, records_of(log)
+        path = os.path.join(tmp, f"rep_{rep_id:02d}.csv")
+        rows = run_replication(profile, scenario, rep_id, master_seed, days, tape=tape,
+                               log_path=path)
+        return rows, read_log_csv(path)

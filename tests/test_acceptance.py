@@ -16,11 +16,11 @@ from edsim.harness import run_scenario
 from edsim.kernel import CODE_RANK
 from edsim.model import Replication
 from edsim.scenario import Scenario, catalog, parse, parse_tuple
-from edsim.stochastics import PatientTape, Profile
+from edsim.stochastics import PatientTape, Profile, draw_patients
 
 from conftest import make_mini_raw
 from log_oracle import (assert_no_overbooking, check_red_immediacy, collect_patients, on_shift,
-                        parse_detail, records_of, run_drained, run_logged, team_windows)
+                        parse_detail, read_log_csv, run_drained, run_logged, team_windows)
 
 SEED = 42
 FIXTURE = Path(__file__).parent / "data" / "table3_scenarios.json"
@@ -219,9 +219,10 @@ class TestAC4QueueOracle:
         total_starts = 0
         total_mismatches = 0
         for s in range(100):
-            log = run_drained(Replication(profile, scen, s, 1000 + s, 1,
-                                          log_path=tmp_path / f"rep_{s:02d}.csv"))
-            mism, starts = replay_first_visit_order(records_of(log), 45, 90)
+            path = tmp_path / f"rep_{s:02d}.csv"
+            run_drained(Replication(profile, scen, s, 1, draw_patients(profile, 1000 + s, s, 1),
+                                    log_path=path))
+            mism, starts = replay_first_visit_order(read_log_csv(path), 45, 90)
             total_mismatches += mism
             total_starts += starts
         verdict("AC4 queue oracle", total_mismatches == 0 and total_starts > 1500,

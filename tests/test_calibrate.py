@@ -110,8 +110,8 @@ class TestCalibrate:
         heavier = Profile(heavier)
         base = run_replication(default_profile, Scenario(), 0, 4242, 8)
         slow = run_replication(heavier, Scenario(), 0, 4242, 8)
-        k_base = compute_kpis(base.rows, 8, default_profile.thresholds)
-        k_slow = compute_kpis(slow.rows, 8, heavier.thresholds)
+        k_base = compute_kpis(base, 8, default_profile.thresholds)
+        k_slow = compute_kpis(slow, 8, heavier.thresholds)
         assert k_slow.los > k_base.los
 
     def test_trace_is_deterministic(self, default_raw):

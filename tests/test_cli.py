@@ -44,7 +44,7 @@ class TestRun:
         assert names == sorted(p.name for p in out2.glob("rep_*.csv"))
         assert names == [f"rep_{rep:02d}.csv" for rep in range(3)]
         for rep, name in enumerate(names):
-            run_replication(default_profile, Scenario(), rep, 5, 2, log_path=ref).write_csv(ref)
+            run_replication(default_profile, Scenario(), rep, 5, 2, log_path=ref)
             assert read(out1 / name) == read(out2 / name) == read(ref), name
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

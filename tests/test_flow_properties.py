@@ -1,11 +1,13 @@
 """Flow properties on random small profiles and scenarios: every patient who
 arrives is discharged, dismissed or still in the ED at the horizon, draining
 empties the ED, no team or exam pool is ever overbooked, reds keep their
-precedence at the high room, logging never changes the KPI rows, and a log
-streamed to its file in small chunks is the file one chunk writes."""
+precedence at the high room, the paper's same-team affinity and lab before
+exam hold, logging never changes the KPI rows, and a log streamed to its
+file in small chunks is the file one chunk writes."""
 
 import copy
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -16,10 +18,10 @@ from edsim import kernel
 from edsim.kpi import NO_TIME, ROW_FIELDS, WARMUP_MIN
 from edsim.model import Replication, run_replication
 from edsim.scenario import Scenario
-from edsim.stochastics import Profile
+from edsim.stochastics import Profile, draw_patients
 
 from log_oracle import (assert_no_overbooking, check_red_immediacy, collect_patients,
-                        parse_detail, read_log_csv, records_of, run_drained, team_windows)
+                        parse_detail, read_log_csv, run_drained, team_windows)
 from test_model import csv_writer_bytes
 from test_tape import mini_profiles
 
@@ -39,6 +41,34 @@ SCENARIOS = st.builds(
     r=_maybe(st.integers(0, 120)))
 
 
+def assert_paper_disciplines(patients, records, scenario: Scenario) -> None:
+    """Same-team affinity without dedicated last-visit teams (a is 0 or
+    None): a last visit is made by the first visit's team. Lab before exam:
+    a lab patient starts no exam and queues for no last visit before the
+    lab result. A last visit is queued only once the first visit and every
+    exam of the patient's plan have ended."""
+    exam_ends = defaultdict(list)
+    for r in records:
+        if r.event == "END_EXAM":
+            exam_ends[r.patient_id].append(r.time_min)
+    for p in patients.values():
+        if not scenario.a and p.get("START_LAST") is not None:
+            assert p.last_team == p.first_team, f"affinity broken for {p.pid}"
+        result = p.get("LAB_RESULT")
+        if p.triage_detail is not None and p.triage_detail["lab"] == "1":
+            for event in ("START_EXAM", "ENQUEUE_LAST"):
+                if p.get(event) is not None:
+                    assert result is not None and p.get(event) >= result, \
+                        f"{event} of {p.pid} before its lab result"
+        enq_last = p.get("ENQUEUE_LAST")
+        if enq_last is not None:
+            exams = p.triage_detail["exams"]
+            assert len(exam_ends[p.pid]) == (0 if exams == "-" else len(exams.split("+")))
+            assert p.get("END_FIRST") is not None
+            assert enq_last >= max([p.get("END_FIRST"), *exam_ends[p.pid]]), \
+                f"last visit of {p.pid} queued before its first visit and exams ended"
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), scenario=SCENARIOS, seed=st.integers(0, 2**32 - 1),
        days=st.integers(1, 2), staffed=st.booleans())
@@ -52,16 +82,19 @@ def test_patients_are_conserved_and_no_one_is_overbooked(default_raw, data, scen
         profile = Profile(raw)
 
     with tempfile.TemporaryDirectory() as tmp:
-        rep = Replication(profile, scenario, 0, seed, days, log_path=Path(tmp) / "rep_00.csv")
-        log = rep.run()
-        records = records_of(log)
-        assert rep.in_flight == sum(1 for r in log.rows
+        path = Path(tmp) / "rep_00.csv"
+        rep = Replication(profile, scenario, 0, days, draw_patients(profile, seed, 0, days),
+                          log_path=path)
+        rows = rep.run()
+        records = read_log_csv(path)
+        assert rep.in_flight == sum(1 for r in rows
                                     if not r[DISMISSED] and r[DISCHARGE] == NO_TIME)
         patients = collect_patients(records)
         assert_no_overbooking(patients, records, profile.resources)
         if scenario.p != 1:  # p=1 serves last visits first: no red zero-wait claim
             check_red_immediacy(patients, team_windows(profile, 60 * (scenario.t or 0)),
                                 profile)
+        assert_paper_disciplines(patients, records, scenario)
 
         # a room that receives patients but has no team never empties: once
         # a patient has queued there (each room's queue bears its name),
@@ -72,15 +105,17 @@ def test_patients_are_conserved_and_no_one_is_overbooked(default_raw, data, scen
         if any(r.event == "ENQUEUE_FIRST" and parse_detail(r.detail)["queue"] in unstaffed
                for r in records):
             with pytest.raises(AssertionError, match="patients still in the ED"):
-                run_drained(Replication(profile, scenario, 0, seed, days,
+                run_drained(Replication(profile, scenario, 0, days,
+                                        draw_patients(profile, seed, 0, days),
                                         log_path=Path(tmp) / "drained.csv"))
         elif not unstaffed:
-            drained = Replication(profile, scenario, 0, seed, days,
-                                  log_path=Path(tmp) / "drained.csv")
-            log = run_drained(drained)
-            records = records_of(log)
+            path = Path(tmp) / "drained.csv"
+            drained = Replication(profile, scenario, 0, days,
+                                  draw_patients(profile, seed, 0, days), log_path=path)
+            rows = run_drained(drained)
+            records = read_log_csv(path)
             assert drained.in_flight == 0
-            assert all(r[DISCHARGE] != NO_TIME for r in log.rows if not r[DISMISSED])
+            assert all(r[DISCHARGE] != NO_TIME for r in rows if not r[DISMISSED])
             assert_no_overbooking(collect_patients(records), records, profile.resources)
 
 
@@ -89,14 +124,14 @@ def test_patients_are_conserved_and_no_one_is_overbooked(default_raw, data, scen
        days=st.integers(1, 2))
 def test_logging_never_changes_the_kpi_rows(default_raw, data, scenario, seed, days):
     profile = data.draw(mini_profiles(default_raw))
-    unlogged = run_replication(profile, scenario, 0, seed, days)
-    assert unlogged.raw == []
+    rep = Replication(profile, scenario, 0, days, draw_patients(profile, seed, 0, days))
+    unlogged = rep.run()
+    assert rep.log.raw == []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rep_00.csv"
         streamed = run_replication(profile, scenario, 0, seed, days, log_path=path)
-        streamed.write_csv(path)
         assert len(path.read_bytes().splitlines()) > 1
-    assert unlogged.rows == streamed.rows
+    assert unlogged == streamed
 
 
 SMALL_CHUNK = 7  # records per streamed chunk, so that every run flushes many times
@@ -104,16 +139,21 @@ WHOLE = 10**9  # records per chunk, so that a run never flushes
 
 
 def _whole_and_streamed(profile, scenario, seed, days, directory):
-    """One replication's log written twice: in one chunk when write_csv
-    ends it, and streamed in chunks of SMALL_CHUNK records while it runs."""
+    """One replication's log written twice: in one chunk when the run ends
+    it, and streamed in chunks of SMALL_CHUNK records while it runs."""
     files, held, rows = {}, {}, {}
+    write_csv = kernel.EventLog.write_csv
     for name, chunk in (("whole", WHOLE), ("streamed", SMALL_CHUNK)):
         files[name] = directory / f"{name}.csv"
+
+        def ending(log, path, name=name):
+            held[name] = len(log.raw)  # records the run had not yet written
+            write_csv(log, path)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "_CSV_CHUNK", chunk)
-            log = run_replication(profile, scenario, 0, seed, days, log_path=files[name])
-            held[name], rows[name] = len(log.raw), log.rows
-            log.write_csv(files[name])
+            mp.setattr(kernel.EventLog, "write_csv", ending)
+            rows[name] = run_replication(profile, scenario, 0, seed, days, log_path=files[name])
     assert held["streamed"] < held["whole"] // 2  # most records already went out
     assert rows["streamed"] == rows["whole"]
     return files["whole"].read_bytes(), files["streamed"].read_bytes()
@@ -144,7 +184,8 @@ def test_a_run_that_raises_after_a_flush_closes_its_file(default_profile, tmp_pa
                                                         monkeypatch):
     monkeypatch.setattr(kernel, "_CSV_CHUNK", SMALL_CHUNK)
     path = tmp_path / "rep_00.csv"
-    rep = Replication(default_profile, Scenario(), 0, 42, 1, log_path=path)
+    rep = Replication(default_profile, Scenario(), 0, 1, draw_patients(default_profile, 42, 0, 1),
+                      log_path=path)
 
     def fail(now, _entity):
         raise RuntimeError(f"handler failed at minute {now}")
@@ -161,8 +202,7 @@ def test_a_run_whose_first_tape_row_raises_closes_its_file(default_profile, tmp_
         raise RuntimeError("no first row")
         yield
 
-    rep = Replication(default_profile, Scenario(), 0, 42, 1, tape=tape(),
-                      log_path=tmp_path / "rep_00.csv")
+    rep = Replication(default_profile, Scenario(), 0, 1, tape(), log_path=tmp_path / "rep_00.csv")
     with pytest.raises(RuntimeError, match="no first row"):
         rep.run()
     assert rep.log._file.closed

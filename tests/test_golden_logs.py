@@ -1,8 +1,8 @@
 """Byte-for-byte gate on the rendered event logs.
 
 Every case below is one seeded replication whose `rep_00.csv` is streamed
-to its file while it runs and ended by `EventLog.write_csv`, as `edsim run`
-writes it, and hashed with SHA-256. The recorded digests in
+to its file while it runs and ended by the run, as `edsim run` writes it,
+and hashed with SHA-256. The recorded digests in
 `tests/data/golden_logs.json` pin the simulated trajectory itself: a change
 to dispatch, queueing, draws or rendering that moves any event shows here,
 even when every KPI band still passes.
@@ -56,9 +56,7 @@ def _raw_profile(routing: str | None) -> dict:
 def log_digest(case: str, seed: int, workdir: Path) -> str:
     spec, routing = CASES[case]
     path = workdir / "rep_00.csv"
-    log = run_replication(Profile(_raw_profile(routing)), parse(spec), 0, seed, DAYS,
-                          log_path=path)
-    log.write_csv(path)
+    run_replication(Profile(_raw_profile(routing)), parse(spec), 0, seed, DAYS, log_path=path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

@@ -48,7 +48,7 @@ def test_jobs_do_not_change_kpi_rows(default_profile, tmp_path):
 
 
 def test_horizon_is_warmup_plus_days(default_profile):
-    rep = Replication(default_profile, Scenario(), 0, 5, days=2)
+    rep = Replication(default_profile, Scenario(), 0, days=2, patients=())
     assert rep.horizon == WARMUP_MIN + 2 * MINUTES_PER_DAY
 
 

@@ -71,7 +71,7 @@ def test_high_team_picks_what_the_reference_rule_picks(default_raw, mode, tau_g,
     # the log streams to a file, so that it holds the records the picks add
     with tempfile.TemporaryDirectory() as tmp:
         rep = Replication(profile_for(default_raw, mode), Scenario(tau_g=tau_g, tau_w=tau_w),
-                          rep_id=0, master_seed=1, days=2, log_path=Path(tmp) / "rep_00.csv")
+                          rep_id=0, days=2, patients=(), log_path=Path(tmp) / "rep_00.csv")
         with closing(rep.log):
             _replay(rep, mode, tau_g, tau_w, start, operations)
 

@@ -12,7 +12,7 @@ from edsim.kernel import LOG_HEADER, MINUTES_PER_DAY, EventLog
 from edsim.kpi import NO_TIME, ROW_FIELDS, WARMUP_MIN
 from edsim.model import Patient, Replication, run_replication
 from edsim.scenario import Scenario, parse
-from edsim.stochastics import Profile
+from edsim.stochastics import Profile, draw_patients
 
 from conftest import make_mini_raw
 from log_oracle import (collect_patients, parse_detail, read_log_csv, records_of, run_drained,
@@ -59,7 +59,7 @@ def bare_rep(mini_raw_factory, tmp_path):
     back with records_of once it has driven them."""
     def build(scenario=Scenario(), teams=None, **kwargs):
         raw = mini_raw_factory(teams=teams, **kwargs)
-        return Replication(Profile(raw), scenario, rep_id=0, master_seed=1, days=2,
+        return Replication(Profile(raw), scenario, rep_id=0, days=2, patients=(),
                            log_path=tmp_path / "rep_00.csv")
 
     return build
@@ -213,8 +213,8 @@ class TestExtraTeamScenario:
 
         base = run_replication(default_profile, Scenario(), 0, 5, 8)
         extra = run_replication(default_profile, Scenario(a=1), 0, 5, 8)
-        k_base = compute_kpis(base.rows, 8, default_profile.thresholds)
-        k_extra = compute_kpis(extra.rows, 8, default_profile.thresholds)
+        k_base = compute_kpis(base, 8, default_profile.thresholds)
+        k_extra = compute_kpis(extra, 8, default_profile.thresholds)
         assert k_extra.wt_last < 0.7 * k_base.wt_last
 
 
@@ -328,9 +328,10 @@ class TestExamsAndFlow:
         assert starts[1] == ends[0]  # serial execution
 
     def test_flow_conservation_under_drain(self, default_profile, tmp_path):
-        rep = Replication(default_profile, Scenario(e=10), 0, 5, 2,
-                          log_path=tmp_path / "rep_00.csv")
-        records = records_of(run_drained(rep))
+        path = tmp_path / "rep_00.csv"
+        run_drained(Replication(default_profile, Scenario(e=10), 0, 2,
+                                draw_patients(default_profile, 5, 0, 2), log_path=path))
+        records = read_log_csv(path)
         by_pid = defaultdict(list)
         for r in records:
             by_pid[r.patient_id].append(r.event)
@@ -360,7 +361,8 @@ class TestExamsAndFlow:
         # must not keep the replication (and every patient) alive
         gc.disable()
         try:
-            rep = Replication(default_profile, Scenario(), rep_id=0, master_seed=5, days=1)
+            rep = Replication(default_profile, Scenario(), rep_id=0, days=1,
+                              patients=draw_patients(default_profile, 5, 0, 1))
             ref = weakref.ref(rep)
             rep.run()
             del rep
@@ -431,10 +433,12 @@ class TestCapacityAndShifts:
         runs = []
         for order in ("CEDF", "CDEF"):
             raw["resources"]["high_general"]["teams"] = [teams[i] for i in order]
-            rep = Replication(Profile(copy.deepcopy(raw)), parse(spec), 0, 42, 3,
-                              log_path=tmp_path / f"{order}.csv")
+            profile, path = Profile(copy.deepcopy(raw)), tmp_path / f"{order}.csv"
+            rep = Replication(profile, parse(spec), 0, 3, draw_patients(profile, 42, 0, 3),
+                              log_path=path)
             assert rep.pools["high_general"].calendar.teams == ("C", "D", "E", "F")
-            runs.append(records_of(rep.run()))
+            rep.run()
+            runs.append(read_log_csv(path))
         assert runs[0] == runs[1]
 
 
@@ -477,7 +481,8 @@ class DispatchCountReplication(Replication):
 
 class TestDispatch:
     def test_first_done_dispatches_once(self, default_profile):
-        rep = DispatchCountReplication(default_profile, Scenario(), 0, 42, 3)
+        rep = DispatchCountReplication(default_profile, Scenario(), 0, 3,
+                                       draw_patients(default_profile, 42, 0, 3))
         rep.run()
         assert {calls for calls, _straight in rep.first_done} == {1}
         straight = sum(straight for _calls, straight in rep.first_done)
@@ -516,9 +521,11 @@ class TestDispatch:
     @pytest.mark.parametrize("case", list(CASES))
     def test_second_dispatch_pass_starts_nothing(self, case, tmp_path):
         spec, routing = CASES[case]
-        rep = SecondPassReplication(Profile(_raw_profile(routing)), parse(spec), 0, 42, 3,
-                                    log_path=tmp_path / "rep_00.csv")
-        records = records_of(rep.run())
+        profile, path = Profile(_raw_profile(routing)), tmp_path / "rep_00.csv"
+        rep = SecondPassReplication(profile, parse(spec), 0, 3, draw_patients(profile, 42, 0, 3),
+                                    log_path=path)
+        rep.run()
+        records = read_log_csv(path)
         assert rep.passes > 1000
         assert sum(1 for r in records if r.event == "START_LAST") > 500
 
@@ -552,7 +559,7 @@ class TestQueueingBasics:
 
     def test_event_log_csv_round_trip(self, default_profile, tmp_path):
         path = tmp_path / "rep_03.csv"
-        run_replication(default_profile, Scenario(), 3, 17, 1, log_path=path).write_csv(path)
+        run_replication(default_profile, Scenario(), 3, 17, 1, log_path=path)
         records = read_log_csv(path)
         assert len(records) > 1000 and {r.rep_id for r in records} == {3}
         assert path.read_bytes() == csv_writer_bytes(records)
@@ -574,8 +581,8 @@ class TestEventLogCsv:
         raw = copy.deepcopy(default_raw)
         raw["resources"]["orthopaedic"]["teams"][0]["id"] = ortho_id
         path = tmp_path / "rep_00.csv"
-        log = run_replication(Profile(raw), Scenario(), 0, 42, 1, log_path=path)
-        records = records_of(log)
+        run_replication(Profile(raw), Scenario(), 0, 42, 1, log_path=path)
+        records = read_log_csv(path)
         assert any(r.detail == f"team={ortho_id} pool=orthopaedic" for r in records)
         assert path.read_bytes() == csv_writer_bytes(records)
 
@@ -589,14 +596,6 @@ class TestEventLogCsv:
         assert records[9000].detail == 'team=OR,"1" pool=orthopaedic'
         assert records[8999].detail == records[9001].detail == "team=T1 pool=orthopaedic"
         assert path.read_bytes() == csv_writer_bytes(records)
-
-    def test_kept_log_renders_add_time_values(self, tmp_path):
-        log = EventLog(0, tmp_path / "rep_00.csv")
-        exams = ["xray", "misc"]
-        log.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, exams)
-        exams[:] = ["misc"]
-        detail = "code=GREEN type=GENERAL lab=1 labtriage=0 exams=xray+misc"
-        assert records_of(log)[0].detail == detail
 
     def test_write_csv_refuses_a_path_that_is_not_its_own(self, tmp_path):
         path, other = tmp_path / "rep_00.csv", tmp_path / "rep_01.csv"
@@ -640,7 +639,7 @@ def tape_row(minute, code="GREEN"):
 
 class TestHorizon:
     def test_event_at_the_horizon_runs_and_one_past_it_does_not(self, default_profile):
-        rep = Replication(default_profile, Scenario(), 0, 5, 1, tape=[])
+        rep = Replication(default_profile, Scenario(), 0, 1, [])
         seen = []
         rep.calendar.schedule(rep.horizon, lambda now, tag: seen.append((now, tag)), "at")
         rep.calendar.schedule(rep.horizon + 1, lambda now, tag: seen.append((now, tag)), "past")
@@ -649,35 +648,37 @@ class TestHorizon:
 
     def test_arrival_at_the_horizon_is_admitted_and_one_past_it_is_not(self, default_profile):
         horizon = WARMUP_MIN + MINUTES_PER_DAY
-        log, records = run_logged(default_profile, Scenario(), 0, 5, 1,
-                                  tape=[tape_row(horizon), tape_row(horizon + 1)])
+        rows, records = run_logged(default_profile, Scenario(), 0, 5, 1,
+                                   tape=[tape_row(horizon), tape_row(horizon + 1)])
         assert [(r.time_min, r.event) for r in records] == [(horizon, "ARRIVE")]
-        assert [row[1] for row in log.rows] == [horizon]
+        assert [row[1] for row in rows] == [horizon]
 
     def test_drain_runs_past_the_horizon_until_the_ed_is_empty(self, default_profile, tmp_path):
-        kept = Replication(default_profile, Scenario(e=10), 0, 5, 1)
-        kept.run()
+        kept = Replication(default_profile, Scenario(e=10), 0, 1,
+                           draw_patients(default_profile, 5, 0, 1))
+        kept_rows = kept.run()
         assert kept.in_flight > 0
-        rep = Replication(default_profile, Scenario(e=10), 0, 5, 1,
-                          log_path=tmp_path / "rep_00.csv")
+        path = tmp_path / "rep_00.csv"
+        rep = Replication(default_profile, Scenario(e=10), 0, 1,
+                          draw_patients(default_profile, 5, 0, 1), log_path=path)
         horizon = rep.horizon
         seen = []
         rep.calendar.schedule(horizon + 1, lambda now, tag: seen.append((now, tag)), "past")
-        log = run_drained(rep)
+        rows = run_drained(rep)
         assert seen == [(horizon + 1, "past")]
-        assert len(log.rows) == len(kept.log.rows) > 300
+        assert len(rows) == len(kept_rows) > 300
         assert rep.in_flight == rep._waiting_first == rep._waiting_last == 0
         assert all(not pool.busy for pool in rep.pools.values())
         assert all(pool.count == 0 and not pool.fifo for pool in rep.exam_pools.values())
         dismissed, discharge = ROW_FIELDS.index("dismissed"), ROW_FIELDS.index("discharge")
-        assert all(r[dismissed] or r[discharge] != NO_TIME for r in log.rows)
-        assert max(r.time_min for r in records_of(log)) > horizon
+        assert all(r[dismissed] or r[discharge] != NO_TIME for r in rows)
+        assert max(r.time_min for r in read_log_csv(path)) > horizon
 
     def test_drain_of_a_room_without_a_team_ends_and_names_who_waits(self, default_raw):
         # half the patients are routed to orthopaedic and dermatological
         # rooms that have no team, so the ED never empties
-        rep = Replication(Profile(make_mini_raw(default_raw, visit_general=0.5)), Scenario(),
-                          0, 5, 1)
+        profile = Profile(make_mini_raw(default_raw, visit_general=0.5))
+        rep = Replication(profile, Scenario(), 0, 1, draw_patients(profile, 5, 0, 1))
         started = time.monotonic()
         with pytest.raises(AssertionError, match=r"patients still in the ED 30 days past the "
                                                  r"horizon: pids \[\d+, "):

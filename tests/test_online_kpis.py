@@ -6,14 +6,16 @@ from __future__ import annotations
 
 import pytest
 
+from edsim import kernel
 from edsim.harness import run_scenario
 from edsim.kernel import EventLog
 from edsim.kpi import compute_kpis
 from edsim.model import Replication, run_replication
 from edsim.scenario import Scenario, parse
+from edsim.stochastics import draw_patients
 
-from log_oracle import (collect_patients, records_of, rows_from_log, rows_from_log_dir,
-                        run_drained, run_logged)
+from log_oracle import (collect_patients, read_log_csv, records_of, rows_from_log,
+                        rows_from_log_dir, run_drained, run_logged)
 
 DAYS = 2
 SEEDS = (3, 42, 2020)
@@ -38,10 +40,9 @@ def _has(records, event: str) -> bool:
     return any(r.event == event for r in records)
 
 
-def _assert_online_matches_log(log: EventLog, records, thresholds: dict,
-                               warmup_min: int) -> None:
-    assert log.rows == rows_from_log(records)
-    online = compute_kpis(log.rows, DAYS, thresholds, warmup_min=warmup_min)
+def _assert_online_matches_log(rows, records, thresholds: dict, warmup_min: int) -> None:
+    assert rows == rows_from_log(records)
+    online = compute_kpis(rows, DAYS, thresholds, warmup_min=warmup_min)
     from_log = compute_kpis(rows_from_log(records), DAYS, thresholds, warmup_min=warmup_min)
     assert online.to_dict() == from_log.to_dict()
 
@@ -50,44 +51,72 @@ def _assert_online_matches_log(log: EventLog, records, thresholds: dict,
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_online_kpis_equal_log_kpis(name, seed, default_profile):
     scenario, exercised = SCENARIOS[name]
-    log, records = run_logged(default_profile, scenario, 0, seed, DAYS)
+    rows, records = run_logged(default_profile, scenario, 0, seed, DAYS)
     if exercised is not None:
         assert exercised(records), f"{name} seed {seed} did not exercise its lever"
-    _assert_online_matches_log(log, records, default_profile.thresholds, 1440)
+    _assert_online_matches_log(rows, records, default_profile.thresholds, 1440)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_online_kpis_equal_log_kpis_when_draining(seed, default_profile, tmp_path):
-    log = run_drained(Replication(default_profile, Scenario(e=10, tau_g=90), 0, seed, DAYS,
-                                  log_path=tmp_path / "rep_00.csv"))
-    records = records_of(log)
+    path = tmp_path / "rep_00.csv"
+    rows = run_drained(Replication(default_profile, Scenario(e=10, tau_g=90), 0, DAYS,
+                                   draw_patients(default_profile, seed, 0, DAYS), log_path=path))
+    records = read_log_csv(path)
     assert all(p.get("DISCHARGE") is not None or p.dismissed
                for p in collect_patients(records).values())
-    _assert_online_matches_log(log, records, default_profile.thresholds, 1440)
+    _assert_online_matches_log(rows, records, default_profile.thresholds, 1440)
 
 
 def test_patient_arriving_at_the_warmup_boundary_counts_on_both_paths(default_profile):
-    log, records = run_logged(default_profile, Scenario(), 0, 42, DAYS)
+    rows, records = run_logged(default_profile, Scenario(), 0, 42, DAYS)
     # the first triaged, not dismissed patient after the first day sets the boundary
     boundary = next(p.get("ARRIVE") for p in collect_patients(records).values()
                     if p.get("ARRIVE") >= 1440 and p.get("TRIAGE_DONE") is not None
                     and not p.dismissed)
-    _assert_online_matches_log(log, records, default_profile.thresholds, boundary)
-    at = compute_kpis(log.rows, DAYS, default_profile.thresholds, warmup_min=boundary)
-    after = compute_kpis(log.rows, DAYS, default_profile.thresholds, warmup_min=boundary + 1)
+    _assert_online_matches_log(rows, records, default_profile.thresholds, boundary)
+    at = compute_kpis(rows, DAYS, default_profile.thresholds, warmup_min=boundary)
+    after = compute_kpis(rows, DAYS, default_profile.thresholds, warmup_min=boundary + 1)
     assert at.n_admitted > after.n_admitted
 
 
 def test_log_not_kept_holds_no_records_and_same_kpis(default_profile):
     kept, records = run_logged(default_profile, Scenario(tau_g=90), 1, 7, DAYS)
-    bare = run_replication(default_profile, Scenario(tau_g=90), 1, 7, DAYS)
-    assert records and bare.raw == []
-    assert bare.rows == kept.rows
+    rep = Replication(default_profile, Scenario(tau_g=90), 1, DAYS,
+                      draw_patients(default_profile, 7, 1, DAYS))
+    bare = rep.run()
+    assert records and rep.log.raw == []
+    assert bare == kept
     thresholds = default_profile.thresholds
-    assert (compute_kpis(bare.rows, DAYS, thresholds).to_dict()
-            == compute_kpis(kept.rows, DAYS, thresholds).to_dict())
+    assert (compute_kpis(bare, DAYS, thresholds).to_dict()
+            == compute_kpis(kept, DAYS, thresholds).to_dict())
     with pytest.raises(ValueError, match="not kept"):
-        bare.write_csv("never.csv")
+        rep.log.write_csv("never.csv")
+
+
+def test_run_replication_ends_its_log_before_it_returns(default_profile, tmp_path,
+                                                         monkeypatch):
+    # no call after run_replication: the file is closed and holds every
+    # record the run added, and those records give back the returned rows
+    opened, added = [], [0]
+    plain_open, plain_add = open, EventLog.add
+
+    def recording_open(*args, **kwargs):
+        opened.append(plain_open(*args, **kwargs))
+        return opened[-1]
+
+    def counting_add(*args):
+        added[0] += 1
+        plain_add(*args)
+
+    monkeypatch.setattr(kernel, "open", recording_open, raising=False)
+    monkeypatch.setattr(EventLog, "add", counting_add)
+    path = tmp_path / "rep_00.csv"
+    rows = run_replication(default_profile, parse("Cb.15"), 0, 42, DAYS, log_path=path)
+    assert len(opened) == 1 and opened[0].closed
+    records = read_log_csv(path)
+    assert len(records) == added[0] > 2 * kernel._CSV_CHUNK
+    assert rows == rows_from_log(records)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -99,7 +128,7 @@ def test_harness_writes_logs_only_when_asked(jobs, default_profile, tmp_path, mo
     logged_agg = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs, log_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rep_00.csv", "rep_01.csv"]
     for rep, rows in enumerate(rows_from_log_dir(tmp_path, 2)):
-        assert rows and rows == run_replication(default_profile, Scenario(), rep, 5, 1).rows
+        assert rows and rows == run_replication(default_profile, Scenario(), rep, 5, 1)
     assert logged_agg.to_dict() == agg.to_dict()
     assert logged_agg.first_waits == agg.first_waits
 
@@ -126,8 +155,8 @@ class TestEventLogSink:
 
     def test_details_render_from_templates(self, tmp_path):
         log = EventLog(3, tmp_path / "rep_03.csv")
-        log.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, ["xray", "misc"])
-        log.add(11, 2, "TRIAGE_DONE", "WHITE", "ORTHOPAEDIC", False, False, [])
+        log.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, ("xray", "misc"))
+        log.add(11, 2, "TRIAGE_DONE", "WHITE", "ORTHOPAEDIC", False, False, ())
         log.add(12, 1, "START_FIRST", "T1", "low_general")
         log.add(13, 1, "PROMOTED")
         records = records_of(log)
@@ -139,13 +168,12 @@ class TestEventLogSink:
         ]
         assert records[0][:4] == (3, 10, 1, "TRIAGE_DONE")
 
-    def test_a_list_field_renders_the_line_a_tuple_does_without_being_kept(self, streamed):
-        streamed.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, ("xray", "misc"))
-        streamed.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, ["xray", "misc"])
-        assert streamed.raw == [
-            "0,10,1,TRIAGE_DONE,code=GREEN type=GENERAL lab=1 labtriage=0 exams=xray+misc\r\n"] * 2
-        assert list(streamed._tails["TRIAGE_DONE"]) == [
-            ("GREEN", "GENERAL", True, False, ("xray", "misc"))]
+    def test_a_list_field_raises_type_error(self, streamed):
+        # fields key the rendered tails, so they must hash; tape rows carry
+        # each exam plan as a tuple
+        with pytest.raises(TypeError, match="unhashable"):
+            streamed.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, ["xray", "misc"])
+        assert streamed.raw == []
 
     def test_a_str_field_must_be_a_str_and_equal_integers_render_alike(self, streamed):
         with pytest.raises(ValueError, match="START_FIRST takes str fields, got 1"):
