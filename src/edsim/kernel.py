@@ -57,7 +57,6 @@ LOG_TEMPLATES = {
 _LOG_RENDER = {event: (template.replace("{+}", "%s").replace("{:d}", "%d").replace("{}", "%s"),
                        tuple(re.findall(r"\{(\+|:d|)\}", template)))
                for event, template in LOG_TEMPLATES.items()}
-_CSV_CHUNK = 4096  # lines buffered before they are written
 
 LOG_HEADER = ("rep_id", "time_min", "patient_id", "event", "detail")
 
@@ -310,23 +309,22 @@ class EventLog:
     """Sink for every state transition of one replication.
 
     A log with a `path` streams to that file: it opens it and writes
-    LOG_HEADER at once, and each `add` buffers the record's finished CSV
-    line. The line's `event,detail\r\n` tail depends only on the event and
-    its fields, so the log renders each distinct tail once and keeps it per
+    LOG_HEADER at once, and each `add` renders the record's CSV line and
+    writes it to the file, whose own buffer is the log's only one. The
+    line's `event,detail\r\n` tail depends only on the event and its
+    fields, so the log renders each distinct tail once and keeps it per
     event, keyed by the `fields` tuple, which must hash (a list field
     raises TypeError). Rendering checks the event, its field count and that
     each "{}" field is a str (so equal fields render alike), fills the
     event's `%` template from _LOG_RENDER and has csv.writer write
-    `(event, detail)`, which quotes a detail that needs it. Each `flush`
-    appends the buffered lines once they fill a chunk, and `write_csv(path)`
-    appends the rest and closes the file, so the log holds one chunk of
-    lines at most; model.Replication.run ends the log of a run. A log
+    `(event, detail)`, which quotes a detail that needs it. `write_csv(path)`
+    closes the file, and so does `close`; either way the file then holds
+    every record added. model.Replication.run ends the log of a run. A log
     without a path keeps nothing: `add` returns at once."""
 
     def __init__(self, rep_id: int, path=None) -> None:
         self.rep_id = rep_id
         self.path = path
-        self.raw: list[str] = []
         self._file = None
         if path is not None:
             self._tails: dict[str, dict[tuple, str]] = {event: {} for event in _LOG_RENDER}
@@ -340,7 +338,7 @@ class EventLog:
             tail = self._tails[event][fields]
         except KeyError:  # a new tail or an unknown event
             tail = self._render_tail(event, fields)
-        self.raw.append(f"{self.rep_id},{time_min},{patient_id},{tail}")
+        self._file.write(f"{self.rep_id},{time_min},{patient_id},{tail}")
 
     def _render_tail(self, event: str, fields: tuple) -> str:
         """`event,detail\r\n` as csv.writer writes it, kept for `fields`."""
@@ -362,32 +360,19 @@ class EventLog:
         tail = self._tails[event][fields] = buf.getvalue()
         return tail
 
-    def flush(self) -> None:
-        """Append the buffered lines to the file once they fill a chunk."""
-        if self._file is not None and len(self.raw) >= _CSV_CHUNK:
-            self._write()
-
     def close(self) -> None:
-        """Close the file, writing nothing more."""
+        """Close the file, writing out what its buffer holds."""
         if self._file is not None:
             self._file.close()
 
-    def _write(self) -> None:
-        """Append the buffered lines to the file and empty the buffer."""
-        self._file.write("".join(self.raw))
-        self.raw.clear()
-
     def write_csv(self, path) -> None:
-        """End the log's file, `path`: append what the log still buffers and
-        close it. The file then holds what csv.writer writes for LOG_HEADER
-        and every record. Any other path, or a log that keeps nothing,
-        raises ValueError."""
+        """End the log's file, `path`: close it, if it is still open. The
+        file then holds what csv.writer writes for LOG_HEADER and every
+        record. Any other path, or a log that keeps nothing, raises
+        ValueError."""
         if self._file is None:
             raise ValueError(f"event log of replication {self.rep_id} was not kept")
         if os.fspath(path) != os.fspath(self.path):
             raise ValueError(f"event log of replication {self.rep_id} streams to "
                              f"{self.path}, not to {path}")
-        try:
-            self._write()
-        finally:
-            self._file.close()
+        self._file.close()

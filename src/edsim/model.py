@@ -91,8 +91,8 @@ class Replication:
     KPI row is final once they are discharged or dismissed, so it goes into
     `rows` then and the patient is dropped; the ones still in the ED at the
     end fill in theirs. With `log_path` the event log streams to that file
-    (EventLog), so a run holds its in-flight patients, its KPI rows and one
-    chunk of its log; without one it keeps no log."""
+    (EventLog), so a run holds its in-flight patients, its KPI rows and the
+    file's own buffer; without one it keeps no log."""
 
     def __init__(self, profile: Profile, scenario: Scenario, rep_id: int, days: int,
                  patients: Iterable[tuple], log_path=None):
@@ -335,7 +335,6 @@ class Replication:
         p = Patient(self._next_pid, row)
         self._next_pid += 1
         self._admit(p)
-        self.log.flush()
         self.log.add(now, p.pid, "ARRIVE", p.mode, p.code)
         self.calendar.schedule(now + p.triage_d, self._on_triage_done, p)
         if self.arrivals_open:

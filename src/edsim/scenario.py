@@ -47,7 +47,7 @@ class Scenario:
     r: int | None = None
 
     def __post_init__(self):
-        for name in ("t", "p", "tau_g", "tau_w", "e", "l", "a", "r"):
+        for name in FIELD_ORDER:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValidationError(f"{name} must be non-negative, got {v}")

@@ -2,8 +2,9 @@
 arrives is discharged, dismissed or still in the ED at the horizon, draining
 empties the ED, no team or exam pool is ever overbooked, reds keep their
 precedence at the high room, the paper's same-team affinity and lab before
-exam hold, logging never changes the KPI rows, and a log streamed to its
-file in small chunks is the file one chunk writes."""
+exam hold, logging never changes the KPI rows, a log streamed to its file
+is the file csv.writer writes, and a run that raises leaves every record
+added in its closed file."""
 
 import copy
 import tempfile
@@ -126,7 +127,7 @@ def test_logging_never_changes_the_kpi_rows(default_raw, data, scenario, seed, d
     profile = data.draw(mini_profiles(default_raw))
     rep = Replication(profile, scenario, 0, days, draw_patients(profile, seed, 0, days))
     unlogged = rep.run()
-    assert rep.log.raw == []
+    assert rep.log._file is None  # an unkept log opens no file
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rep_00.csv"
         streamed = run_replication(profile, scenario, 0, seed, days, log_path=path)
@@ -134,55 +135,27 @@ def test_logging_never_changes_the_kpi_rows(default_raw, data, scenario, seed, d
     assert unlogged == streamed
 
 
-SMALL_CHUNK = 7  # records per streamed chunk, so that every run flushes many times
-WHOLE = 10**9  # records per chunk, so that a run never flushes
-
-
-def _whole_and_streamed(profile, scenario, seed, days, directory):
-    """One replication's log written twice: in one chunk when the run ends
-    it, and streamed in chunks of SMALL_CHUNK records while it runs."""
-    files, held, rows = {}, {}, {}
-    write_csv = kernel.EventLog.write_csv
-    for name, chunk in (("whole", WHOLE), ("streamed", SMALL_CHUNK)):
-        files[name] = directory / f"{name}.csv"
-
-        def ending(log, path, name=name):
-            held[name] = len(log.raw)  # records the run had not yet written
-            write_csv(log, path)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernel, "_CSV_CHUNK", chunk)
-            mp.setattr(kernel.EventLog, "write_csv", ending)
-            rows[name] = run_replication(profile, scenario, 0, seed, days, log_path=files[name])
-    assert held["streamed"] < held["whole"] // 2  # most records already went out
-    assert rows["streamed"] == rows["whole"]
-    return files["whole"].read_bytes(), files["streamed"].read_bytes()
-
-
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), scenario=SCENARIOS, seed=st.integers(0, 2**32 - 1),
        days=st.integers(1, 2))
-def test_a_streamed_log_is_the_file_one_chunk_writes(default_raw, data, scenario, seed, days):
+def test_a_streamed_log_is_the_file_csv_writer_writes(default_raw, data, scenario, seed, days):
     profile = data.draw(mini_profiles(default_raw))
     with tempfile.TemporaryDirectory() as tmp:
-        whole, streamed = _whole_and_streamed(profile, scenario, seed, days, Path(tmp))
-    assert streamed == whole
+        path = Path(tmp) / "rep_00.csv"
+        run_replication(profile, scenario, 0, seed, days, log_path=path)
+        assert path.read_bytes() == csv_writer_bytes(read_log_csv(path))
 
 
-@pytest.mark.parametrize("ortho_id", ['OR,"1"', "OR\r1", "OR\n1", "OR%s{}1"])
-def test_a_streamed_chunk_that_needs_quotes_is_written_as_csv_writer_does(default_raw,
-                                                                          ortho_id, tmp_path):
-    raw = copy.deepcopy(default_raw)
-    raw["resources"]["orthopaedic"]["teams"][0]["id"] = ortho_id
-    whole, streamed = _whole_and_streamed(Profile(raw), Scenario(), 42, 1, tmp_path)
-    records = read_log_csv(tmp_path / "whole.csv")
-    assert any(r.detail == f"team={ortho_id} pool=orthopaedic" for r in records)
-    assert whole == streamed == csv_writer_bytes(records)
+def test_a_run_that_raises_leaves_every_record_added_in_its_closed_file(default_profile,
+                                                                        tmp_path, monkeypatch):
+    added = [0]
+    add = kernel.EventLog.add
 
+    def counted(log, *args):
+        added[0] += 1
+        add(log, *args)
 
-def test_a_run_that_raises_after_a_flush_closes_its_file(default_profile, tmp_path,
-                                                        monkeypatch):
-    monkeypatch.setattr(kernel, "_CSV_CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(kernel.EventLog, "add", counted)
     path = tmp_path / "rep_00.csv"
     rep = Replication(default_profile, Scenario(), 0, 1, draw_patients(default_profile, 42, 0, 1),
                       log_path=path)
@@ -194,7 +167,8 @@ def test_a_run_that_raises_after_a_flush_closes_its_file(default_profile, tmp_pa
     with pytest.raises(RuntimeError, match="handler failed"):
         rep.run()
     assert rep.log._file.closed
-    assert path.read_text().count("\n") > SMALL_CHUNK  # the header and flushed chunks
+    assert added[0] > 0
+    assert len(read_log_csv(path)) == added[0]
 
 
 def test_a_run_whose_first_tape_row_raises_closes_its_file(default_profile, tmp_path):

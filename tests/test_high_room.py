@@ -9,10 +9,6 @@ patient waits and the pull rule is on at this minute ("always", "never", or
 
 from __future__ import annotations
 
-import tempfile
-from contextlib import closing
-from pathlib import Path
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,12 +64,9 @@ ops = st.one_of(
        st.lists(ops, min_size=1, max_size=40))
 def test_high_team_picks_what_the_reference_rule_picks(default_raw, mode, tau_g, tau_w,
                                                         start, operations):
-    # the log streams to a file, so that it holds the records the picks add
-    with tempfile.TemporaryDirectory() as tmp:
-        rep = Replication(profile_for(default_raw, mode), Scenario(tau_g=tau_g, tau_w=tau_w),
-                          rep_id=0, days=2, patients=(), log_path=Path(tmp) / "rep_00.csv")
-        with closing(rep.log):
-            _replay(rep, mode, tau_g, tau_w, start, operations)
+    rep = Replication(profile_for(default_raw, mode), Scenario(tau_g=tau_g, tau_w=tau_w),
+                      rep_id=0, days=2, patients=())
+    _replay(rep, mode, tau_g, tau_w, start, operations)
 
 
 def _replay(rep, mode, tau_g, tau_w, start, operations):
@@ -81,6 +74,15 @@ def _replay(rep, mode, tau_g, tau_w, start, operations):
     checking each pick of the high team H1 against the reference rule."""
     pool, queue = rep.pools["high_general"], rep.first_queues["general"]
     oracle = LinearPromotionQueue(tau_g, tau_w)
+    started: list[int] = []  # the patients whose first visit the log records starting
+    add = rep.log.add
+
+    def recording(time_min, patient_id, event, *fields):
+        if event == "START_FIRST":
+            started.append(patient_id)
+        add(time_min, patient_id, event, *fields)
+
+    rep.log.add = recording
     now = start
     for pid, (op, code, step) in enumerate(operations):
         now += step
@@ -90,12 +92,8 @@ def _replay(rep, mode, tau_g, tau_w, start, operations):
             rep._waiting_first += 1
             continue
         want = reference_pick(oracle, mode, now)
-        logged = len(rep.log.raw)
+        started.clear()
         rep._pick_task(pool, "H1", now, queue)
-        # the buffered rep_id,time_min,patient_id,event,detail lines
-        started = [int(pid) for _rep, _time, pid, event, _detail
-                   in (line.split(",", 4) for line in rep.log.raw[logged:])
-                   if event == "START_FIRST"]
         if want is None:
             assert started == [] and "H1" not in pool.busy
             continue

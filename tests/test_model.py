@@ -448,8 +448,19 @@ class SecondPassReplication(Replication):
 
     passes = 0
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.adds = 0
+        add = self.log.add
+
+        def counted(*record):
+            self.adds += 1
+            add(*record)
+
+        self.log.add = counted
+
     def _state(self):
-        return (self._waiting_first, self._waiting_last, len(self.log.raw),
+        return (self._waiting_first, self._waiting_last, self.adds,
                 [len(pool.busy) for pool in self.pools.values()])
 
     def _dispatch(self, now):
@@ -575,7 +586,7 @@ def csv_writer_bytes(records) -> bytes:
 
 
 class TestEventLogCsv:
-    @pytest.mark.parametrize("ortho_id", ['OR,"1"', "OR,1"])
+    @pytest.mark.parametrize("ortho_id", ['OR,"1"', "OR,1", "OR\r1", "OR\n1", "OR%s{}1"])
     def test_team_ids_that_need_quotes_are_written_as_csv_writer_does(
             self, default_raw, ortho_id, tmp_path):
         raw = copy.deepcopy(default_raw)
@@ -585,6 +596,15 @@ class TestEventLogCsv:
         records = read_log_csv(path)
         assert any(r.detail == f"team={ortho_id} pool=orthopaedic" for r in records)
         assert path.read_bytes() == csv_writer_bytes(records)
+
+    def test_a_second_write_csv_after_the_run_changes_nothing(self, default_profile, tmp_path):
+        path = tmp_path / "rep_00.csv"
+        rep = Replication(default_profile, Scenario(), 0, 1,
+                          draw_patients(default_profile, 42, 0, 1), log_path=path)
+        rep.run()
+        ended = path.read_bytes()
+        rep.log.write_csv(path)
+        assert path.read_bytes() == ended
 
     def test_one_quoted_row_among_many_plain_ones(self, tmp_path):
         path = tmp_path / "rep_02.csv"

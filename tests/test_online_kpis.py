@@ -4,6 +4,8 @@ the KPIs nothing."""
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from edsim import kernel
@@ -80,12 +82,21 @@ def test_patient_arriving_at_the_warmup_boundary_counts_on_both_paths(default_pr
     assert at.n_admitted > after.n_admitted
 
 
-def test_log_not_kept_holds_no_records_and_same_kpis(default_profile):
+def refuse_opens(monkeypatch) -> None:
+    """Fail any file the kernel opens from here on."""
+    def refuse(file, *args, **kwargs):
+        raise AssertionError(f"a log that is not kept opened {file}")
+
+    monkeypatch.setattr(kernel, "open", refuse, raising=False)
+
+
+def test_log_not_kept_holds_no_records_and_same_kpis(default_profile, monkeypatch):
     kept, records = run_logged(default_profile, Scenario(tau_g=90), 1, 7, DAYS)
+    refuse_opens(monkeypatch)
     rep = Replication(default_profile, Scenario(tau_g=90), 1, DAYS,
                       draw_patients(default_profile, 7, 1, DAYS))
     bare = rep.run()
-    assert records and rep.log.raw == []
+    assert records
     assert bare == kept
     thresholds = default_profile.thresholds
     assert (compute_kpis(bare, DAYS, thresholds).to_dict()
@@ -115,7 +126,8 @@ def test_run_replication_ends_its_log_before_it_returns(default_profile, tmp_pat
     rows = run_replication(default_profile, parse("Cb.15"), 0, 42, DAYS, log_path=path)
     assert len(opened) == 1 and opened[0].closed
     records = read_log_csv(path)
-    assert len(records) == added[0] > 2 * kernel._CSV_CHUNK
+    assert len(records) == added[0]
+    assert path.stat().st_size > 2 * io.DEFAULT_BUFFER_SIZE  # more than the file buffers
     assert rows == rows_from_log(records)
 
 
@@ -148,10 +160,10 @@ class TestEventLogSink:
         with pytest.raises(ValueError, match="START_FIRST takes 2 fields, got 1"):
             streamed.add(5, 1, "START_FIRST", "T1")
 
-    def test_log_not_kept_returns_at_once(self):
+    def test_log_not_kept_returns_at_once(self, monkeypatch):
+        refuse_opens(monkeypatch)
         log = EventLog(0)
         log.add(5, 1, "TELEPORT")
-        assert log.raw == []
 
     def test_details_render_from_templates(self, tmp_path):
         log = EventLog(3, tmp_path / "rep_03.csv")
@@ -173,18 +185,18 @@ class TestEventLogSink:
         # each exam plan as a tuple
         with pytest.raises(TypeError, match="unhashable"):
             streamed.add(10, 1, "TRIAGE_DONE", "GREEN", "GENERAL", True, False, ["xray", "misc"])
-        assert streamed.raw == []
+        assert records_of(streamed) == []
 
     def test_a_str_field_must_be_a_str_and_equal_integers_render_alike(self, streamed):
         with pytest.raises(ValueError, match="START_FIRST takes str fields, got 1"):
             streamed.add(5, 1, "START_FIRST", 1, "low_general")
         with pytest.raises(ValueError, match="ENQUEUE_FIRST takes str fields, got True"):
             streamed.add(5, 1, "ENQUEUE_FIRST", True)
-        assert streamed.raw == []
         for lab in (True, 1, 1.0):  # equal keys: the first one's tail serves them all
             streamed.add(5, 1, "TRIAGE_DONE", "RED", "GENERAL", lab, 0, ())
-        assert streamed.raw == [
-            "0,5,1,TRIAGE_DONE,code=RED type=GENERAL lab=1 labtriage=0 exams=-\r\n"] * 3
+        streamed.write_csv(streamed.path)
+        assert streamed.path.read_bytes().split(b"\r\n")[1:] == [
+            b"0,5,1,TRIAGE_DONE,code=RED type=GENERAL lab=1 labtriage=0 exams=-"] * 3 + [b""]
 
     def test_one_detail_reused_by_many_records_writes_each_line(self, tmp_path):
         log = EventLog(7, tmp_path / "rep_07.csv")
@@ -192,7 +204,6 @@ class TestEventLogSink:
         for i in range(3000):
             log.add(i, i % 101, "START_FIRST", teams[i % 3], "low_general")
             log.add(i, i % 101, "PROMOTED")
-            log.flush()  # a full chunk goes out as the model's arrivals send it
         records = records_of(log)
         assert records == [rec for i in range(3000) for rec in (
             (7, i, i % 101, "START_FIRST", f"team={teams[i % 3]} pool=low_general"),
