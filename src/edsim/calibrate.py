@@ -1,6 +1,9 @@
 """Black-box calibration: pin the free profile parameters (service means,
 arrival scale, lab waiting, outlier thresholds) to the published validation
-row using deterministic paired-seed simulations."""
+row using deterministic paired-seed simulations.
+
+The row is `TARGETS`, keyed by the `KpiReport.vectors` names, so every
+figure is compared as `report.value(name)` against `TARGETS[name]`."""
 
 from __future__ import annotations
 
@@ -16,17 +19,9 @@ from .scenario import Scenario
 from .stochastics import Profile
 
 
-@dataclass(frozen=True)
-class CalibrationTarget:
-    """Published validation row (simulation side)."""
-
-    in_per_day: float = 238.23
-    wt_first: float = 70.52
-    wt_last: float = 54.94
-    los: float = 208.60
-    outlier_green: float = 3.88
-    outlier_white: float = 25.47
-
+# published validation row (simulation side)
+TARGETS = {"in_per_day": 238.23, "wt_first": 70.52, "wt_last": 54.94, "los": 208.60,
+           "outlier_GREEN": 3.88, "outlier_WHITE": 25.47}
 
 # acceptance bands: relative tolerance per KPI
 BANDS = {"in_per_day": 0.02, "los": 0.05, "wt_first": 0.10, "wt_last": 0.10}
@@ -49,17 +44,17 @@ def apply_multipliers(raw: dict, mult: dict[str, float]) -> dict:
     return out
 
 
-def band_errors(report: KpiReport, target: CalibrationTarget) -> dict[str, float]:
-    return {k: (getattr(report, k) - getattr(target, k)) / getattr(target, k) for k in BANDS}
+def band_errors(report: KpiReport) -> dict[str, float]:
+    return {k: (report.value(k) - TARGETS[k]) / TARGETS[k] for k in BANDS}
 
 
-def within_bands(report: KpiReport, target: CalibrationTarget) -> bool:
-    errs = band_errors(report, target)
+def within_bands(report: KpiReport) -> bool:
+    errs = band_errors(report)
     return all(abs(errs[k]) <= BANDS[k] for k in BANDS)
 
 
-def weighted_error(report: KpiReport, target: CalibrationTarget) -> float:
-    errs = band_errors(report, target)
+def weighted_error(report: KpiReport) -> float:
+    errs = band_errors(report)
     return sum(WEIGHTS[k] * errs[k] ** 2 for k in WEIGHTS)
 
 
@@ -75,18 +70,16 @@ class CalibrationResult:
         return {"converged": self.converged, "message": self.message, "evals": self.trace}
 
 
-def _fit_thresholds(report: KpiReport, raw: dict, target: CalibrationTarget) -> dict:
+def _fit_thresholds(report: KpiReport, raw: dict) -> dict:
     """Set outlier thresholds to the empirical quantiles of `report`'s first
     waits that reproduce the published outlier rates, clamped to stay above
     the promotion taus."""
-    rates = {"GREEN": target.outlier_green, "WHITE": target.outlier_white}
     fitted = dict(raw["thresholds"])
-    for code, rate in rates.items():
+    for code, (lo, hi) in THRESHOLD_CLAMP.items():
         ws = report.first_waits[code]
         if not ws:
             continue
-        q = float(np.quantile(ws, 1.0 - rate / 100.0))
-        lo, hi = THRESHOLD_CLAMP[code]
+        q = float(np.quantile(ws, 1.0 - TARGETS[f"outlier_{code}"] / 100.0))
         fitted[code] = int(min(max(5 * round(q / 5.0), lo), hi))
     return fitted
 
@@ -109,7 +102,6 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
     # Imported here so that run, sweep and validate never load scipy.
     from scipy import optimize
 
-    target = CalibrationTarget()
     if budget <= 0:
         return CalibrationResult(profile_raw, False, "FAILED: zero search budget")
 
@@ -123,19 +115,19 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
             "eval": tag,
             "multipliers": {k: round(v, 6) for k, v in mult.items()},
             "kpis": {k: nan_to_none(agg.value(k)) for k in HEADLINE_KPIS},
-            "error": nan_to_none(weighted_error(agg, target)),
+            "error": nan_to_none(weighted_error(agg)),
         })
         return agg
 
     def evaluate(x: np.ndarray) -> float:
         mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, x)}
         agg = run(len(trace) + 1, mult, replications, days)
-        err = weighted_error(agg, target)
+        err = weighted_error(agg)
         if err < best["err"]:
             best.update(err=err, mult=mult)
-        if within_bands(agg, target):
+        if within_bands(agg):
             full = run("full-scale", mult, final_replications, final_days)
-            if within_bands(full, target):
+            if within_bands(full):
                 raise _Confirmed(mult, full)
         return err
 
@@ -149,10 +141,10 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
     else:
         mult = best["mult"]
         agg = run("full-scale", mult, final_replications, final_days)
-        converged = within_bands(agg, target)
+        converged = within_bands(agg)
 
     fitted = apply_multipliers(profile_raw, mult)
-    fitted["thresholds"] = _fit_thresholds(agg, fitted, target)
+    fitted["thresholds"] = _fit_thresholds(agg, fitted)
     message = ("converged: all targets within tolerance" if converged
                else "FAILED: best-so-far outside tolerance bands")
     return CalibrationResult(fitted, converged, message, trace, agg)

@@ -162,9 +162,9 @@ def cmd_sweep(args, profile: Profile) -> int:
         else:
             # significance needs at least two replications per side
             cmp_ = compare(base_agg, agg) if args.replications >= 2 else None
-            print(f"{name}: LoS {agg.los:.2f} (baseline {base_agg.los:.2f})")
+            print(f"{name}: LoS {agg.value('los'):.2f} (baseline {base_agg.value('los'):.2f})")
         rows.append(comparison_row(name, agg, cmp_))
-        los.append(agg.los)
+        los.append(agg.value("los"))
     write_comparison_csv(out / "comparison.csv", rows)
     if args.svg:
         chart = svg_bar_chart("LoS by scenario", [name for name, _ in runs], los)
@@ -174,18 +174,17 @@ def cmd_sweep(args, profile: Profile) -> int:
 
 
 def cmd_validate(args, profile: Profile) -> int:
-    target = cal.CalibrationTarget()
     agg = run_scenario(profile, Scenario(), args.seed, args.replications,
                        args.days, jobs=args.jobs)
-    errs = cal.band_errors(agg, target)
-    ok = cal.within_bands(agg, target)
+    errs = cal.band_errors(agg)
+    ok = cal.within_bands(agg)
     print(f"{'kpi':<12}{'simulated':>12}{'target':>10}{'delta':>9}{'band':>7}  verdict")
     for kpi, band in cal.BANDS.items():
         passed = abs(errs[kpi]) <= band
-        print(f"{kpi:<12}{agg.value(kpi):>12.2f}{getattr(target, kpi):>10.2f}"
+        print(f"{kpi:<12}{agg.value(kpi):>12.2f}{cal.TARGETS[kpi]:>10.2f}"
               f"{100 * errs[kpi]:>+8.1f}%{100 * band:>6.0f}%  {'pass' if passed else 'FAIL'}")
-    print(f"outliers: green {agg.value('outlier_GREEN'):.2f}% (ref {target.outlier_green}), "
-          f"white {agg.value('outlier_WHITE'):.2f}% (ref {target.outlier_white})")
+    print(f"outliers: green {agg.value('outlier_GREEN'):.2f}% (ref {cal.TARGETS['outlier_GREEN']}),"
+          f" white {agg.value('outlier_WHITE'):.2f}% (ref {cal.TARGETS['outlier_WHITE']})")
     print("validation", "PASSED" if ok else "FAILED")
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -126,9 +126,10 @@ class ShiftCalendar:
 
     `teams` lists the slots grouped by band, bands in order of first
     appearance; this is the order dispatch polls them in, and every
-    `on_by_minute` tuple keeps it. The slots on shift at each minute of the
-    day are precomputed once, one shared tuple per stretch between
-    consecutive boundaries, so lookups build nothing."""
+    `on_by_minute` tuple keeps it. `boundaries` holds, sorted, the distinct
+    minutes of the day at which capacity can change. The slots on shift at
+    each minute of the day are precomputed once, one shared tuple per
+    stretch between consecutive boundaries, so lookups build nothing."""
 
     def __init__(self, bands: list[tuple[str, int, int]], offset: int = 0) -> None:
         groups: dict[tuple[int, int], list[str]] = {}
@@ -139,7 +140,8 @@ class ShiftCalendar:
         shifted = [((start + offset) % MINUTES_PER_DAY, (end + offset) % MINUTES_PER_DAY, teams)
                    for (start, end), teams in groups.items()]
         self.teams: tuple[str, ...] = tuple(t for teams in groups.values() for t in teams)
-        bounds = self._boundaries = sorted({m for start, end, _ in shifted for m in (start, end)})
+        bounds = self.boundaries = tuple(sorted({m for start, end, _ in shifted
+                                                 for m in (start, end)}))
         table: list[tuple[str, ...]] = [()] * MINUTES_PER_DAY
         for m, stop in zip(bounds, bounds[1:] + bounds[:1]):
             on = tuple(t for start, end, teams in shifted
@@ -154,10 +156,6 @@ class ShiftCalendar:
 
     def teams_on(self, minute_of_day: int) -> tuple[str, ...]:
         return self.on_by_minute[minute_of_day % MINUTES_PER_DAY]
-
-    def boundaries(self) -> list[int]:
-        """Distinct minutes-of-day at which capacity can change."""
-        return list(self._boundaries)
 
 
 class ResourcePool:

@@ -44,20 +44,16 @@ def nan_to_none(x):
     return None if isinstance(x, float) and math.isnan(x) else x
 
 
-def _vector_mean(name: str) -> property:
-    return property(lambda self: self.value(name),
-                    doc=f"Mean of the per-replication {name} values.")
-
-
 @dataclass
 class KpiReport:
     """KPIs of one or more replications: the per-replication vectors, keyed
     by KPI_NAMES plus `outlier_<CODE>` for every threshold code, and the
     patient counts summed over the replications. Every reported figure is
-    the mean of its vector, so aggregation and significance testing work
-    from the same numbers. `first_waits` holds, per threshold code, the
-    completed first-visit waits the outlier rates count, for calibration's
-    threshold fit; no output carries it."""
+    `value(name)`, the mean of its vector, so aggregation and significance
+    testing work from the same numbers. `first_waits` holds, per threshold
+    code, the completed first-visit waits the outlier rates count, for
+    calibration's threshold fit; its keys are the codes `to_dict` reports
+    an outlier share for, and no output carries its waits."""
 
     vectors: dict[str, list[float]]
     n_admitted: int = 0
@@ -65,24 +61,14 @@ class KpiReport:
     n_censored: int = 0
     first_waits: dict[str, list[int]] = field(default_factory=dict, repr=False)
 
-    in_per_day = _vector_mean("in_per_day")
-    wt_first = _vector_mean("wt_first")
-    wt_last = _vector_mean("wt_last")
-    los = _vector_mean("los")
-
-    @property
-    def outlier_pct(self) -> dict[str, float]:
-        """Mean outlier percentage per threshold code."""
-        return {name.split("_", 1)[1]: _mean(xs) for name, xs in self.vectors.items()
-                if name.startswith("outlier_")}
-
     def value(self, name: str) -> float:
         return _mean(self.vectors[name])
 
     def to_dict(self) -> dict:
         return {
             **{k: nan_to_none(self.value(k)) for k in HEADLINE_KPIS},
-            "outlier_pct": {k: nan_to_none(v) for k, v in self.outlier_pct.items()},
+            "outlier_pct": {code: nan_to_none(self.value(f"outlier_{code}"))
+                            for code in self.first_waits},
             "n_admitted": self.n_admitted,
             "n_dismissed": self.n_dismissed,
             "n_censored": self.n_censored,
@@ -90,14 +76,16 @@ class KpiReport:
         }
 
 
-def compute_kpis(rows: list[tuple[int, ...]], days: int, thresholds: dict[str, float],
-                 warmup_min: int = WARMUP_MIN) -> KpiReport:
+def compute_kpis(rows: list[tuple[int, ...]], days: int,
+                 thresholds: dict[str, float]) -> KpiReport:
     """KPIs of one complete replication from its KPI rows (ROW_FIELDS).
 
-    Patients arriving during the warm-up window are excluded from all
-    accounting; admitted patients lacking DISCHARGE within the horizon are
-    censored out of LoS but keep their completed waits."""
-    triaged = [r for r in rows if r[_ARRIVE] >= warmup_min and r[_TRIAGE] != NO_TIME]
+    Patients arriving before WARMUP_MIN are excluded from all accounting;
+    admitted patients lacking DISCHARGE within the horizon are censored out
+    of LoS but keep their completed waits. Each threshold code gets its
+    `outlier_<CODE>` vector and its `first_waits` entry from the same
+    waits."""
+    triaged = [r for r in rows if r[_ARRIVE] >= WARMUP_MIN and r[_TRIAGE] != NO_TIME]
     admitted = [r for r in triaged if not r[_DISMISSED]]  # the patients the KPIs count
     wt_first = [r[_START_FIRST] - r[_ENQ_FIRST] for r in admitted if r[_START_FIRST] != NO_TIME]
     wt_last = [r[_START_LAST] - r[_ENQ_LAST] for r in admitted if r[_START_LAST] != NO_TIME]

@@ -174,7 +174,7 @@ class Replication:
         self.calendar.schedule(row[0], self._on_arrival, row)
 
     def _schedule_kicks(self) -> None:
-        minutes = {m for pool in self.pools.values() for m in pool.calendar.boundaries()}
+        minutes = {m for pool in self.pools.values() for m in pool.calendar.boundaries}
         for m in sorted(minutes):
             self.calendar.schedule(m, self._on_shift_kick, m)
 

@@ -62,10 +62,10 @@ class TestAC1Calibration:
     def test_calibration_targets(self, ac1_result):
         fit, agg, _elapsed = ac1_result
         checks = [
-            ("In", agg.in_per_day, 238.23, 0.02),
-            ("WT_1st", agg.wt_first, 70.52, 0.10),
-            ("WT_last", agg.wt_last, 54.94, 0.10),
-            ("LoS", agg.los, 208.60, 0.05),
+            ("In", agg.value("in_per_day"), 238.23, 0.02),
+            ("WT_1st", agg.value("wt_first"), 70.52, 0.10),
+            ("WT_last", agg.value("wt_last"), 54.94, 0.10),
+            ("LoS", agg.value("los"), 208.60, 0.05),
         ]
         details = []
         ok = fit.converged
@@ -85,7 +85,7 @@ class TestAC1Calibration:
 class TestAC2DirectionalScenarios:
     def test_f1_largest_single_letter_los_reduction(self, sweep_results):
         base = sweep_results["baseline"]
-        deltas = {n: r.los - base.los for n, r in sweep_results.items()
+        deltas = {n: r.value("los") - base.value("los") for n, r in sweep_results.items()
                   if n not in ("baseline", "Cb.15")}
         best = min(deltas, key=deltas.get)
         verdict("AC2 F.1 largest LoS cut", best == "F.1",
@@ -93,37 +93,39 @@ class TestAC2DirectionalScenarios:
 
     def test_f1_wt_last_below_point_six_baseline(self, sweep_results):
         base, f1 = sweep_results["baseline"], sweep_results["F.1"]
-        ratio = f1.wt_last / base.wt_last
+        ratio = f1.value("wt_last") / base.value("wt_last")
         verdict("AC2 F.1 WT_last", ratio < 0.6,
-                f"{f1.wt_last:.2f} vs baseline {base.wt_last:.2f} (x{ratio:.2f} < 0.6)")
+                f"{f1.value('wt_last'):.2f} vs baseline {base.value('wt_last'):.2f} "
+                f"(x{ratio:.2f} < 0.6)")
 
     def test_g5_los_reduction_band(self, sweep_results):
-        cut = sweep_results["baseline"].los - sweep_results["G.5"].los
+        cut = sweep_results["baseline"].value("los") - sweep_results["G.5"].value("los")
         verdict("AC2 G.5 LoS cut", 8.0 <= cut <= 18.0, f"{cut:.1f}' in [8, 18]")
 
     def test_c4_green_outliers_near_zero(self, sweep_results):
-        pct = sweep_results["C.4"].outlier_pct["GREEN"]
+        pct = sweep_results["C.4"].value("outlier_GREEN")
         verdict("AC2 C.4 green outliers", pct < 0.5, f"{pct:.2f}% < 0.5%")
 
     def test_b1_tradeoff(self, sweep_results):
         base, b1 = sweep_results["baseline"], sweep_results["B.1"]
-        ok = (b1.wt_last < 10.0 and b1.wt_first > base.wt_first
-              and b1.outlier_pct["GREEN"] > base.outlier_pct["GREEN"]
-              and b1.outlier_pct["WHITE"] > base.outlier_pct["WHITE"])
+        ok = (b1.value("wt_last") < 10.0 and b1.value("wt_first") > base.value("wt_first")
+              and b1.value("outlier_GREEN") > base.value("outlier_GREEN")
+              and b1.value("outlier_WHITE") > base.value("outlier_WHITE"))
         verdict("AC2 B.1 trade-off", ok,
-                f"WT_last={b1.wt_last:.2f}<10, WT_1st {base.wt_first:.1f}->{b1.wt_first:.1f}, "
-                f"outliers G {base.outlier_pct['GREEN']:.2f}->{b1.outlier_pct['GREEN']:.2f} "
-                f"W {base.outlier_pct['WHITE']:.2f}->{b1.outlier_pct['WHITE']:.2f}")
+                f"WT_last={b1.value('wt_last'):.2f}<10, "
+                f"WT_1st {base.value('wt_first'):.1f}->{b1.value('wt_first'):.1f}, "
+                f"outliers G {base.value('outlier_GREEN'):.2f}->{b1.value('outlier_GREEN'):.2f} "
+                f"W {base.value('outlier_WHITE'):.2f}->{b1.value('outlier_WHITE'):.2f}")
 
     def test_cb15_los_reduction_band(self, sweep_results):
         base, cb = sweep_results["baseline"], sweep_results["Cb.15"]
-        pct = 100.0 * (base.los - cb.los) / base.los
+        pct = 100.0 * (base.value("los") - cb.value("los")) / base.value("los")
         verdict("AC2 Cb.15 LoS cut", 14.0 <= pct <= 24.0, f"{pct:.1f}% in [14, 24]")
 
     def test_e_series_monotone(self, sweep_results):
         seq = ["baseline", "E.1", "E.2", "E.3", "E.4"]
-        ins = [sweep_results[n].in_per_day for n in seq]
-        wts = [sweep_results[n].wt_first for n in seq]
+        ins = [sweep_results[n].value("in_per_day") for n in seq]
+        wts = [sweep_results[n].value("wt_first") for n in seq]
         ok = all(a >= b for a, b in zip(ins, ins[1:])) and \
             all(a >= b for a, b in zip(wts, wts[1:]))
         verdict("AC2 E-series monotone", ok,

@@ -4,7 +4,7 @@ import pytest
 
 from edsim.calibrate import (
     BANDS,
-    CalibrationTarget,
+    TARGETS,
     _fit_thresholds,
     apply_multipliers,
     band_errors,
@@ -39,29 +39,28 @@ class TestMultipliers:
         assert out["arrival_rates"] == default_raw["arrival_rates"]
 
 
+def one_replication(**means: float) -> KpiReport:
+    """A replication's report with the given KPI means."""
+    return KpiReport({name: [mean] for name, mean in means.items()})
+
+
 class TestBands:
     def test_band_errors_are_relative(self):
-        class R:
-            in_per_day, wt_first, wt_last, los = 238.23, 70.52, 54.94, 208.60
-
-        errs = band_errors(R, CalibrationTarget())
+        report = one_replication(in_per_day=238.23, wt_first=70.52, wt_last=54.94, los=208.60)
+        errs = band_errors(report)
+        assert set(errs) == set(BANDS)
         assert all(abs(v) < 1e-12 for v in errs.values())
+        assert band_errors(one_replication(in_per_day=238.23 * 1.5, wt_first=70.52,
+                                           wt_last=54.94, los=208.60 / 2)) == pytest.approx(
+            {"in_per_day": 0.5, "wt_first": 0.0, "wt_last": 0.0, "los": -0.5})
 
     def test_within_bands_respects_tolerances(self):
-        t = CalibrationTarget()
-
-        class R:
-            in_per_day = t.in_per_day * 1.019
-            wt_first = t.wt_first * 1.09
-            wt_last = t.wt_last * 0.91
-            los = t.los * 1.049
-
-        assert within_bands(R, t)
-
-        class R2(R):
-            los = t.los * 1.06
-
-        assert not within_bands(R2, t)
+        inside = {"in_per_day": TARGETS["in_per_day"] * 1.019,
+                  "wt_first": TARGETS["wt_first"] * 1.09,
+                  "wt_last": TARGETS["wt_last"] * 0.91,
+                  "los": TARGETS["los"] * 1.049}
+        assert within_bands(one_replication(**inside))
+        assert not within_bands(one_replication(**{**inside, "los": TARGETS["los"] * 1.06}))
         assert set(BANDS) == {"in_per_day", "wt_first", "wt_last", "los"}
 
 
@@ -76,7 +75,7 @@ class TestFitThresholds:
     def fit(green: int, white: int) -> dict:
         report = KpiReport({}, first_waits={"GREEN": list(range(green)),
                                             "WHITE": list(range(white))})
-        return _fit_thresholds(report, TestFitThresholds.RAW, CalibrationTarget())
+        return _fit_thresholds(report, TestFitThresholds.RAW)
 
     def test_quantile_rounded_to_five(self):
         # green 0.9612 * 150 = 144.18 -> 145; white 0.7453 * 400 = 298.12 -> 300
@@ -112,7 +111,7 @@ class TestCalibrate:
         slow = run_replication(heavier, Scenario(), 0, 4242, 8)
         k_base = compute_kpis(base, 8, default_profile.thresholds)
         k_slow = compute_kpis(slow, 8, heavier.thresholds)
-        assert k_slow.los > k_base.los
+        assert k_slow.value("los") > k_base.value("los")
 
     def test_trace_is_deterministic(self, default_raw):
         a = calibrate(default_raw, budget=3, seed=77, replications=1, days=3,

@@ -7,7 +7,7 @@ import pytest
 
 import edsim.calibrate
 import edsim.harness
-from edsim.calibrate import BANDS, CalibrationTarget
+from edsim.calibrate import BANDS, TARGETS
 from edsim.cli import main
 from edsim.harness import run_scenario
 from edsim.model import run_replication
@@ -433,10 +433,9 @@ class TestStdout:
     def test_validate_prints_its_table_and_outlier_line(self, default_profile, capsys):
         code = run_cli("validate", "--seed", "3", "--replications", "2", "--days", "2")
         agg = run_scenario(default_profile, Scenario(), 3, 2, 2)
-        target = CalibrationTarget()
         lines = [f"{'kpi':<12}{'simulated':>12}{'target':>10}{'delta':>9}{'band':>7}  verdict"]
         for kpi, band in BANDS.items():
-            simulated, published = agg.vectors[kpi], getattr(target, kpi)
+            simulated, published = agg.vectors[kpi], TARGETS[kpi]
             mean = sum(simulated) / len(simulated)
             delta = (mean - published) / published
             lines.append(f"{kpi:<12}{mean:>12.2f}{published:>10.2f}{100 * delta:>+8.1f}%"

@@ -128,7 +128,7 @@ class TestShiftCalendar:
 
     def test_boundaries_reflect_offset(self):
         cal = ShiftCalendar([*DAY_TEAMS, *NIGHT_TEAMS], offset=60)
-        assert cal.boundaries() == [540, 1260]
+        assert cal.boundaries == (540, 1260)
 
     def test_band_out_of_range_rejected(self):
         for band in (("A", 1440, 0), ("A", -1, 480), ("A", 0, 1441)):

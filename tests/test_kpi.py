@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 from scipy import stats
 
-from edsim.kpi import (KPI_NAMES, KpiReport, UsageError, _t_two_sided_p, _welch_p, aggregate,
-                       compare, compute_kpis)
+from edsim.kpi import (KPI_NAMES, WARMUP_MIN, KpiReport, UsageError, _t_two_sided_p, _welch_p,
+                       aggregate, compare, compute_kpis)
 
 from log_oracle import LogRecord, rows_from_log
 
@@ -12,7 +13,8 @@ THRESHOLDS = {"GREEN": 120, "WHITE": 240}
 
 
 def rec(time, pid, event, detail=""):
-    return LogRecord(0, time, pid, event, detail)
+    """A log record `time` minutes after the warm-up ends."""
+    return LogRecord(0, WARMUP_MIN + time, pid, event, detail)
 
 
 def patient_records(pid, arrive, code="GREEN", enq_first=None, start_first=None,
@@ -39,17 +41,17 @@ class TestComputeKpis:
     def test_single_patient_hand_numbers(self):
         records = patient_records(1, 0, enq_first=5, start_first=35, end_first=60,
                                   enq_last=80, start_last=90, discharge=100)
-        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS, warmup_min=0)
-        assert r.wt_first == 30
-        assert r.wt_last == 10
-        assert r.los == 100
-        assert r.in_per_day == 1
+        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS)
+        assert r.value("wt_first") == 30
+        assert r.value("wt_last") == 10
+        assert r.value("los") == 100
+        assert r.value("in_per_day") == 1
 
     def test_green_over_threshold_is_outlier(self):
         records = patient_records(1, 0, enq_first=5, start_first=140, end_first=150,
                                   enq_last=160, start_last=165, discharge=170)
-        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS, warmup_min=0)
-        assert r.outlier_pct["GREEN"] == 100.0
+        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS)
+        assert r.value("outlier_GREEN") == 100.0
 
     def test_merged_logs_match_hand_computed_means(self):
         # two patients: waits 30 and 10; los 100 and 50
@@ -57,38 +59,40 @@ class TestComputeKpis:
                                   enq_last=80, start_last=90, discharge=100)
         records += patient_records(2, 10, code="WHITE", enq_first=12, start_first=22,
                                    end_first=30, enq_last=40, start_last=45, discharge=60)
-        r = compute_kpis(rows_from_log(records), days=2, thresholds=THRESHOLDS, warmup_min=0)
-        assert r.wt_first == pytest.approx((30 + 10) / 2)
-        assert r.wt_last == pytest.approx((10 + 5) / 2)
-        assert r.los == pytest.approx((100 + 50) / 2)
-        assert r.in_per_day == pytest.approx(1.0)
+        r = compute_kpis(rows_from_log(records), days=2, thresholds=THRESHOLDS)
+        assert r.value("wt_first") == pytest.approx((30 + 10) / 2)
+        assert r.value("wt_last") == pytest.approx((10 + 5) / 2)
+        assert r.value("los") == pytest.approx((100 + 50) / 2)
+        assert r.value("in_per_day") == pytest.approx(1.0)
 
     def test_dismissed_excluded_from_in(self):
         records = patient_records(1, 0, dismissed=True)
         records += patient_records(2, 5, enq_first=7, start_first=9, end_first=12,
                                    enq_last=13, start_last=14, discharge=20)
-        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS, warmup_min=0)
-        assert r.in_per_day == 1
+        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS)
+        assert r.value("in_per_day") == 1
         assert r.n_dismissed == 1
 
     def test_censored_patient_excluded_from_los_and_counted(self):
         records = patient_records(1, 0, enq_first=5, start_first=35, end_first=60)
         records += patient_records(2, 0, enq_first=4, start_first=10, end_first=20,
                                    enq_last=25, start_last=30, discharge=44)
-        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS, warmup_min=0)
+        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS)
         assert r.n_censored == 1
-        assert r.los == 44
-        assert r.wt_first == pytest.approx((30 + 6) / 2)  # completed waits still count
+        assert r.value("los") == 44
+        assert r.value("wt_first") == pytest.approx((30 + 6) / 2)  # completed waits still count
 
     def test_warmup_arrivals_excluded(self):
-        records = patient_records(1, 100, enq_first=105, start_first=110, end_first=120,
-                                  enq_last=125, start_last=130, discharge=140)
-        records += patient_records(2, 1500, enq_first=1505, start_first=1510,
-                                   end_first=1520, enq_last=1525, start_last=1530,
-                                   discharge=1540)
-        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS, warmup_min=1440)
+        # patient 1 arrives 100 minutes into the warm-up day, patient 2 60 minutes after it ends
+        records = patient_records(1, 100 - WARMUP_MIN, enq_first=105 - WARMUP_MIN,
+                                  start_first=110 - WARMUP_MIN, end_first=120 - WARMUP_MIN,
+                                  enq_last=125 - WARMUP_MIN, start_last=130 - WARMUP_MIN,
+                                  discharge=140 - WARMUP_MIN)
+        records += patient_records(2, 60, enq_first=65, start_first=70, end_first=80,
+                                   enq_last=85, start_last=90, discharge=100)
+        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS)
         assert r.n_admitted == 1
-        assert r.los == 40
+        assert r.value("los") == 40
 
     def test_first_waits_are_the_completed_waits_the_outlier_rates_count(self):
         # green waits 130 and 20, one green censored before its first visit,
@@ -98,34 +102,49 @@ class TestComputeKpis:
         records += patient_records(3, 0, enq_first=6)
         records += patient_records(4, 10, code="WHITE", enq_first=12, start_first=22)
         records += patient_records(5, 10, code="YELLOW", enq_first=12, start_first=15)
-        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS, warmup_min=0)
+        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS)
         assert r.first_waits == {"GREEN": [130, 20], "WHITE": [10]}
-        assert r.outlier_pct == {"GREEN": 50.0, "WHITE": 0.0}
+        assert r.to_dict()["outlier_pct"] == {"GREEN": 50.0, "WHITE": 0.0}
         assert "first_waits" not in r.to_dict()
+
+    def test_outlier_pct_reports_every_threshold_code_and_none_for_nan(self):
+        # first waits: red 3 (over 0), yellow 20 (not over 30), green 130
+        # (over 120); no white patient, so its share is NaN
+        thresholds = {"RED": 0, "YELLOW": 30, "GREEN": 120, "WHITE": 240}
+        records = patient_records(1, 0, code="RED", enq_first=2, start_first=5)
+        records += patient_records(2, 0, code="YELLOW", enq_first=2, start_first=22)
+        records += patient_records(3, 0, enq_first=2, start_first=132)
+        r = compute_kpis(rows_from_log(records), days=1, thresholds=thresholds)
+        for report in (r, aggregate([r, r])):
+            outlier_pct = report.to_dict()["outlier_pct"]
+            assert outlier_pct == {"GREEN": 100.0, "RED": 100.0, "WHITE": None, "YELLOW": 0.0}
+            for code in ("RED", "YELLOW", "GREEN"):
+                assert outlier_pct[code] == report.value(f"outlier_{code}")
+            assert math.isnan(report.value("outlier_WHITE"))
 
     def test_los_at_least_wt_first_per_patient(self):
         records = patient_records(1, 0, enq_first=5, start_first=95, end_first=100,
                                   enq_last=101, start_last=102, discharge=110)
-        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS, warmup_min=0)
-        assert r.los >= r.wt_first
+        r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS)
+        assert r.value("los") >= r.value("wt_first")
 
 
 class TestAggregate:
     def one_report(self, los=200.0):
         records = patient_records(1, 0, enq_first=5, start_first=35, end_first=60,
                                   enq_last=80, start_last=90, discharge=int(los))
-        return compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS, warmup_min=0)
+        return compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS)
 
     def test_identical_reports_average_to_same(self):
         reports = [self.one_report() for _ in range(10)]
         agg = aggregate(reports)
-        assert agg.los == reports[0].los
-        assert agg.wt_first == reports[0].wt_first
+        assert agg.value("los") == reports[0].value("los")
+        assert agg.value("wt_first") == reports[0].value("wt_first")
         assert len(agg.vectors["los"]) == 10
 
     def test_two_values_average(self):
         agg = aggregate([self.one_report(200), self.one_report(210)])
-        assert agg.los == pytest.approx(205.0)
+        assert agg.value("los") == pytest.approx(205.0)
 
     def test_first_waits_are_concatenated_in_replication_order(self):
         a = KpiReport({"los": [1.0]}, first_waits={"GREEN": [5, 7], "WHITE": []})
@@ -146,7 +165,7 @@ class TestCompare:
     def make(self, los):
         records = patient_records(1, 0, enq_first=5, start_first=35, end_first=60,
                                   enq_last=80, start_last=90, discharge=int(los))
-        return compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS, warmup_min=0)
+        return compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS)
 
     def test_identical_runs_never_flagged(self):
         base = self.vec_report([200, 210, 190, 205])

@@ -215,7 +215,7 @@ class TestExtraTeamScenario:
         extra = run_replication(default_profile, Scenario(a=1), 0, 5, 8)
         k_base = compute_kpis(base, 8, default_profile.thresholds)
         k_extra = compute_kpis(extra, 8, default_profile.thresholds)
-        assert k_extra.wt_last < 0.7 * k_base.wt_last
+        assert k_extra.value("wt_last") < 0.7 * k_base.value("wt_last")
 
 
 class TestTriageOutcomes:

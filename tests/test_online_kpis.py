@@ -8,7 +8,7 @@ import io
 
 import pytest
 
-from edsim import kernel
+from edsim import kernel, kpi
 from edsim.harness import run_scenario
 from edsim.kernel import EventLog
 from edsim.kpi import compute_kpis
@@ -42,10 +42,10 @@ def _has(records, event: str) -> bool:
     return any(r.event == event for r in records)
 
 
-def _assert_online_matches_log(rows, records, thresholds: dict, warmup_min: int) -> None:
+def _assert_online_matches_log(rows, records, thresholds: dict) -> None:
     assert rows == rows_from_log(records)
-    online = compute_kpis(rows, DAYS, thresholds, warmup_min=warmup_min)
-    from_log = compute_kpis(rows_from_log(records), DAYS, thresholds, warmup_min=warmup_min)
+    online = compute_kpis(rows, DAYS, thresholds)
+    from_log = compute_kpis(rows_from_log(records), DAYS, thresholds)
     assert online.to_dict() == from_log.to_dict()
 
 
@@ -56,7 +56,7 @@ def test_online_kpis_equal_log_kpis(name, seed, default_profile):
     rows, records = run_logged(default_profile, scenario, 0, seed, DAYS)
     if exercised is not None:
         assert exercised(records), f"{name} seed {seed} did not exercise its lever"
-    _assert_online_matches_log(rows, records, default_profile.thresholds, 1440)
+    _assert_online_matches_log(rows, records, default_profile.thresholds)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -67,18 +67,21 @@ def test_online_kpis_equal_log_kpis_when_draining(seed, default_profile, tmp_pat
     records = read_log_csv(path)
     assert all(p.get("DISCHARGE") is not None or p.dismissed
                for p in collect_patients(records).values())
-    _assert_online_matches_log(rows, records, default_profile.thresholds, 1440)
+    _assert_online_matches_log(rows, records, default_profile.thresholds)
 
 
-def test_patient_arriving_at_the_warmup_boundary_counts_on_both_paths(default_profile):
+def test_patient_arriving_at_the_warmup_boundary_counts_on_both_paths(default_profile,
+                                                                      monkeypatch):
     rows, records = run_logged(default_profile, Scenario(), 0, 42, DAYS)
     # the first triaged, not dismissed patient after the first day sets the boundary
     boundary = next(p.get("ARRIVE") for p in collect_patients(records).values()
                     if p.get("ARRIVE") >= 1440 and p.get("TRIAGE_DONE") is not None
                     and not p.dismissed)
-    _assert_online_matches_log(rows, records, default_profile.thresholds, boundary)
-    at = compute_kpis(rows, DAYS, default_profile.thresholds, warmup_min=boundary)
-    after = compute_kpis(rows, DAYS, default_profile.thresholds, warmup_min=boundary + 1)
+    monkeypatch.setattr(kpi, "WARMUP_MIN", boundary)
+    _assert_online_matches_log(rows, records, default_profile.thresholds)
+    at = compute_kpis(rows, DAYS, default_profile.thresholds)
+    monkeypatch.setattr(kpi, "WARMUP_MIN", boundary + 1)
+    after = compute_kpis(rows, DAYS, default_profile.thresholds)
     assert at.n_admitted > after.n_admitted
 
 
