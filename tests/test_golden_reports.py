@@ -45,6 +45,11 @@ CASES = {
     "calibrate/failed": (["calibrate", "--budget", "3", "--probe-replications", "1",
                           "--probe-days", "2", "--replications", "1", "--days", "2",
                           "--seed", "5"], 1, CALIBRATION_FILES),
+    # 40 probes past the initial simplex: reflections, expansions, both
+    # contractions and shrink steps, then a failed full-scale check
+    "calibrate/search": (["calibrate", "--budget", "40", "--probe-replications", "1",
+                          "--probe-days", "3", "--replications", "1", "--days", "2",
+                          "--seed", "1"], 1, CALIBRATION_FILES),
 }
 
 
