@@ -16,7 +16,7 @@ import numpy as np
 from .harness import run_scenario
 from .kpi import HEADLINE_KPIS, KpiReport, nan_to_none
 from .scenario import Scenario
-from .stochastics import Profile
+from .stochastics import CODES, Profile
 
 
 # published validation row (simulation side)
@@ -36,7 +36,9 @@ THRESHOLD_CLAMP = {"GREEN": (120, 180), "WHITE": (240, 330)}
 def apply_multipliers(raw: dict, mult: dict[str, float]) -> dict:
     out = copy.deepcopy(raw)
     s = mult.get("arrival_scale", 1.0)
-    out["arrival_rates"] = {c: [x * s for x in v] for c, v in raw["arrival_rates"].items()}
+    rates = out["arrival_rates"]  # scaled in place: other keys and the key order stay
+    for code in CODES:
+        rates[code] = [x * s for x in rates[code]]
     out["service"]["first_general"]["mean"] = raw["service"]["first_general"]["mean"] * mult.get("first_general_mean", 1.0)
     out["service"]["last_visit"]["mean"] = raw["service"]["last_visit"]["mean"] * mult.get("last_visit_mean", 1.0)
     out["lab_profile"]["waiting"] = [x * mult.get("lab_waiting_scale", 1.0)
@@ -84,10 +86,6 @@ def _fit_thresholds(report: KpiReport, raw: dict) -> dict:
     return fitted
 
 
-class _Confirmed(Exception):
-    """Ends the search with (multipliers, full-scale report) of a confirmed probe."""
-
-
 def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
               replications: int = 3, days: int = 30, jobs: int = 1,
               final_replications: int = 10, final_days: int = 30) -> CalibrationResult:
@@ -99,14 +97,10 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
     stop, so a converged result is always full-scale true. Everything is
     seeded, so reruns give identical traces; failure returns the best-so-far
     profile flagged FAILED."""
-    # Imported here so that run, sweep and validate never load scipy.
-    from scipy import optimize
-
     if budget <= 0:
         return CalibrationResult(profile_raw, False, "FAILED: zero search budget")
 
     trace: list[dict] = []
-    best: dict = {"err": math.inf, "mult": dict.fromkeys(PARAM_NAMES, 1.0)}
 
     def run(tag, mult, reps, run_days):
         agg = run_scenario(Profile(apply_multipliers(profile_raw, mult)), Scenario(),
@@ -119,30 +113,30 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
         })
         return agg
 
-    def evaluate(x: np.ndarray) -> float:
-        mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, x)}
-        agg = run(len(trace) + 1, mult, replications, days)
-        err = weighted_error(agg)
-        if err < best["err"]:
-            best.update(err=err, mult=mult)
-        if within_bands(agg):
-            full = run("full-scale", mult, final_replications, final_days)
-            if within_bands(full):
-                raise _Confirmed(mult, full)
-        return err
+    def search() -> tuple[dict, KpiReport]:
+        """(multipliers, full-scale report) of the first confirmed probe, else
+        of the best probe once the budget is spent or the simplex converged."""
+        best_err, best_mult = math.inf, dict.fromkeys(PARAM_NAMES, 1.0)
+        points = _nelder_mead(np.zeros(len(PARAM_NAMES)), 0.04, xatol=1e-3, fatol=1e-4)
+        x = next(points)
+        for _ in range(budget):
+            mult = {name: float(math.exp(v)) for name, v in zip(PARAM_NAMES, x)}
+            probe = run(len(trace) + 1, mult, replications, days)
+            err = weighted_error(probe)
+            if err < best_err:
+                best_err, best_mult = err, mult
+            if within_bands(probe):
+                full = run("full-scale", mult, final_replications, final_days)
+                if within_bands(full):
+                    return mult, full
+            try:
+                x = points.send(err)
+            except StopIteration:
+                break
+        return best_mult, run("full-scale", best_mult, final_replications, final_days)
 
-    x0 = np.zeros(len(PARAM_NAMES))
-    try:
-        optimize.minimize(evaluate, x0, method="Nelder-Mead",
-                          options={"maxfev": budget, "xatol": 1e-3, "fatol": 1e-4,
-                                   "initial_simplex": _initial_simplex(x0, 0.04)})
-    except _Confirmed as done:
-        (mult, agg), converged = done.args, True
-    else:
-        mult = best["mult"]
-        agg = run("full-scale", mult, final_replications, final_days)
-        converged = within_bands(agg)
-
+    mult, agg = search()
+    converged = within_bands(agg)
     fitted = apply_multipliers(profile_raw, mult)
     fitted["thresholds"] = _fit_thresholds(agg, fitted)
     message = ("converged: all targets within tolerance" if converged
@@ -150,6 +144,47 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
     return CalibrationResult(fitted, converged, message, trace, agg)
 
 
-def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
-    """x0 and, for each axis, x0 moved `step` along it."""
-    return np.vstack([x0, x0 + step * np.eye(len(x0))])
+def _nelder_mead(x0: np.ndarray, step: float, xatol: float, fatol: float):
+    """Nelder & Mead (1965) simplex search from x0 and x0 moved `step` along
+    each axis. Yields each point to evaluate and is sent back its value;
+    returns once every vertex lies within `xatol` and every value within
+    `fatol` of the best. It asks for the points that
+    scipy.optimize.minimize(method="Nelder-Mead") evaluates with the same
+    initial simplex: vertices are ranked by np.argsort, whose default sort
+    does not keep ties in input order, and a NaN value fails the convergence
+    test through np.max, both as scipy does."""
+    n = len(x0)
+    sim = np.vstack([x0, x0 + step * np.eye(n)])
+    fsim = np.empty(n + 1)
+    for k in range(n + 1):
+        fsim[k] = yield sim[k]
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            return
+        xbar = sim[:-1].sum(axis=0) / n  # centroid of all but the worst
+        xr = 2 * xbar - sim[-1]  # reflection
+        fxr = yield xr
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]  # expansion
+            fxe = yield xe
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]  # outside contraction
+                fxc = yield xc
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]  # inside contraction
+                fxc = yield xc
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = yield sim[j]

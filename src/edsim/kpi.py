@@ -3,8 +3,7 @@ replications and compare a candidate configuration against the baseline with
 significance flags.
 
 The Welch p-value is computed here in pure Python (Student's t tail through
-the regularized incomplete beta function), so running and comparing
-scenarios needs no scipy."""
+the regularized incomplete beta function): no module needs scipy."""
 
 from __future__ import annotations
 

@@ -1,11 +1,17 @@
+import ast
 import copy
+import inspect
+import math
 
+import numpy as np
 import pytest
+from scipy import optimize
 
 from edsim.calibrate import (
     BANDS,
     TARGETS,
     _fit_thresholds,
+    _nelder_mead,
     apply_multipliers,
     band_errors,
     calibrate,
@@ -127,3 +133,86 @@ class TestCalibrate:
         thr = result.profile_raw["thresholds"]
         assert 120 <= thr["GREEN"] <= 180
         assert 240 <= thr["WHITE"] <= 330
+
+
+# the step that asks for each point, in the order of the generator's yields
+STEP_KINDS = ("initial", "reflection", "expansion", "outside contraction",
+              "inside contraction", "shrink")
+_SOURCE, _FIRST_LINE = inspect.getsourcelines(_nelder_mead)
+YIELD_LINES = sorted(_FIRST_LINE - 1 + node.lineno for node in ast.walk(ast.parse("".join(_SOURCE)))
+                     if isinstance(node, ast.Yield))
+BUDGETS = (0, 1, 3, 4, 5, 7, 12, 40, 120, 400)
+
+
+def seeded_objective(seed: int):
+    """(dimension, objective): a shifted, scaled quadratic with optional
+    noise, values rounded to a grid (ties) and occasional NaN. Every value is
+    a function of the point alone, so both searches see the same values."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    center, scale, w = rng.normal(0, 0.1, n), rng.uniform(0.5, 50, n), rng.normal(size=n)
+    noise = rng.choice([0.0, 1e-3, 0.1])
+    grid = rng.choice([0.0, 1e-3, 0.05, 1.0])
+    nan_share = rng.choice([0.0, 0.0, 0.1])
+
+    def f(x) -> float:
+        u = math.sin(1e4 * float(x @ w))  # pseudo-random in [-1, 1]
+        if (u + 1) / 2 < nan_share:
+            return math.nan
+        v = float(np.sum(scale * (x - center) ** 2)) + noise * u
+        return round(v / grid) * grid if grid else v
+
+    return n, f
+
+
+def scipy_points(f, x0, step, budget):
+    points = []
+
+    def fun(x):
+        points.append(tuple(x))
+        return f(x)
+
+    optimize.minimize(fun, x0, method="Nelder-Mead",
+                      options={"maxfev": budget, "xatol": 1e-3, "fatol": 1e-4,
+                               "initial_simplex": np.vstack([x0, x0 + step * np.eye(len(x0))])})
+    return points
+
+
+def search_points(f, x0, step, budget):
+    """(points, their step kinds, values, the kind of the point the search
+    would ask for next or None once it has converged)."""
+    points, kinds, values = [], [], []
+    search = _nelder_mead(x0, step, 1e-3, 1e-4)
+    x = next(search)
+    try:
+        for _ in range(budget):
+            points.append(tuple(x))
+            kinds.append(STEP_KINDS[YIELD_LINES.index(search.gi_frame.f_lineno)])
+            values.append(f(x))
+            x = search.send(values[-1])
+    except StopIteration:
+        return points, kinds, values, None
+    return points, kinds, values, STEP_KINDS[YIELD_LINES.index(search.gi_frame.f_lineno)]
+
+
+class TestNelderMead:
+    """scipy's Nelder-Mead is the oracle: on every seeded objective the
+    search asks for the points scipy evaluates, bit for bit, and stops where
+    scipy stops."""
+
+    def test_asks_for_the_points_scipy_evaluates(self):
+        kinds_seen, cut_in_shrink, converged, ties, nans = set(), 0, 0, 0, 0
+        for seed in range(300):
+            n, f = seeded_objective(seed)
+            x0 = np.random.default_rng(seed + 1000).normal(0, 0.05, n)
+            budget = BUDGETS[seed % len(BUDGETS)]
+            points, kinds, values, following = search_points(f, x0, 0.04, budget)
+            assert points == scipy_points(f, x0, 0.04, budget), (seed, budget)
+            kinds_seen.update(kinds)
+            cut_in_shrink += kinds[-1:] == ["shrink"] and following == "shrink"
+            converged += following is None
+            finite = [v for v in values if not math.isnan(v)]
+            ties += len(set(finite)) < len(finite)
+            nans += len(finite) < len(values)
+        assert kinds_seen == set(STEP_KINDS)
+        assert cut_in_shrink and converged and ties and nans, (cut_in_shrink, converged, ties, nans)

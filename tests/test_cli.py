@@ -404,6 +404,23 @@ class TestCalibrateCommand:
         assert trace["evals"] and all(e["kpis"]["los"] is None and e["error"] is None
                                       for e in trace["evals"])
 
+    @pytest.mark.parametrize("note", ["hourly rates from 2019 data", 3])
+    def test_unknown_arrival_rates_key_is_kept_as_read(self, note, tmp_path, capsys):
+        # the profile reader ignores the key, so run and validate accept it
+        with open(default_profile_path()) as fh:
+            raw = json.load(fh)
+        raw["arrival_rates"]["note"] = note
+        noted = tmp_path / "noted.json"
+        noted.write_text(json.dumps(raw))
+        out = tmp_path / "cal"
+        assert run_cli("calibrate", "--profile", str(noted), "--budget", "1",
+                       "--probe-replications", "1", "--probe-days", "1",
+                       "--replications", "1", "--days", "1", "--out", str(out)) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        fitted = json.loads((out / "fitted_profile.json").read_text())
+        assert list(fitted["arrival_rates"]) == list(raw["arrival_rates"])
+        assert fitted["arrival_rates"]["note"] == note
+
 
 class TestStdout:
     """Every command's printed lines, rebuilt from what the same run wrote

@@ -1,10 +1,11 @@
-"""Start-up loads only what the command needs. scipy stays off the path of
-every command but calibrate: importing the package and the CLI, and running a
-sweep (which compares scenarios), load no scipy module. multiprocessing and
-concurrent.futures stay off the path of every run that does not pool: only
-a run that pools imports them, and a pooled sweep writes what a serial one
-writes. The profile is checked without jsonschema, and numpy.random is loaded
-with the CLI, before a sweep forks its workers."""
+"""Start-up loads only what the command needs. No command needs scipy:
+importing the package and the CLI, running a sweep (which compares
+scenarios) and running a calibration (a Nelder-Mead search) load no scipy
+module, and no module imports it. multiprocessing, concurrent.futures and
+logging stay off the path of every run that does not pool: only a run that
+pools imports them, and a pooled sweep writes what a serial one writes. The
+profile is checked without jsonschema, and numpy.random is loaded with the
+CLI, before a sweep forks its workers."""
 
 import ast
 import os
@@ -27,6 +28,11 @@ for jobs, out in (("1", sys.argv[1]), ("2", sys.argv[2])):
                            "--jobs", jobs, "--out", out])
     assert code == 0, code
     assert scipy_modules() == [], scipy_modules()
+# the search misses its bands at this size, which exits 1
+assert edsim.cli.main(["calibrate", "--budget", "2", "--probe-replications", "1",
+                       "--probe-days", "1", "--replications", "1", "--days", "1",
+                       "--out", sys.argv[3]]) in (0, 1)
+assert scipy_modules() == [], scipy_modules()
 """
 
 
@@ -42,9 +48,9 @@ def _files(root):
             for path in root.rglob("*") if path.is_file()}
 
 
-def test_cli_and_sweep_load_no_scipy(tmp_path):
+def test_cli_sweep_and_calibrate_load_no_scipy(tmp_path):
     serial, pooled = tmp_path / "jobs1", tmp_path / "jobs2"
-    _run_probe(PROBE, serial, pooled)
+    _run_probe(PROBE, serial, pooled, tmp_path / "calibrate")
     files = _files(serial)
     assert {"comparison.csv", "reports/baseline.json", "reports/C.4.json"} <= set(files)
     assert _files(pooled) == files
@@ -60,16 +66,13 @@ def loaded(*names):
 POOL = ("multiprocessing", "concurrent.futures", "logging")
 out, small = sys.argv[1], ["--replications", "1", "--days", "1"]
 assert loaded(*POOL) == [], loaded(*POOL)
-# validate misses its bands at this size, which exits 1
+# validate and calibrate miss their bands at this size, which exits 1
 for argv in (["validate", *small], ["run", *small, "--out", out + "/run"],
-             ["run", *small, "--jobs", "2", "--out", out + "/run2"]):
+             ["run", *small, "--jobs", "2", "--out", out + "/run2"],
+             ["calibrate", "--budget", "1", "--probe-replications", "1", "--probe-days", "1",
+              *small, "--jobs", "1", "--out", out + "/cal"]):
     assert edsim.cli.main(argv) in (0, 1), argv
     assert loaded(*POOL) == [], (argv, loaded(*POOL))
-# scipy.optimize loads concurrent.futures' base module and logging (through
-# numpy.testing), but no pool
-assert edsim.cli.main(["calibrate", "--budget", "1", "--probe-replications", "1",
-                       "--probe-days", "1", *small, "--out", out + "/cal"]) in (0, 1)
-assert loaded("multiprocessing", "concurrent.futures.process") == []
 """
 
 
@@ -89,26 +92,13 @@ def test_cli_loads_numpy_random_and_no_jsonschema():
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            yield node, [alias.name for alias in node.names]
+            yield [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            yield node, [node.module or ""]
+            yield [node.module or ""]
 
 
-def test_no_module_imports_jsonschema():
+def test_no_module_imports_jsonschema_or_scipy():
     found = [path.name for path in sorted((SRC / "edsim").glob("*.py"))
-             for _node, modules in _imported_modules(ast.parse(path.read_text()))
-             if any(m.split(".")[0] == "jsonschema" for m in modules)]
+             for modules in _imported_modules(ast.parse(path.read_text()))
+             if any(m.split(".")[0] in ("jsonschema", "scipy") for m in modules)]
     assert found == []
-
-
-def test_only_calibrate_imports_scipy():
-    found = []
-    for path in sorted((SRC / "edsim").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        # innermost enclosing function of every node (ast.walk visits outer ones first)
-        owner = {id(node): func.name for func in ast.walk(tree)
-                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
-        for node, modules in _imported_modules(tree):
-            if any(m.split(".")[0] == "scipy" for m in modules):
-                found.append((path.name, owner.get(id(node))))
-    assert found == [("calibrate.py", "calibrate")]
