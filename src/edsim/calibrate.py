@@ -102,9 +102,11 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
 
     trace: list[dict] = []
 
-    def run(tag, mult, reps, run_days):
-        agg = run_scenario(Profile(apply_multipliers(profile_raw, mult)), Scenario(),
-                           seed, reps, run_days, jobs=jobs)
+    def run(tag, mult, reps, run_days, probe=None):
+        # `probe` is `mult`'s report at probe scale; rerun, it gives the same report
+        agg = (probe if probe is not None and (reps, run_days) == (replications, days) else
+               run_scenario(Profile(apply_multipliers(profile_raw, mult)), Scenario(),
+                            seed, reps, run_days, jobs=jobs))
         trace.append({
             "eval": tag,
             "multipliers": {k: round(v, 6) for k, v in mult.items()},
@@ -116,7 +118,7 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
     def search() -> tuple[dict, KpiReport]:
         """(multipliers, full-scale report) of the first confirmed probe, else
         of the best probe once the budget is spent or the simplex converged."""
-        best_err, best_mult = math.inf, dict.fromkeys(PARAM_NAMES, 1.0)
+        best_err, best_mult, best = math.inf, dict.fromkeys(PARAM_NAMES, 1.0), None
         points = _nelder_mead(np.zeros(len(PARAM_NAMES)), 0.04, xatol=1e-3, fatol=1e-4)
         x = next(points)
         for _ in range(budget):
@@ -124,16 +126,16 @@ def calibrate(profile_raw: dict, budget: int = 120, seed: int = 20901,
             probe = run(len(trace) + 1, mult, replications, days)
             err = weighted_error(probe)
             if err < best_err:
-                best_err, best_mult = err, mult
+                best_err, best_mult, best = err, mult, probe
             if within_bands(probe):
-                full = run("full-scale", mult, final_replications, final_days)
+                full = run("full-scale", mult, final_replications, final_days, probe)
                 if within_bands(full):
                     return mult, full
             try:
                 x = points.send(err)
             except StopIteration:
                 break
-        return best_mult, run("full-scale", best_mult, final_replications, final_days)
+        return best_mult, run("full-scale", best_mult, final_replications, final_days, best)
 
     mult, agg = search()
     converged = within_bands(agg)

@@ -92,14 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_profile(args) -> Profile:
     path = args.profile or os.environ.get(PROFILE_ENV) or default_profile_path()
-    if not Path(path).exists():
+    if not Path(path).is_file():
         raise ProfileError(f"profile file not found: {path}")
     return load_profile(path)
 
 
 def _resolve_scenario(text: str) -> tuple[str, Scenario]:
     if text.endswith(".json"):
-        if not Path(text).exists():
+        if not Path(text).is_file():
             raise ParseError(f"scenario file not found: {text}")
         return Path(text).stem, scen_mod.load_json(text)
     name = text if not text.lstrip().startswith("(") else "custom"

@@ -35,6 +35,7 @@ DISPATCH_PERIOD = 30  # tube transport leaves every half hour
 MAX_RATE = 1000.0  # arrivals per hour, per urgency code
 MAX_MEAN = 10000.0  # minutes, for a service mean and an hourly lab mean
 MAX_CV = 10.0
+TAPE_BLOCK = 64  # tape rows drawn in one stretch, ahead of the replication reading them
 
 
 class ProfileError(ValueError):
@@ -305,7 +306,9 @@ def draw_patients(profile: Profile, seed: int, rep: int, days: int) -> Iterator[
     scenario run on one tape sees the same patients (common random numbers).
     The rows stop at the first arrival at or past the horizon (warm-up plus
     `days`); that arrival's code is drawn too, so the streams advance as they
-    always have.
+    always have. The rows are drawn `TAPE_BLOCK` at a time and then yielded,
+    so at most one block is held; drawing a block in one stretch takes less
+    CPU than drawing each row between two stretches of a replication.
 
     The profile is bound once per tape. Each row takes four batched
     attribute draws, in the stream order of one scalar draw per attribute:
@@ -337,10 +340,12 @@ def draw_patients(profile: Profile, seed: int, rep: int, days: int) -> Iterator[
         for n in range(EXAM_COUNT_MAX + 1))] for xray in (False, True)]
     horizon = WARMUP_MIN + days * MINUTES_PER_DAY
     t_real = 0.0
+    block = []
     while True:
         t_real += interarrival(t_real, arrivals)
         code = draw_code(t_real, arrivals)
         if t_real >= horizon:
+            yield from block
             return
         u_mode = random()
         mode = ("nonwalking" if code == "RED" or (code == "YELLOW" and u_mode < nw_yellow)
@@ -353,10 +358,13 @@ def draw_patients(profile: Profile, seed: int, rep: int, days: int) -> Iterator[
         exam_kinds, exam_draws = exam_plans[u_xray < p_xray][count]
         z_first, z_last, z_wait, z_eff, z_misc, *z_exams = normal(5 + len(exam_kinds)).tolist()
         exam_ds = [int(d(z) + 0.5) or 1 for d, z in zip(exam_draws, z_exams)]
-        yield (round_half_up(t_real), code, mode, triage, visit_type, u_lab < p_lab,
-               u_lab_triage, u_dismiss, exam_kinds,
-               int(first_d["GENERAL" if code == "RED" else visit_type](z_first) + 0.5) or 1,
-               int(last_d(z_last) + 0.5) or 1, (z_wait, z_eff, z_misc), exam_ds)
+        block.append((round_half_up(t_real), code, mode, triage, visit_type, u_lab < p_lab,
+                      u_lab_triage, u_dismiss, exam_kinds,
+                      int(first_d["GENERAL" if code == "RED" else visit_type](z_first) + 0.5) or 1,
+                      int(last_d(z_last) + 0.5) or 1, (z_wait, z_eff, z_misc), exam_ds))
+        if len(block) == TAPE_BLOCK:
+            yield from block
+            block = []
 
 
 class PatientTape:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+import edsim.calibrate
 from edsim.calibrate import (
     BANDS,
     TARGETS,
@@ -17,6 +18,7 @@ from edsim.calibrate import (
     calibrate,
     within_bands,
 )
+from edsim.harness import run_scenario
 from edsim.kpi import KpiReport, compute_kpis
 from edsim.model import run_replication
 from edsim.scenario import Scenario
@@ -126,6 +128,34 @@ class TestCalibrate:
                       final_replications=1, final_days=3)
         assert a.trace == b.trace
         assert a.profile_raw == b.profile_raw
+
+    @pytest.mark.parametrize("in_band", [False, True])
+    @pytest.mark.parametrize("probe_scale, final_scale", [((1, 2), (1, 2)), ((3, 30), (10, 30))])
+    def test_full_scale_check_reruns_only_a_smaller_probe(self, default_raw, monkeypatch,
+                                                           in_band, probe_scale, final_scale):
+        # every run here is one replication of one day; only the scales asked for are recorded
+        scales = []
+
+        def counted(profile, scenario, seed, reps, days, jobs):
+            scales.append((reps, days))
+            return run_scenario(profile, scenario, seed, 1, 1, jobs=jobs)
+
+        monkeypatch.setattr(edsim.calibrate, "run_scenario", counted)
+        if in_band:  # the first probe is confirmed, and the search stops
+            monkeypatch.setattr(edsim.calibrate, "within_bands", lambda report: True)
+        result = calibrate(default_raw, budget=3, seed=5, replications=probe_scale[0],
+                           days=probe_scale[1], final_replications=final_scale[0],
+                           final_days=final_scale[1])
+        probes = [entry for entry in result.trace if entry["eval"] != "full-scale"]
+        check = result.trace[-1]
+        assert len(probes) == (1 if in_band else 3) and len(result.trace) == len(probes) + 1
+        assert check["eval"] == "full-scale"
+        if probe_scale == final_scale:
+            assert scales == [probe_scale] * len(probes)
+            best = probes[0] if in_band else min(probes, key=lambda entry: entry["error"])
+            assert {**best, "eval": "full-scale"} == check
+        else:
+            assert scales == [probe_scale] * len(probes) + [final_scale]
 
     def test_fitted_thresholds_stay_clamped(self, default_raw):
         result = calibrate(default_raw, budget=2, seed=9, replications=1, days=4,

@@ -111,6 +111,14 @@ class TestRun:
         assert err == "scenario error: scenario file not found: missing.json\n"
         assert not out.exists()
 
+    def test_directory_as_scenario_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "dir.json").mkdir()
+        out = tmp_path / "never"
+        assert run_cli("run", "--scenario", str(tmp_path / "dir.json"), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"scenario error: scenario file not found: {tmp_path / 'dir.json'}\n"
+        assert not out.exists()
+
     def test_extra_teams_over_the_cap_exit_2(self, tmp_path, capsys):
         out = tmp_path / "never"
         assert run_cli("run", "--scenario", f"(-,-,-,-,-,-,{MAX_EXTRA_TEAMS + 1},-)",
@@ -252,6 +260,16 @@ class TestProfileHandling:
         monkeypatch.setenv("EDSIM_PROFILE", str(tmp_path / "ghost.json"))
         assert run_cli("run", "--out", str(tmp_path / "o")) == 2
         assert "ghost.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_directory_as_profile_exits_2(self, via_env, tmp_path, monkeypatch, capsys):
+        flags = ["--profile", str(tmp_path)]
+        if via_env:
+            monkeypatch.setenv("EDSIM_PROFILE", str(tmp_path))
+            flags = []
+        assert run_cli("validate", *flags, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err == f"profile error: profile file not found: {tmp_path}\n"
 
     def test_unwritable_output_exits_3(self, tmp_path, monkeypatch, capsys):
         runs = []

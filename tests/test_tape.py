@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edsim import stochastics
 from edsim.harness import run_scenario
 from edsim.kpi import ROW_FIELDS
 from edsim.model import Replication, run_replication
@@ -94,6 +95,34 @@ def test_tape_equals_the_oracle_row_for_row(default_raw, data, seed, rep, days):
     rows = list(draw_patients(profile, seed, rep, days))
     assert rows == list(tape_oracle.draw_patients(profile, seed, rep, days))
     assert len(rows) > 100
+
+
+@pytest.mark.parametrize("block", [1, 7, stochastics.TAPE_BLOCK, "to the horizon"])
+def test_tape_drawn_in_blocks_equals_the_oracle(default_profile, block, monkeypatch):
+    oracle = list(tape_oracle.draw_patients(default_profile, 2020, 1, DAYS))
+    if block == "to the horizon":  # one full block that ends with the last row
+        block = len(oracle)
+    monkeypatch.setattr(stochastics, "TAPE_BLOCK", block)
+    assert list(draw_patients(default_profile, 2020, 1, DAYS)) == oracle
+
+
+def test_tape_holds_at_most_one_block(default_profile, monkeypatch):
+    calls = 0
+    interarrival = ArrivalSampler.sample_interarrival
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return interarrival(*args)
+
+    monkeypatch.setattr(ArrivalSampler, "sample_interarrival", counted)
+    rows = draw_patients(default_profile, 42, 0, 30)
+    next(rows)
+    assert calls <= stochastics.TAPE_BLOCK + 1
+    read = 1
+    for read, _ in enumerate(rows, start=2):
+        assert calls <= read + stochastics.TAPE_BLOCK
+    assert read > 7000 and calls == read + 1
 
 
 def test_tape_stops_before_the_horizon(default_profile):
