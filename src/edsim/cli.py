@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_profile(args) -> Profile:
-    path = args.profile or os.environ.get(PROFILE_ENV) or default_profile_path()
+    path = args.profile if args.profile is not None else (  # even an empty --profile
+        os.environ.get(PROFILE_ENV) or default_profile_path())  # an empty variable is unset
     if not Path(path).is_file():
         raise ProfileError(f"profile file not found: {path}")
     return load_profile(path)
@@ -102,8 +103,8 @@ def _resolve_scenario(text: str) -> tuple[str, Scenario]:
         if not Path(text).is_file():
             raise ParseError(f"scenario file not found: {text}")
         return Path(text).stem, scen_mod.load_json(text)
-    name = text if not text.lstrip().startswith("(") else "custom"
-    return name, scen_mod.parse(text)
+    name = text.strip()
+    return "custom" if name.startswith("(") else name, scen_mod.parse(text)
 
 
 def _meta(args, scenario: Scenario, name: str) -> dict:

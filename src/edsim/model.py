@@ -52,15 +52,11 @@ class Patient:
          self.u_lab_triage, self.u_dismiss, self.exam_kinds, self.first_d, self.last_d,
          self.lab_z, self.exam_ds) = row
         self.rank = CODE_RANK[self.code]
-        self.lab_at_triage = False
-        self.lab_done = False
+        self.lab_at_triage = self.lab_done = self.dismissed = False
         self.exam_idx = 0
-        self.t_end_first = None
-        self.first_team = None
-        self.last_team = None
+        self.t_end_first = self.first_team = self.last_team = None
         self.t_triage = self.t_enq_first = self.t_start_first = NO_TIME
         self.t_enq_last = self.t_start_last = self.t_discharge = NO_TIME
-        self.dismissed = False
 
     def kpi_row(self) -> tuple[int, ...]:
         return (self.rank, self.t_arrive, self.t_triage, int(self.dismissed),
@@ -87,39 +83,32 @@ class Replication:
     or a PatientTape), read as they arrive. The replication holds no random
     stream and draws nothing.
 
-    `self.patients` maps pid to each patient still in the ED. A patient's
-    KPI row is final once they are discharged or dismissed, so it goes into
-    `rows` then and the patient is dropped; the ones still in the ED at the
-    end fill in theirs. With `log_path` the event log streams to that file
-    (EventLog), so a run holds its in-flight patients, its KPI rows and the
-    file's own buffer; without one it keeps no log."""
+    Patients are numbered in arrival order. `self.patients` maps pid to each
+    patient still in the ED; `self.rows[pid]` is None until the patient is
+    discharged or dismissed, then their final KPI row (the patient is
+    dropped), and `run` fills in the rest. The pools are staffed from
+    `profile.teams`, plus scenario a's LV1..LVa on `profile.last_visit_band`.
+    With `log_path` the event log streams to that file (EventLog); without
+    one it keeps no log."""
 
     def __init__(self, profile: Profile, scenario: Scenario, rep_id: int, days: int,
                  patients: Iterable[tuple], log_path=None):
         self.profile = profile
         self.scenario = scenario
-        self.rep_id = rep_id
-        self.days = days
         self.horizon = WARMUP_MIN + days * MINUTES_PER_DAY
 
         self.calendar = EventCalendar()
         self.patients: dict[int, Patient] = {}
-        self.rows: dict[int, tuple[int, ...]] = {}  # pid -> KPI row of a retired patient
-        self._next_pid = 0
+        self.rows: list[tuple[int, ...] | None] = []  # by pid; None while in the ED
         self._arrivals = iter(patients)
 
         offset = 60 * (scenario.t or 0)
-        res = profile.resources
         self.pools: dict[str, ResourcePool] = {
-            pool_id: ResourcePool(pool_id, ShiftCalendar(
-                [(t["id"], t["start"], t["end"]) for t in res[pool_id]["teams"]], offset))
-            for pool_id in FIRST_QUEUE_OF
-        }
-        self.extra_teams = int(scenario.a or 0)
-        if self.extra_teams:
-            lv = res["last_visit_team"]
+            pool_id: ResourcePool(pool_id, ShiftCalendar(profile.teams[pool_id], offset))
+            for pool_id in FIRST_QUEUE_OF}
+        if scenario.a:
             self.pools["last_visit"] = ResourcePool("last_visit", ShiftCalendar(
-                [(f"LV{i + 1}", lv["start"], lv["end"]) for i in range(self.extra_teams)], offset))
+                [(f"LV{i + 1}", *profile.last_visit_band) for i in range(scenario.a)], offset))
 
         # Minute of day -> may the high room pull unpromoted green and white
         # patients? ("night_only": while the low room has nobody on shift.)
@@ -127,8 +116,8 @@ class Replication:
         self._pull_by_minute = [pull == "always" or (pull == "night_only" and not on)
                                 for on in self.pools["low_general"].calendar.on_by_minute]
 
-        self.exam_pools = {"xray": CountedPool("xray", res["xray"]["capacity"]),
-                           "misc": CountedPool("misc_exam", res["misc_exam"]["capacity"])}
+        self.exam_pools = {"xray": CountedPool("xray", profile.capacity["xray"]),
+                           "misc": CountedPool("misc_exam", profile.capacity["misc_exam"])}
 
         self.first_queues: dict[str, PromotionQueue] = {
             queue_key: PromotionQueue(scenario.tau_g, scenario.tau_w)
@@ -326,19 +315,18 @@ class Replication:
 
     def _admit(self, p: Patient) -> None:
         self.patients[p.pid] = p
+        self.rows.append(None)
 
     def _retire(self, p: Patient) -> None:
         self.rows[p.pid] = p.kpi_row()
         del self.patients[p.pid]
 
     def _on_arrival(self, now: int, row: tuple) -> None:
-        p = Patient(self._next_pid, row)
-        self._next_pid += 1
+        p = Patient(len(self.rows), row)
         self._admit(p)
         self.log.add(now, p.pid, "ARRIVE", p.mode, p.code)
         self.calendar.schedule(now + p.triage_d, self._on_triage_done, p)
-        if self.arrivals_open:
-            self._schedule_next_arrival()
+        self._schedule_next_arrival()
 
     def _on_triage_done(self, now: int, p: Patient) -> None:
         dismissed = (p.code == "WHITE" and bool(self.scenario.e)
@@ -411,7 +399,7 @@ class Replication:
     # -------------------------------------------------------------------- run
 
     def run(self) -> list[tuple[int, ...]]:
-        """Run to the horizon and return the KPI rows in pid order. A log
+        """Run to the horizon and return the KPI rows, indexed by pid. A log
         that streams to a file is ended here: `write_csv` once the run is
         done, `close` if it raises."""
         heap, pop, horizon = self.calendar.heap, self.calendar.pop, self.horizon
@@ -430,10 +418,9 @@ class Replication:
         # cycle through this replication; dropping them lets it be freed
         # as soon as the caller lets go, not at the next full collection.
         self.calendar.clear()
-        rows = self.rows
         for p in self.patients.values():
-            rows[p.pid] = p.kpi_row()
-        return [rows[pid] for pid in sorted(rows)]
+            self.rows[p.pid] = p.kpi_row()
+        return self.rows
 
 
 def run_replication(profile: Profile, scenario: Scenario, rep_id: int, master_seed: int,

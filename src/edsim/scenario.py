@@ -138,7 +138,7 @@ def load_json(path) -> Scenario:
     with open(path) as fh:
         try:
             d = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
             raise ParseError(f"{path}: not valid JSON: {exc}") from None
     return from_json_dict(d)
 

@@ -111,14 +111,14 @@ def _service(raw, path: str) -> ServiceSpec:
                        float(_read(raw, f"{path}/cv", "number", 0, MAX_CV)))
 
 
-def _shift(raw, path: str) -> dict:
-    return {"start": _read(raw, f"{path}/start", "integer", 0, 1439),
-            "end": _read(raw, f"{path}/end", "integer", 0, 1440)}
+def _shift(raw, path: str) -> tuple[int, int]:
+    return (_read(raw, f"{path}/start", "integer", 0, 1439),
+            _read(raw, f"{path}/end", "integer", 0, 1440))
 
 
-def _teams(raw, pool: str) -> list[dict]:
+def _teams(raw, pool: str) -> list[tuple[str, int, int]]:
     path = f"resources/{pool}/teams"
-    return [{"id": _read(raw, f"{path}/{i}/id", "string"), **_shift(raw, f"{path}/{i}")}
+    return [(_read(raw, f"{path}/{i}/id", "string"), *_shift(raw, f"{path}/{i}"))
             for i in range(len(_read(raw, path, "array")))]
 
 
@@ -155,7 +155,10 @@ class ServiceSpec:
 class Profile:
     """Immutable stochastic profile, each field checked as it is read.
 
-    `raw` is kept as loaded; the other attributes are read from it."""
+    `raw` is kept as loaded; the other attributes are read from it, staffing
+    as `teams` (pool -> its (team, start, end) bands in file order),
+    `capacity` (exam pool -> slots) and `last_visit_band` (the (start, end)
+    shift of each dedicated last-visit team of scenario a)."""
 
     def __init__(self, raw: dict):
         self.raw = raw
@@ -191,11 +194,10 @@ class Profile:
             name: float(_read(raw, f"thresholds/{_key(name)}", "number", 0))
             for name in dict.fromkeys([*_read(raw, "thresholds", "object"), "GREEN", "WHITE"])
         }
-        self.resources: dict = {pool: {"teams": _teams(raw, pool)} for pool in TEAMED_POOLS}
-        self.resources.update(
-            xray={"capacity": _read(raw, "resources/xray/capacity", "integer", 1)},
-            misc_exam={"capacity": _read(raw, "resources/misc_exam/capacity", "integer", 1)},
-            last_visit_team=_shift(raw, "resources/last_visit_team"))
+        self.teams = {pool: _teams(raw, pool) for pool in TEAMED_POOLS}
+        self.capacity = {pool: _read(raw, f"resources/{pool}/capacity", "integer", 1)
+                         for pool in ("xray", "misc_exam")}
+        self.last_visit_band = _shift(raw, "resources/last_visit_team")
         self.pull_low_into_high: str = _read(raw, "routing/pull_low_into_high",
                                              ("always", "night_only", "never"), default="always")
         self._check_semantics()
@@ -209,14 +211,13 @@ class Profile:
         if total <= 0:
             raise ProfileError("arrival_rates must carry positive total mass")
         seen: set[str] = set()
-        for pool in TEAMED_POOLS:
-            for team in self.resources[pool]["teams"]:
-                if team["id"] in seen:
-                    raise ProfileError(f"duplicate team id {team['id']!r}")
-                if team["id"].startswith("LV") and team["id"][2:].isdigit():
-                    raise ProfileError(f"team id {team['id']!r} is reserved for the "
-                                       "dedicated last-visit teams")
-                seen.add(team["id"])
+        for team, _start, _end in (band for bands in self.teams.values() for band in bands):
+            if team in seen:
+                raise ProfileError(f"duplicate team id {team!r}")
+            if team.startswith("LV") and team[2:].isdigit():
+                raise ProfileError(f"team id {team!r} is reserved for the "
+                                   "dedicated last-visit teams")
+            seen.add(team)
 
     def daily_arrivals(self) -> float:
         return sum(sum(self.arrival_rates[c]) for c in CODES)
@@ -252,7 +253,7 @@ def load_profile(path) -> Profile:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer literal
+    except (ValueError, RecursionError) as exc:  # bad JSON/UTF-8, long integer, deep nesting
         raise ProfileError(f"profile is not valid JSON: {exc}") from exc
     return Profile(raw)
 

@@ -119,9 +119,9 @@ def run_drained(rep) -> list[tuple[int, ...]]:
 
 
 def assert_no_overbooking(patients: dict[int, PatientTrace], records: list[LogRecord],
-                          resources: dict) -> None:
+                          capacity: dict[str, int]) -> None:
     """No team serves two patients at once, and no exam pool holds more
-    patients than its capacity in `resources` (a profile's). A visit still
+    patients than its `capacity` (a profile's). A visit still
     open when the log ends keeps its team busy for good."""
     visits = defaultdict(list)  # team -> [(start, end)]
     for p in patients.values():
@@ -138,18 +138,15 @@ def assert_no_overbooking(patients: dict[int, PatientTrace], records: list[LogRe
         if r.event in ("START_EXAM", "END_EXAM"):
             pool = parse_detail(r.detail)["pool"]
             in_use[pool] += 1 if r.event == "START_EXAM" else -1
-            assert in_use[pool] <= resources[pool]["capacity"], f"{pool} over capacity"
+            assert in_use[pool] <= capacity[pool], f"{pool} over capacity"
 
 
 def team_windows(profile, offset: int = 0) -> dict[str, tuple[int, int]]:
     """Team id -> its daily shift (start, end), shifted `offset` minutes
     later (scenario t: 60 * t); LV1 is the first dedicated last-visit team."""
-    windows = {}
-    for pool in ("low_general", "high_general", "orthopaedic", "dermatological"):
-        for t in profile.resources[pool]["teams"]:
-            windows[t["id"]] = (t["start"], t["end"])
-    lv = profile.resources["last_visit_team"]
-    windows["LV1"] = (lv["start"], lv["end"])
+    windows = {team: (start, end) for bands in profile.teams.values()
+               for team, start, end in bands}
+    windows["LV1"] = profile.last_visit_band
     return {team: ((start + offset) % MINUTES_PER_DAY, (end + offset) % MINUTES_PER_DAY)
             for team, (start, end) in windows.items()}
 
@@ -169,7 +166,7 @@ def check_red_immediacy(patients: dict[int, PatientTrace], windows, profile) -> 
     slot on shift is busy or another red waits, and no later non-red starts
     there between a red's enqueue and its start. Not a claim under p=1,
     where last visits go first."""
-    high_teams = [t["id"] for t in profile.resources["high_general"]["teams"]]
+    high_teams = [team for team, _start, _end in profile.teams["high_general"]]
     busy = []
     for p in patients.values():
         s, e = p.get("START_FIRST"), p.get("END_FIRST")

@@ -264,7 +264,7 @@ class TestAC5InvariantSuite:
                         assert p.last_team == p.first_team, "affinity broken"
                     if p.get("LAB_RESULT") is not None and p.get("START_EXAM") is not None:
                         assert p.get("START_EXAM") >= p.get("LAB_RESULT"), "lab precedence"
-                assert_no_overbooking(patients, records, default_profile.resources)
+                assert_no_overbooking(patients, records, default_profile.capacity)
 
                 if check_red:
                     check_red_immediacy(patients, windows, default_profile)

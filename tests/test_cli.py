@@ -111,6 +111,22 @@ class TestRun:
         assert err == "scenario error: scenario file not found: missing.json\n"
         assert not out.exists()
 
+    def test_too_deeply_nested_scenario_file_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "never"
+        assert run_cli("run", "--scenario", str(deep), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_scenario_name_is_the_stripped_text(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", " baseline ", "--days", "1", "--replications", "1",
+                       "--out", str(out)) == 0
+        assert capsys.readouterr().out.startswith("run baseline: In=")
+        assert json.loads((out / "report.json").read_text())["meta"]["scenario_name"] == "baseline"
+
     def test_directory_as_scenario_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "dir.json").mkdir()
         out = tmp_path / "never"
@@ -217,6 +233,31 @@ class TestProfileHandling:
         assert run_cli("validate", "--profile", str(bad)) == 2
         err = capsys.readouterr().err
         assert err.startswith("profile error: profile is not valid JSON:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_too_deeply_nested_profile_exits_2(self, via_env, tmp_path, monkeypatch, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        flags = ["--profile", str(deep)]
+        if via_env:
+            monkeypatch.setenv("EDSIM_PROFILE", str(deep))
+            flags = []
+        assert run_cli("validate", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("profile error: profile is not valid JSON:")
+        assert "Traceback" not in err
+
+    def test_empty_profile_flag_is_a_missing_file(self, tmp_path, monkeypatch, capsys):
+        # it names no file: neither $EDSIM_PROFILE nor the packaged default stands in
+        monkeypatch.setenv("EDSIM_PROFILE", default_profile_path())
+        assert run_cli("run", "--profile", "", "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "profile error: profile file not found: \n"
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_env_profile_is_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EDSIM_PROFILE", "")
+        assert run_cli("run", "--days", "1", "--replications", "1",
+                       "--out", str(tmp_path / "o")) == 0
 
     def test_reserved_last_visit_team_id_exits_2(self, tmp_path, capsys):
         # scenario a>=1 names its dedicated last-visit teams LV1, LV2, ...

@@ -91,7 +91,7 @@ def test_patients_are_conserved_and_no_one_is_overbooked(default_raw, data, scen
         assert rep.in_flight == sum(1 for r in rows
                                     if not r[DISMISSED] and r[DISCHARGE] == NO_TIME)
         patients = collect_patients(records)
-        assert_no_overbooking(patients, records, profile.resources)
+        assert_no_overbooking(patients, records, profile.capacity)
         if scenario.p != 1:  # p=1 serves last visits first: no red zero-wait claim
             check_red_immediacy(patients, team_windows(profile, 60 * (scenario.t or 0)),
                                 profile)
@@ -102,7 +102,7 @@ def test_patients_are_conserved_and_no_one_is_overbooked(default_raw, data, scen
         # run_drained raises
         unstaffed = {room for visit, room in SPECIALIST_ROOMS.items()
                      if profile.mixes["visit_type"][visit] > 0
-                     and not profile.resources[room]["teams"]}
+                     and not profile.teams[room]}
         if any(r.event == "ENQUEUE_FIRST" and parse_detail(r.detail)["queue"] in unstaffed
                for r in records):
             with pytest.raises(AssertionError, match="patients still in the ED"):
@@ -117,7 +117,7 @@ def test_patients_are_conserved_and_no_one_is_overbooked(default_raw, data, scen
             records = read_log_csv(path)
             assert drained.in_flight == 0
             assert all(r[DISCHARGE] != NO_TIME for r in rows if not r[DISMISSED])
-            assert_no_overbooking(collect_patients(records), records, profile.resources)
+            assert_no_overbooking(collect_patients(records), records, profile.capacity)
 
 
 @settings(max_examples=30, deadline=None)

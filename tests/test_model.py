@@ -30,8 +30,10 @@ def make_patient(pid, code, *, visit_type="GENERAL", needs_lab=False, exams=(),
 
 def admitted(rep, *args, **kwargs):
     """make_patient, admitted to `rep` as an arrival is, so that the
-    replication can retire them at discharge or dismissal."""
+    replication can retire them at discharge or dismissal. Pids go in
+    arrival order, 0, 1, ..., as they index the replication's KPI rows."""
     p = make_patient(*args, **kwargs)
+    assert p.pid == len(rep.rows), "admit pids in arrival order"
     rep._admit(p)
     return p
 
@@ -374,9 +376,8 @@ class TestExamsAndFlow:
 class TestCapacityAndShifts:
     def test_teams_never_overlap_and_firsts_only_on_shift(self, default_profile):
         _, records = run_logged(default_profile, Scenario(), 0, 5, 4)
-        pools = {pid_: default_profile.resources[pid_]["teams"]
-                 for pid_ in ("low_general", "high_general")}
-        windows = {t["id"]: (t["start"], t["end"]) for ts in pools.values() for t in ts}
+        windows = {team: (start, end) for pool in ("low_general", "high_general")
+                   for team, start, end in default_profile.teams[pool]}
         busy_until = {}
         by_pid = collect_patients(records)
         for r in records:

@@ -96,10 +96,13 @@ class TestProfileValidation:
         raw["version"] = 1.0
         raw["resources"]["xray"]["capacity"] = 2.0
         raw["resources"]["low_general"]["teams"][0]["start"] = 480.0
+        raw["resources"]["last_visit_team"]["end"] = 1200.0
         profile = Profile(raw)
         assert type(profile.version) is int
-        assert type(profile.resources["xray"]["capacity"]) is int
-        assert type(profile.resources["low_general"]["teams"][0]["start"]) is int
+        assert type(profile.capacity["xray"]) is int
+        _team, start, _end = profile.teams["low_general"][0]
+        assert type(start) is int
+        assert type(profile.last_visit_band[1]) is int
         assert raw["resources"]["low_general"]["teams"][0]["start"] == 480.0  # raw kept as loaded
 
     def test_entry_names_with_a_slash_are_read_whole(self, default_raw):
