@@ -1,6 +1,9 @@
 """Seedable discrete-event simulation of emergency-department patient flow,
 with a scenario catalog, KPI replication statistics and a calibration harness."""
 
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no linear algebra, so no BLAS thread
+
 from .kernel import EventCalendar, EventLog, PromotionQueue, ResourcePool, ShiftCalendar, rng_stream
 from .kpi import KpiReport, aggregate, compare, compute_kpis
 from .model import Replication, run_replication

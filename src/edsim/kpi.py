@@ -2,12 +2,17 @@
 replications and compare a candidate configuration against the baseline with
 significance flags.
 
+A replication packs its KPI rows in one bytearray, a `ROW` record per
+patient (`struct` format "9q", ROW_FIELDS in order, 72 B): `KpiRows`.
+
 The Welch p-value is computed here in pure Python (Student's t tail through
 the regularized incomplete beta function): no module needs scipy."""
 
 from __future__ import annotations
 
 import math
+import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .kernel import CODE_RANK, MINUTES_PER_DAY
@@ -26,16 +31,36 @@ WARMUP_MIN = MINUTES_PER_DAY
 ROW_FIELDS = ("rank", "arrive", "triage", "dismissed", "enqueue_first", "start_first",
               "enqueue_last", "start_last", "discharge")
 NO_TIME = -1
-(_RANK, _ARRIVE, _TRIAGE, _DISMISSED, _ENQ_FIRST, _START_FIRST,
- _ENQ_LAST, _START_LAST, _DISCHARGE) = range(len(ROW_FIELDS))
+ROW = struct.Struct(f"{len(ROW_FIELDS)}q")
 
 
 class UsageError(ValueError):
     """KPI operation called with unusable inputs."""
 
 
+@dataclass(frozen=True, repr=False)
+class KpiRows(Sequence):
+    """Read-only KPI rows over packed ROW `records`: `len` counts patients,
+    iteration yields ROW_FIELDS tuples in pid order, `[pid]` is one's tuple."""
+
+    records: bytearray
+
+    def __len__(self) -> int:
+        return len(self.records) // ROW.size
+
+    def __getitem__(self, pid: int) -> tuple[int, ...]:
+        return ROW.unpack_from(self.records, range(0, len(self.records), ROW.size)[pid])
+
+    def __iter__(self):
+        return ROW.iter_unpack(self.records)
+
+
+def _ratio(total, n: int) -> float:
+    return total / n if n else float("nan")
+
+
 def _mean(xs: list[float]) -> float:
-    return sum(xs) / len(xs) if xs else float("nan")
+    return _ratio(sum(xs), len(xs))
 
 
 def nan_to_none(x):
@@ -75,32 +100,41 @@ class KpiReport:
         }
 
 
-def compute_kpis(rows: list[tuple[int, ...]], days: int,
+def compute_kpis(rows: Iterable[tuple[int, ...]], days: int,
                  thresholds: dict[str, float]) -> KpiReport:
-    """KPIs of one complete replication from its KPI rows (ROW_FIELDS).
+    """KPIs of one complete replication from its KPI rows (ROW_FIELDS), in one pass.
 
     Patients arriving before WARMUP_MIN are excluded from all accounting;
     admitted patients lacking DISCHARGE within the horizon are censored out
     of LoS but keep their completed waits. Each threshold code gets its
     `outlier_<CODE>` vector and its `first_waits` entry from the same
     waits."""
-    triaged = [r for r in rows if r[_ARRIVE] >= WARMUP_MIN and r[_TRIAGE] != NO_TIME]
-    admitted = [r for r in triaged if not r[_DISMISSED]]  # the patients the KPIs count
-    wt_first = [r[_START_FIRST] - r[_ENQ_FIRST] for r in admitted if r[_START_FIRST] != NO_TIME]
-    wt_last = [r[_START_LAST] - r[_ENQ_LAST] for r in admitted if r[_START_LAST] != NO_TIME]
-    los = [r[_DISCHARGE] - r[_ARRIVE] for r in admitted if r[_DISCHARGE] != NO_TIME]
-
-    vectors = {"in_per_day": [len(admitted) / days], "wt_first": [_mean(wt_first)],
-               "wt_last": [_mean(wt_last)], "los": [_mean(los)]}
-    first_waits = {}
-    for code, threshold in sorted(thresholds.items()):
-        rank = CODE_RANK[code]
-        waits = first_waits[code] = [r[_START_FIRST] - r[_ENQ_FIRST] for r in admitted
-                                     if r[_RANK] == rank and r[_START_FIRST] != NO_TIME]
-        vectors[f"outlier_{code}"] = [100.0 * sum(1 for w in waits if w > threshold) / len(waits)
-                                      if waits else float("nan")]
-    return KpiReport(vectors, n_admitted=len(admitted), n_dismissed=len(triaged) - len(admitted),
-                     n_censored=len(admitted) - len(los), first_waits=first_waits)
+    first_waits = {code: [] for code in sorted(thresholds)}
+    waits_of_rank = {CODE_RANK[code]: waits for code, waits in first_waits.items()}
+    n_triaged = n_admitted = first_sum = first_n = last_sum = last_n = los_sum = los_n = 0
+    for (rank, arrive, triage, dismissed, enq_first, start_first,
+         enq_last, start_last, discharge) in rows:
+        if arrive < WARMUP_MIN or triage == NO_TIME:
+            continue
+        n_triaged += 1
+        if dismissed:
+            continue
+        n_admitted += 1  # the patients the KPIs count
+        if start_first != NO_TIME:
+            first_sum, first_n = first_sum + start_first - enq_first, first_n + 1
+            if rank in waits_of_rank:
+                waits_of_rank[rank].append(start_first - enq_first)
+        if start_last != NO_TIME:
+            last_sum, last_n = last_sum + start_last - enq_last, last_n + 1
+        if discharge != NO_TIME:
+            los_sum, los_n = los_sum + discharge - arrive, los_n + 1
+    vectors = {"in_per_day": [n_admitted / days], "wt_first": [_ratio(first_sum, first_n)],
+               "wt_last": [_ratio(last_sum, last_n)], "los": [_ratio(los_sum, los_n)]}
+    for code, waits in first_waits.items():
+        over = sum(1 for w in waits if w > thresholds[code])
+        vectors[f"outlier_{code}"] = [_ratio(100.0 * over, len(waits))]
+    return KpiReport(vectors, n_admitted=n_admitted, n_dismissed=n_triaged - n_admitted,
+                     n_censored=n_admitted - los_n, first_waits=first_waits)
 
 
 def aggregate(reports: list[KpiReport]) -> KpiReport:

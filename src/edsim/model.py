@@ -15,7 +15,7 @@ from .kernel import (
     ResourcePool,
     ShiftCalendar,
 )
-from .kpi import NO_TIME, WARMUP_MIN
+from .kpi import NO_TIME, ROW, WARMUP_MIN, KpiRows
 from .scenario import Scenario
 from .stochastics import Profile, draw_patients, lab_components, next_dispatch
 
@@ -34,8 +34,8 @@ class Patient:
     Its stochastic attributes are one tape row (stochastics.draw_patients),
     drawn before the patient arrives and the same in every scenario; the
     row is only read, never changed. The minutes the KPIs need are stamped
-    as the events happen (NO_TIME until then); `kpi_row` packs them in
-    kpi.ROW_FIELDS order."""
+    as the events happen (NO_TIME until then); the replication packs them
+    into the patient's KPI record."""
 
     __slots__ = (
         "pid", "code", "rank", "mode", "visit_type", "needs_lab", "lab_at_triage",
@@ -58,11 +58,6 @@ class Patient:
         self.t_triage = self.t_enq_first = self.t_start_first = NO_TIME
         self.t_enq_last = self.t_start_last = self.t_discharge = NO_TIME
 
-    def kpi_row(self) -> tuple[int, ...]:
-        return (self.rank, self.t_arrive, self.t_triage, int(self.dismissed),
-                self.t_enq_first, self.t_start_first, self.t_enq_last,
-                self.t_start_last, self.t_discharge)
-
 
 class CountedPool:
     """Exam-room resource with anonymous slots and a FIFO overflow queue."""
@@ -84,10 +79,10 @@ class Replication:
     stream and draws nothing.
 
     Patients are numbered in arrival order. `self.patients` maps pid to each
-    patient still in the ED; `self.rows[pid]` is None until the patient is
-    discharged or dismissed, then their final KPI row (the patient is
-    dropped), and `run` fills in the rest. The pools are staffed from
-    `profile.teams`, plus scenario a's LV1..LVa on `profile.last_visit_band`.
+    patient still in the ED. `self.rows` (kpi.KpiRows) gets a blank record
+    per patient admitted, which their stamps fill when they are discharged
+    or dismissed (and dropped); `run` packs the rest. The pools are staffed
+    from `profile.teams`, plus scenario a's LV1..LVa on `profile.last_visit_band`.
     With `log_path` the event log streams to that file (EventLog); without
     one it keeps no log."""
 
@@ -99,7 +94,7 @@ class Replication:
 
         self.calendar = EventCalendar()
         self.patients: dict[int, Patient] = {}
-        self.rows: list[tuple[int, ...] | None] = []  # by pid; None while in the ED
+        self.rows = KpiRows(bytearray())
         self._arrivals = iter(patients)
 
         offset = 60 * (scenario.t or 0)
@@ -147,11 +142,6 @@ class Replication:
         self._waiting_last = 0
         # last: a streamed log opens its file, which only run() closes
         self.log = EventLog(rep_id, log_path)
-
-    @property
-    def in_flight(self) -> int:
-        """Patients arrived and not yet discharged or dismissed."""
-        return len(self.patients)
 
     # ------------------------------------------------------------------ setup
 
@@ -315,10 +305,15 @@ class Replication:
 
     def _admit(self, p: Patient) -> None:
         self.patients[p.pid] = p
-        self.rows.append(None)
+        self.rows.records.extend(bytes(ROW.size))  # a blank record
+
+    def _pack(self, p: Patient) -> None:
+        ROW.pack_into(self.rows.records, p.pid * ROW.size, p.rank, p.t_arrive, p.t_triage,
+                      p.dismissed, p.t_enq_first, p.t_start_first, p.t_enq_last,
+                      p.t_start_last, p.t_discharge)
 
     def _retire(self, p: Patient) -> None:
-        self.rows[p.pid] = p.kpi_row()
+        self._pack(p)
         del self.patients[p.pid]
 
     def _on_arrival(self, now: int, row: tuple) -> None:
@@ -393,12 +388,12 @@ class Replication:
 
     def _on_shift_kick(self, now: int, minute: int) -> None:
         self._dispatch(now)
-        if self.in_flight or self.arrivals_open:
+        if self.patients or self.arrivals_open:
             self.calendar.schedule(now + MINUTES_PER_DAY, self._on_shift_kick, minute)
 
     # -------------------------------------------------------------------- run
 
-    def run(self) -> list[tuple[int, ...]]:
+    def run(self) -> KpiRows:
         """Run to the horizon and return the KPI rows, indexed by pid. A log
         that streams to a file is ended here: `write_csv` once the run is
         done, `close` if it raises."""
@@ -419,17 +414,17 @@ class Replication:
         # as soon as the caller lets go, not at the next full collection.
         self.calendar.clear()
         for p in self.patients.values():
-            self.rows[p.pid] = p.kpi_row()
+            self._pack(p)
         return self.rows
 
 
 def run_replication(profile: Profile, scenario: Scenario, rep_id: int, master_seed: int,
                     days: int, tape: Iterable[tuple] | None = None,
-                    log_path=None) -> list[tuple[int, ...]]:
+                    log_path=None) -> KpiRows:
     """Worker-safe entry point: the validated profile and the tape (a
     stochastics.PatientTape, or rows of draw_patients(profile, master_seed,
     rep_id, days)) pickle to workers as they are. Without a tape it draws
-    those rows, as the patients arrive. Returns the KPI rows in pid order;
+    those rows, as the patients arrive. Returns the KPI rows (kpi.KpiRows);
     with `log_path` the event log streams to that file and is ended when
     this returns."""
     if tape is None:

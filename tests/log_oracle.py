@@ -112,8 +112,8 @@ def run_drained(rep) -> list[tuple[int, ...]]:
     patients still in the ED."""
     rep.horizon += DRAIN_DAYS * MINUTES_PER_DAY
     rows = rep.run()
-    if rep.in_flight:
-        raise AssertionError(f"{rep.in_flight} patients still in the ED {DRAIN_DAYS} days "
+    if rep.patients:
+        raise AssertionError(f"{len(rep.patients)} patients still in the ED {DRAIN_DAYS} days "
                              f"past the horizon: pids {sorted(rep.patients)}")
     return rows
 

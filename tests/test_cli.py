@@ -1,5 +1,10 @@
+import contextlib
 import copy
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 from xml.dom import minidom
 
@@ -14,6 +19,8 @@ from edsim.model import run_replication
 from edsim.report import svg_bar_chart
 from edsim.scenario import MAX_EXTRA_TEAMS, Scenario
 from edsim.stochastics import default_profile_path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read(path: Path) -> bytes:
@@ -246,6 +253,34 @@ class TestProfileHandling:
         err = capsys.readouterr().err
         assert err.startswith("profile error: profile is not valid JSON:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("depth", [500, 700])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--replications", "1", "--days", "1"],
+        ["run", "--replications", "2", "--days", "1", "--jobs", "2"],
+        ["calibrate", "--budget", "2", "--probe-replications", "1", "--probe-days", "1",
+         "--replications", "1", "--days", "1"],
+    ], ids=["validate", "run-jobs-2", "calibrate"])
+    def test_an_ignored_key_nested_too_deep_exits_2(self, argv, depth, tmp_path):
+        # JSON decodes it, but a pooled run pickles the raw profile and
+        # calibrate copies it, each recursing once per level: a fresh
+        # interpreter in its own session, and a timeout in case a pool hangs
+        with open(default_profile_path()) as fh:
+            text = fh.read().rstrip()
+        deep = tmp_path / "deep.json"
+        deep.write_text(text[:-1] + ', "note": ' + "[" * depth + "]" * depth + "}")
+        with subprocess.Popen(
+                [sys.executable, "-m", "edsim.cli", *argv, "--profile", str(deep),
+                 "--out", str(tmp_path / "o")],
+                env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+            try:
+                _, err = proc.communicate(timeout=60)
+            finally:  # no pool worker outlives the test
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 2, err
+        assert err == "profile error: profile nests deeper than 32 levels\n"
 
     def test_empty_profile_flag_is_a_missing_file(self, tmp_path, monkeypatch, capsys):
         # it names no file: neither $EDSIM_PROFILE nor the packaged default stands in

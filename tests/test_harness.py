@@ -166,18 +166,25 @@ def test_each_log_is_written_before_the_next_replication_runs(default_profile, i
 def _peak_traced_mb(profile, days, log_dir) -> float:
     tracemalloc.start()
     try:
-        edsim.harness._replicate(profile, parse("Cb.15"), 0, 42, days, str(log_dir), None)
+        edsim.harness._replicate(profile, parse("Cb.15"), 0, 42, days, log_dir, None)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
 
 
 def test_a_logged_replication_grows_by_its_kpi_rows_alone(default_profile, tmp_path):
-    # It holds its in-flight patients, one KPI row per patient and its log
+    # It holds its in-flight patients, one KPI record per patient and its log
     # file's own buffer. Holding every patient and every record grows by ~0.47
-    # MB per simulated day; the KPI rows alone grow by ~0.06.
+    # MB per simulated day; the KPI records alone grow by ~0.017.
     short, long = (_peak_traced_mb(default_profile, days, tmp_path) for days in (16, 64))
     assert (long - short) / (64 - 16) < 0.15
+
+
+def test_an_unlogged_replication_grows_by_its_packed_kpi_records_alone(default_profile):
+    # ~245 patients a day at 72 B a record grow by ~0.017 MB per simulated
+    # day; a tuple of nine ints per patient grew by ~0.074.
+    short, long = (_peak_traced_mb(default_profile, days, None) for days in (16, 64))
+    assert (long - short) / (64 - 16) < 0.03
 
 
 def _peak_traced_run_mb(profile, replications) -> float:
@@ -196,7 +203,7 @@ def _peak_traced_run_mb(profile, replications) -> float:
 def test_a_run_holds_each_replication_as_its_report_alone(default_profile):
     # Replications run one after another at jobs=1, so the peak is one
     # replication's plus what the earlier ones left behind: their reports,
-    # ~0.02 MB each at 8 days. Their KPI rows would add ~0.5 MB each.
+    # ~0.02 MB each at 8 days. Their KPI records would add ~0.15 MB each.
     run_scenario(default_profile, Scenario(), 42, 1, 8, jobs=1)  # one-time allocations
     one, four = (_peak_traced_run_mb(default_profile, n) for n in (1, 4))
     assert four - one < 0.1

@@ -5,13 +5,16 @@ module, and no module imports it. multiprocessing, concurrent.futures and
 logging stay off the path of every run that does not pool: only a run that
 pools imports them, and a pooled sweep writes what a serial one writes. The
 profile is checked without jsonschema, and numpy.random is loaded with the
-CLI, before a sweep forks its workers."""
+CLI, before a sweep forks its workers. Importing edsim starts no BLAS
+thread."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -87,6 +90,29 @@ def test_cli_loads_numpy_random_and_no_jsonschema():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True", "[]"]
+
+
+THREADS_PROBE = """
+import os
+import edsim, numpy
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_starts_no_blas_thread_unless_asked(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", THREADS_PROBE],
+                          env={**env, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    threads, setting = done.stdout.split()
+    assert setting == (preset or "1")
+    if preset is None:
+        assert threads == "1"
 
 
 def _imported_modules(tree):

@@ -9,7 +9,7 @@ from collections import defaultdict
 import pytest
 
 from edsim.kernel import LOG_HEADER, MINUTES_PER_DAY, EventLog
-from edsim.kpi import NO_TIME, ROW_FIELDS, WARMUP_MIN
+from edsim.kpi import NO_TIME, ROW, ROW_FIELDS, WARMUP_MIN
 from edsim.model import Patient, Replication, run_replication
 from edsim.scenario import Scenario, parse
 from edsim.stochastics import Profile, draw_patients
@@ -674,11 +674,32 @@ class TestHorizon:
         assert [(r.time_min, r.event) for r in records] == [(horizon, "ARRIVE")]
         assert [row[1] for row in rows] == [horizon]
 
+    def test_run_returns_its_rows_packed_and_read_as_tuples_by_pid(self, default_profile):
+        rep = Replication(default_profile, Scenario(e=10), 0, 1,
+                          draw_patients(default_profile, 5, 0, 1))
+        rows = rep.run()
+        assert len(rows) > 300 and len(rows.records) == len(rows) * ROW.size
+        as_tuples = list(rows)
+        assert all(type(r) is tuple and len(r) == len(ROW_FIELDS) for r in as_tuples)
+        assert [rows[pid] for pid in range(len(rows))] == as_tuples
+        assert rows[-1] == as_tuples[-1]
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        with pytest.raises(TypeError):
+            rows[0] = as_tuples[0]
+        arrive, triage = ROW_FIELDS.index("arrive"), ROW_FIELDS.index("triage")
+        # pid order is arrival order
+        assert [r[arrive] for r in rows] == sorted(r[arrive] for r in rows)
+        # the patients still in the ED at the horizon are packed by run()
+        assert len(rep.patients) > 0
+        assert all(rows[pid][arrive] == p.t_arrive and rows[pid][triage] == p.t_triage
+                   for pid, p in rep.patients.items())
+
     def test_drain_runs_past_the_horizon_until_the_ed_is_empty(self, default_profile, tmp_path):
         kept = Replication(default_profile, Scenario(e=10), 0, 1,
                            draw_patients(default_profile, 5, 0, 1))
         kept_rows = kept.run()
-        assert kept.in_flight > 0
+        assert len(kept.patients) > 0
         path = tmp_path / "rep_00.csv"
         rep = Replication(default_profile, Scenario(e=10), 0, 1,
                           draw_patients(default_profile, 5, 0, 1), log_path=path)
@@ -688,7 +709,7 @@ class TestHorizon:
         rows = run_drained(rep)
         assert seen == [(horizon + 1, "past")]
         assert len(rows) == len(kept_rows) > 300
-        assert rep.in_flight == rep._waiting_first == rep._waiting_last == 0
+        assert len(rep.patients) == rep._waiting_first == rep._waiting_last == 0
         assert all(not pool.busy for pool in rep.pools.values())
         assert all(pool.count == 0 and not pool.fifo for pool in rep.exam_pools.values())
         dismissed, discharge = ROW_FIELDS.index("dismissed"), ROW_FIELDS.index("discharge")
@@ -705,4 +726,4 @@ class TestHorizon:
                                                  r"horizon: pids \[\d+, "):
             run_drained(rep)
         assert time.monotonic() - started < 10
-        assert rep.in_flight > 10
+        assert len(rep.patients) > 10

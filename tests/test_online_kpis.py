@@ -43,7 +43,7 @@ def _has(records, event: str) -> bool:
 
 
 def _assert_online_matches_log(rows, records, thresholds: dict) -> None:
-    assert rows == rows_from_log(records)
+    assert list(rows) == rows_from_log(records)
     online = compute_kpis(rows, DAYS, thresholds)
     from_log = compute_kpis(rows_from_log(records), DAYS, thresholds)
     assert online.to_dict() == from_log.to_dict()
@@ -100,7 +100,7 @@ def test_log_not_kept_holds_no_records_and_same_kpis(default_profile, monkeypatc
                       draw_patients(default_profile, 7, 1, DAYS))
     bare = rep.run()
     assert records
-    assert bare == kept
+    assert list(bare) == list(kept)
     thresholds = default_profile.thresholds
     assert (compute_kpis(bare, DAYS, thresholds).to_dict()
             == compute_kpis(kept, DAYS, thresholds).to_dict())
@@ -131,7 +131,7 @@ def test_run_replication_ends_its_log_before_it_returns(default_profile, tmp_pat
     records = read_log_csv(path)
     assert len(records) == added[0]
     assert path.stat().st_size > 2 * io.DEFAULT_BUFFER_SIZE  # more than the file buffers
-    assert rows == rows_from_log(records)
+    assert list(rows) == rows_from_log(records)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -143,7 +143,7 @@ def test_harness_writes_logs_only_when_asked(jobs, default_profile, tmp_path, mo
     logged_agg = run_scenario(default_profile, Scenario(), 5, 2, 1, jobs=jobs, log_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rep_00.csv", "rep_01.csv"]
     for rep, rows in enumerate(rows_from_log_dir(tmp_path, 2)):
-        assert rows and rows == run_replication(default_profile, Scenario(), rep, 5, 1)
+        assert rows and rows == list(run_replication(default_profile, Scenario(), rep, 5, 1))
     assert logged_agg.to_dict() == agg.to_dict()
     assert logged_agg.first_waits == agg.first_waits
 
