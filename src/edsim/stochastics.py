@@ -36,7 +36,7 @@ MAX_RATE = 1000.0  # arrivals per hour, per urgency code
 MAX_MEAN = 10000.0  # minutes, for a service mean and an hourly lab mean
 MAX_CV = 10.0
 TAPE_BLOCK = 64  # tape rows drawn in one stretch, ahead of the replication reading them
-MAX_NESTING = 32  # deepest profile, ignored keys included; the schema's goes 5 deep
+MAX_NESTING = 32  # deepest nesting a profile may have, ignored keys included (the schema's: 5)
 
 
 class ProfileError(ValueError):
@@ -256,7 +256,7 @@ def load_profile(path) -> Profile:
             raw = json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad JSON/UTF-8, long integer, deep nesting
         raise ProfileError(f"profile is not valid JSON: {exc}") from exc
-    level = [raw]  # values at one depth: no recursion, which deepcopy and pickle would do
+    level = [raw]  # one level deeper per pass: no recursion, whatever the depth
     for _ in range(MAX_NESTING):
         level = [child for node in level if isinstance(node, (dict, list))
                  for child in (node.values() if isinstance(node, dict) else node)]
