@@ -27,38 +27,44 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 PROFILE_ENV = "EDSIM_PROFILE"
+MAX_REPLICATIONS = 10_000  # per run, probe runs included
+MAX_DAYS = 10_000  # per replication, about 27 years
 
 
-def _int_at_least(text: str, low: int, what: str) -> int:
+def _bounded_int(text: str, low: int, what: str, high: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < low:
         raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
+    if high is not None and value > high:
+        raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (days, runs, workers)."""
-    return _int_at_least(text, 1, "positive")
+def _count(high: int | None = None):
+    """argparse type for a count of at least 1 (days, runs, workers) and at
+    most `high`: a larger count is a usage error, not a run that overflows a
+    list index or never ends."""
+    return lambda text: _bounded_int(text, 1, "positive", high)
 
 
 def _non_negative_int(text: str) -> int:
     """argparse type for the master seed (numpy seeds must be >= 0) and the
     calibration budget (0 is a valid, failing search)."""
-    return _int_at_least(text, 0, "non-negative")
+    return _bounded_int(text, 0, "non-negative")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", help=f"profile JSON (default: ${PROFILE_ENV} or packaged profile)")
     p.add_argument("--seed", type=_non_negative_int, default=42,
                    help="master seed, a non-negative integer (default 42)")
-    p.add_argument("--replications", type=_positive_int, default=10,
-                   help="independent runs (default 10)")
-    p.add_argument("--days", type=_positive_int, default=30,
-                   help="simulated days per run (default 30)")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--replications", type=_count(MAX_REPLICATIONS), default=10,
+                   help=f"independent runs, at most {MAX_REPLICATIONS} (default 10)")
+    p.add_argument("--days", type=_count(MAX_DAYS), default=30,
+                   help=f"simulated days per run, at most {MAX_DAYS} (default 30)")
+    p.add_argument("--jobs", type=_count(), default=1, help="parallel workers (default 1)")
     p.add_argument("--out", default="edsim-out", help="output directory (default ./edsim-out)")
 
 
@@ -85,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cal)
     p_cal.add_argument("--budget", type=_non_negative_int, default=120,
                        help="max objective evaluations, a non-negative integer (default 120)")
-    p_cal.add_argument("--probe-replications", type=_positive_int, default=3)
-    p_cal.add_argument("--probe-days", type=_positive_int, default=30)
+    p_cal.add_argument("--probe-replications", type=_count(MAX_REPLICATIONS), default=3)
+    p_cal.add_argument("--probe-days", type=_count(MAX_DAYS), default=30)
     return parser
 
 

@@ -66,7 +66,8 @@ class SimulationError(RuntimeError):
 
 
 def round_half_up(x: float) -> int:
-    """Round sampled real minutes to integer minutes, halves away from zero."""
+    """Round sampled real minutes (never negative) to integer minutes, halves
+    up. It needs x >= -0.5, since `int` truncates toward zero: -1.5 gives -1."""
     return int(x + 0.5)
 
 
@@ -76,7 +77,8 @@ class EventCalendar:
     `now` in integer minutes, which only `pop` advances.
 
     `heap` is the heapq list of pending entries, so `heap[0]` is the next
-    one; callers read it and change it only through `schedule` and `pop`.
+    one; callers read it and change it only through `schedule` and `pop`,
+    or empty it once the run is over.
     The insertion counter is global, so ties at one minute pop in schedule
     order and runs are reproducible without RNG-based tie-breaking. Nothing
     can be scheduled before `now`, so `pop` never moves time backwards.
@@ -95,9 +97,6 @@ class EventCalendar:
             raise SimulationError(f"schedule at t={at} before now={self.now}")
         heapq.heappush(self.heap, (at, self._seq, handler, entity))
         self._seq += 1
-
-    def clear(self) -> None:
-        self.heap.clear()
 
     def pop(self) -> tuple[int, int, Callable, object]:
         if not self.heap:

@@ -20,6 +20,11 @@ from .scenario import Scenario
 from .stochastics import Profile, draw_patients, lab_components, next_dispatch
 
 LOW_RANKS = {CODE_RANK["GREEN"], CODE_RANK["WHITE"]}
+# static rank -> last-visit queue rank. Re-evaluations are routine closing
+# work: a stabilized yellow patient queues for discharge at green rank. The
+# category rule governs the first-visit waiting room; reds keep their
+# absolute precedence.
+LAST_RANK = {**{r: r for r in CODE_RANK.values()}, CODE_RANK["YELLOW"]: CODE_RANK["GREEN"]}
 FIRST_QUEUE_OF = {"low_general": "general", "high_general": "general",
                   "orthopaedic": "orthopaedic", "dermatological": "dermatological"}
 # visit type -> first-visit queue; a red patient is routed as GENERAL, to
@@ -286,18 +291,10 @@ class Replication:
         else:
             self._enqueue_last(p, now)
 
-    def _last_rank(self, p: Patient) -> int:
-        # Re-evaluations are routine closing work: a stabilized yellow patient
-        # queues for discharge at green rank. The category rule governs the
-        # first-visit waiting room; reds keep their absolute precedence.
-        if p.rank == CODE_RANK["YELLOW"]:
-            return CODE_RANK["GREEN"]
-        return p.rank
-
     def _enqueue_last(self, p: Patient, now: int) -> None:
         p.t_enq_last = now
         self.log.add(now, p.pid, "ENQUEUE_LAST")
-        self.team_last[p.first_team].enqueue(p, self._last_rank(p), now)
+        self.team_last[p.first_team].enqueue(p, LAST_RANK[p.rank], now)
         self._waiting_last += 1
         self._dispatch(now)
 
@@ -412,7 +409,7 @@ class Replication:
         # Entries left past the horizon hold bound handlers, a reference
         # cycle through this replication; dropping them lets it be freed
         # as soon as the caller lets go, not at the next full collection.
-        self.calendar.clear()
+        heap.clear()
         for p in self.patients.values():
             self._pack(p)
         return self.rows

@@ -178,14 +178,12 @@ class Profile:
             name: _service(raw, f"service/{_key(name)}")
             for name in dict.fromkeys([*_read(raw, "service", "object"), *SERVICES])
         }
-        self.lab_waiting = [float(x) for x in _hours(raw, "lab_profile/waiting", MAX_MEAN)]
-        self.lab_effective = [float(x) for x in _hours(raw, "lab_profile/effective", MAX_MEAN)]
-        self.lab_misc = [float(x) for x in _hours(raw, "lab_profile/misc", MAX_MEAN)]
-        self.lab_cv = float(_read(raw, "lab_profile/cv", "number", 0, MAX_CV))
+        lab_means = [[float(x) for x in _hours(raw, f"lab_profile/{part}", MAX_MEAN)]
+                     for part in ("waiting", "effective", "misc")]
+        lab_cv = float(_read(raw, "lab_profile/cv", "number", 0, MAX_CV))
         # (waiting, effective, misc) in-lab time specs per dispatch hour
         self.lab_specs: list[tuple[ServiceSpec, ServiceSpec, ServiceSpec]] = [
-            tuple(ServiceSpec("lognormal", max(means[h], 0.1), self.lab_cv)
-                  for means in (self.lab_waiting, self.lab_effective, self.lab_misc))
+            tuple(ServiceSpec("lognormal", max(means[h], 0.1), lab_cv) for means in lab_means)
             for h in range(24)
         ]
         for name in _read(raw, "thresholds", "object"):
@@ -208,8 +206,7 @@ class Profile:
         vt = self.mixes["visit_type"]
         if abs(sum(vt[v] for v in VISIT_TYPES) - 1.0) > 1e-6:
             raise ProfileError("visit_type mix must sum to 1")
-        total = self.daily_arrivals()
-        if total <= 0:
+        if sum(sum(self.arrival_rates[c]) for c in CODES) <= 0:
             raise ProfileError("arrival_rates must carry positive total mass")
         seen: set[str] = set()
         for team, _start, _end in (band for bands in self.teams.values() for band in bands):
@@ -219,9 +216,6 @@ class Profile:
                 raise ProfileError(f"team id {team!r} is reserved for the "
                                    "dedicated last-visit teams")
             seen.add(team)
-
-    def daily_arrivals(self) -> float:
-        return sum(sum(self.arrival_rates[c]) for c in CODES)
 
 
 def _fit_truncated_geometric(p_lt4: float) -> list[float]:

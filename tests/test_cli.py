@@ -13,7 +13,7 @@ import pytest
 import edsim.calibrate
 import edsim.harness
 from edsim.calibrate import BANDS, TARGETS
-from edsim.cli import main
+from edsim.cli import MAX_DAYS, MAX_REPLICATIONS, build_parser, main
 from edsim.harness import run_scenario
 from edsim.model import run_replication
 from edsim.report import svg_bar_chart
@@ -205,6 +205,31 @@ class TestCountFlags:
         err = capsys.readouterr().err
         assert err.startswith("usage: edsim") and "must be a non-negative integer" in err
         assert not out.exists()
+
+    # every count flag, with the commands that take it and its maximum
+    COUNTS = [(cmd, flag, high) for flag, high in (("--replications", MAX_REPLICATIONS),
+                                                   ("--days", MAX_DAYS))
+              for cmd in ("run", "sweep", "validate", "calibrate")] + [
+        ("calibrate", "--probe-replications", MAX_REPLICATIONS),
+        ("calibrate", "--probe-days", MAX_DAYS)]
+
+    @pytest.mark.parametrize("cmd, flag, high", COUNTS)
+    def test_a_count_at_its_maximum_parses(self, cmd, flag, high):
+        args = build_parser().parse_args([cmd, flag, str(high)])
+        assert getattr(args, flag[2:].replace("-", "_")) == high
+
+    # parsed only: a count past the maximum must never reach a run
+    @pytest.mark.parametrize("far", [False, True], ids=["maximum+1", "10**20"])
+    @pytest.mark.parametrize("cmd, flag, high", COUNTS)
+    def test_a_count_over_its_maximum_is_a_usage_error(self, cmd, flag, high, far, capsys):
+        value = 10**20 if far else high + 1
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([cmd, flag, str(value)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: edsim {cmd}") and "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"edsim {cmd}: error: argument {flag}: must be at most {high}, got {value}")
 
     def test_seed_zero_is_accepted(self, tmp_path):
         assert run_cli("run", "--seed", "0", "--days", "1", "--replications", "1",

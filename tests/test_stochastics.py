@@ -249,8 +249,7 @@ class TestLab:
         assert next_dispatch(10 * 60 + 30) == 10 * 60 + 30
 
     def test_profile_has_shift_change_peaks(self, default_profile):
-        total = [default_profile.lab_waiting[h] + default_profile.lab_effective[h]
-                 + default_profile.lab_misc[h] for h in range(24)]
+        total = [sum(spec.mean for spec in default_profile.lab_specs[h]) for h in range(24)]
         assert total[7] > total[6] and total[7] > total[8]
         assert total[19] > total[18] and total[19] > total[20]
 
@@ -288,7 +287,8 @@ class TestLab:
 
 class TestArrivalTableInvariants:
     def test_total_mass(self, default_profile):
-        assert abs(default_profile.daily_arrivals() - 238.23) < 1.0
+        total = sum(sum(default_profile.arrival_rates[c]) for c in CODES)
+        assert abs(total - 238.23) < 1.0
 
     def test_green_is_modal(self, default_profile):
         daily = {c: sum(default_profile.arrival_rates[c]) for c in CODES}
