@@ -173,14 +173,12 @@ class ResourcePool:
     def on_shift(self, slot: str, now: int) -> bool:
         return slot in self.calendar.on_by_minute[now % MINUTES_PER_DAY]
 
-    def seize(self, slot: str, now: int, duration: int) -> int:
-        """Mark the slot busy; returns the end time now+duration, when the
-        caller releases it. Seizing a busy slot is a programming error —
-        callers must check."""
+    def seize(self, slot: str) -> None:
+        """Mark the slot busy until the caller releases it. Seizing a busy
+        slot is a programming error — callers must check."""
         if slot in self.busy:
             raise SimulationError(f"slot {self.pool_id}/{slot} seized while busy")
         self.busy.add(slot)
-        return now + duration
 
     def release(self, slot: str) -> None:
         if slot not in self.busy:

@@ -142,7 +142,6 @@ class Replication:
              pool.calendar.on_by_minute, pool.busy, team,
              self.team_last[team].items if team in self.team_last else None)
             for pool_id, pool in self.pools.items() for team in pool.calendar.teams]
-        self.arrivals_open = True
         self._waiting_first = 0
         self._waiting_last = 0
         # last: a streamed log opens its file, which only run() closes
@@ -152,15 +151,13 @@ class Replication:
 
     def _schedule_next_arrival(self) -> None:
         row = next(self._arrivals, None)
-        if row is None:
-            self.arrivals_open = False
-            return
-        self.calendar.schedule(row[0], self._on_arrival, row)
+        if row is not None:
+            self.calendar.schedule(row[0], self._on_arrival, row)
 
     def _schedule_kicks(self) -> None:
         minutes = {m for pool in self.pools.values() for m in pool.calendar.boundaries}
         for m in sorted(minutes):
-            self.calendar.schedule(m, self._on_shift_kick, m)
+            self.calendar.schedule(m, self._on_shift_kick)
 
     # --------------------------------------------------------------- routing
 
@@ -249,17 +246,17 @@ class Replication:
 
     def _start_first(self, p: Patient, pool: ResourcePool, team: str, now: int) -> None:
         p.first_team = team
-        end = pool.seize(team, now, p.first_d)
+        pool.seize(team)
         p.t_start_first = now
         self.log.add(now, p.pid, "START_FIRST", team, pool.pool_id)
-        self.calendar.schedule(end, self._on_first_done, p)
+        self.calendar.schedule(now + p.first_d, self._on_first_done, p)
 
     def _start_last(self, p: Patient, pool: ResourcePool, team: str, now: int) -> None:
         p.last_team = team
-        end = pool.seize(team, now, p.last_d)
+        pool.seize(team)
         p.t_start_last = now
         self.log.add(now, p.pid, "START_LAST", team, pool.pool_id)
-        self.calendar.schedule(end, self._on_last_done, p)
+        self.calendar.schedule(now + p.last_d, self._on_last_done, p)
 
     # ------------------------------------------------------------------- lab
 
@@ -383,10 +380,10 @@ class Replication:
         self._retire(p)
         self._dispatch(now)
 
-    def _on_shift_kick(self, now: int, minute: int) -> None:
+    def _on_shift_kick(self, now: int, _entity: None) -> None:
+        # every day at each shift boundary, up to the horizon
         self._dispatch(now)
-        if self.patients or self.arrivals_open:
-            self.calendar.schedule(now + MINUTES_PER_DAY, self._on_shift_kick, minute)
+        self.calendar.schedule(now + MINUTES_PER_DAY, self._on_shift_kick)
 
     # -------------------------------------------------------------------- run
 

@@ -104,12 +104,12 @@ def rows_from_log_dir(log_dir, replications: int) -> list[list[tuple[int, ...]]]
 
 
 def run_drained(rep) -> list[tuple[int, ...]]:
-    """Run the model.Replication `rep` past its horizon until the ED is
-    empty, so that every patient who arrived is discharged or dismissed,
-    and return its KPI rows. The run stops DRAIN_DAYS past the horizon,
-    where the daily shift kicks would otherwise go on forever (a room that
-    receives patients has no team), and raises AssertionError naming the
-    patients still in the ED."""
+    """Run the model.Replication `rep` DRAIN_DAYS past its horizon, so
+    that every patient who arrived is discharged or dismissed, and return
+    its KPI rows. The horizon is a replication's only stop, so the run goes
+    on to the moved horizon even once the ED is empty. If patients are
+    still in the ED then (a room that receives patients has no team), it
+    raises AssertionError naming them."""
     rep.horizon += DRAIN_DAYS * MINUTES_PER_DAY
     rows = rep.run()
     if rep.patients:

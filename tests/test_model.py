@@ -674,6 +674,12 @@ class TestHorizon:
         assert [(r.time_min, r.event) for r in records] == [(horizon, "ARRIVE")]
         assert [row[1] for row in rows] == [horizon]
 
+    def test_shift_kicks_run_to_the_horizon_after_the_ed_empties(self, default_profile):
+        rep = Replication(default_profile, Scenario(), 0, 3, [tape_row(WARMUP_MIN + 600)])
+        rep.run()
+        assert not rep.patients
+        assert rep.calendar.now > rep.horizon - MINUTES_PER_DAY
+
     def test_run_returns_its_rows_packed_and_read_as_tuples_by_pid(self, default_profile):
         rep = Replication(default_profile, Scenario(e=10), 0, 1,
                           draw_patients(default_profile, 5, 0, 1))
