@@ -3,7 +3,10 @@ replications and compare a candidate configuration against the baseline with
 significance flags.
 
 A replication packs its KPI rows in one bytearray, a `ROW` record per
-patient (`struct` format "9q", ROW_FIELDS in order, 72 B): `KpiRows`.
+patient (`struct` format "9i", ROW_FIELDS in order, 36 B): `KpiRows`. An
+int32 holds NO_TIME and every minute a run can reach (WARMUP_MIN plus
+cli.MAX_DAYS and a 30-day drain is about 1/149 of 2**31); a value out of range
+raises struct.error, never wraps. Reports keep first waits in int32 arrays.
 
 The Welch p-value is computed here in pure Python (Student's t tail through
 the regularized incomplete beta function): no module needs scipy."""
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -31,7 +35,7 @@ WARMUP_MIN = MINUTES_PER_DAY
 ROW_FIELDS = ("rank", "arrive", "triage", "dismissed", "enqueue_first", "start_first",
               "enqueue_last", "start_last", "discharge")
 NO_TIME = -1
-ROW = struct.Struct(f"{len(ROW_FIELDS)}q")
+ROW = struct.Struct(f"{len(ROW_FIELDS)}i")
 
 
 class UsageError(ValueError):
@@ -75,15 +79,16 @@ class KpiReport:
     patient counts summed over the replications. Every reported figure is
     `value(name)`, the mean of its vector, so aggregation and significance
     testing work from the same numbers. `first_waits` holds, per threshold
-    code, the completed first-visit waits the outlier rates count, for
-    calibration's threshold fit; its keys are the codes `to_dict` reports
-    an outlier share for, and no output carries its waits."""
+    code, the completed first-visit waits the outlier rates count, in an
+    int32 array (4 B a wait), for calibration's threshold fit; its keys are
+    the codes `to_dict` reports an outlier share for, and no output carries
+    its waits."""
 
     vectors: dict[str, list[float]]
     n_admitted: int = 0
     n_dismissed: int = 0
     n_censored: int = 0
-    first_waits: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    first_waits: dict[str, array] = field(default_factory=dict, repr=False)
 
     def value(self, name: str) -> float:
         return _mean(self.vectors[name])
@@ -109,7 +114,7 @@ def compute_kpis(rows: Iterable[tuple[int, ...]], days: int,
     of LoS but keep their completed waits. Each threshold code gets its
     `outlier_<CODE>` vector and its `first_waits` entry from the same
     waits."""
-    first_waits = {code: [] for code in sorted(thresholds)}
+    first_waits = {code: array("i") for code in sorted(thresholds)}
     waits_of_rank = {CODE_RANK[code]: waits for code, waits in first_waits.items()}
     n_triaged = n_admitted = first_sum = first_n = last_sum = last_n = los_sum = los_n = 0
     for (rank, arrive, triage, dismissed, enq_first, start_first,
@@ -143,12 +148,12 @@ def aggregate(reports: list[KpiReport]) -> KpiReport:
     if not reports:
         raise UsageError("aggregate needs at least one report")
     vectors: dict[str, list[float]] = {}
-    first_waits: dict[str, list[int]] = {}
+    first_waits: dict[str, array] = {}
     for r in reports:
         for name, xs in r.vectors.items():
             vectors.setdefault(name, []).extend(xs)
         for code, ws in r.first_waits.items():
-            first_waits.setdefault(code, []).extend(ws)
+            first_waits.setdefault(code, array("i")).extend(ws)
     return KpiReport(vectors, n_admitted=sum(r.n_admitted for r in reports),
                      n_dismissed=sum(r.n_dismissed for r in reports),
                      n_censored=sum(r.n_censored for r in reports), first_waits=first_waits)

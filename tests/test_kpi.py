@@ -1,13 +1,18 @@
 import math
 import random
+import struct
+import sys
+from array import array
 
 import pytest
 from scipy import stats
 
-from edsim.kpi import (KPI_NAMES, WARMUP_MIN, KpiReport, UsageError, _t_two_sided_p, _welch_p,
-                       aggregate, compare, compute_kpis)
+from edsim import cli
+from edsim.kernel import CODE_RANK, MINUTES_PER_DAY
+from edsim.kpi import (KPI_NAMES, NO_TIME, ROW, ROW_FIELDS, WARMUP_MIN, KpiReport, KpiRows,
+                       UsageError, _t_two_sided_p, _welch_p, aggregate, compare, compute_kpis)
 
-from log_oracle import LogRecord, rows_from_log
+from log_oracle import DRAIN_DAYS, LogRecord, rows_from_log
 
 THRESHOLDS = {"GREEN": 120, "WHITE": 240}
 
@@ -103,7 +108,7 @@ class TestComputeKpis:
         records += patient_records(4, 10, code="WHITE", enq_first=12, start_first=22)
         records += patient_records(5, 10, code="YELLOW", enq_first=12, start_first=15)
         r = compute_kpis(rows_from_log(records), days=1, thresholds=THRESHOLDS)
-        assert r.first_waits == {"GREEN": [130, 20], "WHITE": [10]}
+        assert r.first_waits == {"GREEN": array("i", [130, 20]), "WHITE": array("i", [10])}
         assert r.to_dict()["outlier_pct"] == {"GREEN": 50.0, "WHITE": 0.0}
         assert "first_waits" not in r.to_dict()
 
@@ -121,6 +126,24 @@ class TestComputeKpis:
             for code in ("RED", "YELLOW", "GREEN"):
                 assert outlier_pct[code] == report.value(f"outlier_{code}")
             assert math.isnan(report.value("outlier_WHITE"))
+
+    def test_a_report_holds_each_first_wait_in_four_bytes(self):
+        # waits above 256 are each an int object of their own in a list
+        records = bytearray()
+        for i in range(1000):
+            records += ROW.pack(CODE_RANK["GREEN"], WARMUP_MIN, WARMUP_MIN + 1, 0, WARMUP_MIN + 2,
+                                WARMUP_MIN + 300 + i, NO_TIME, NO_TIME, NO_TIME)
+        report = compute_kpis(KpiRows(records), days=1, thresholds=THRESHOLDS)
+        assert list(report.first_waits["GREEN"]) == list(range(298, 1298))
+        assert sys.getsizeof(report.first_waits["GREEN"]) <= 5 * 1000 + 128
+
+    def test_a_record_holds_every_minute_a_run_can_reach(self):
+        last = WARMUP_MIN + (cli.MAX_DAYS + DRAIN_DAYS) * MINUTES_PER_DAY
+        row = (last,) * len(ROW_FIELDS)
+        rows = KpiRows(bytearray(ROW.pack(*row)))
+        assert rows[0] == row and list(rows) == [row]
+        with pytest.raises(struct.error):
+            ROW.pack(*row[:-1], 2**31)
 
     def test_los_at_least_wt_first_per_patient(self):
         records = patient_records(1, 0, enq_first=5, start_first=95, end_first=100,
@@ -147,10 +170,12 @@ class TestAggregate:
         assert agg.value("los") == pytest.approx(205.0)
 
     def test_first_waits_are_concatenated_in_replication_order(self):
-        a = KpiReport({"los": [1.0]}, first_waits={"GREEN": [5, 7], "WHITE": []})
-        b = KpiReport({"los": [2.0]}, first_waits={"GREEN": [3], "WHITE": [9]})
-        assert aggregate([a, b]).first_waits == {"GREEN": [5, 7, 3], "WHITE": [9]}
-        assert a.first_waits == {"GREEN": [5, 7], "WHITE": []}
+        a = KpiReport({"los": [1.0]},
+                      first_waits={"GREEN": array("i", [5, 7]), "WHITE": array("i")})
+        b = KpiReport({"los": [2.0]}, first_waits={"GREEN": array("i", [3]), "WHITE": array("i", [9])})
+        assert aggregate([a, b]).first_waits == {"GREEN": array("i", [5, 7, 3]),
+                                                 "WHITE": array("i", [9])}
+        assert a.first_waits == {"GREEN": array("i", [5, 7]), "WHITE": array("i")}
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
