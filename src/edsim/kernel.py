@@ -59,6 +59,10 @@ _LOG_RENDER = {event: (template.replace("{+}", "%s").replace("{:d}", "%d").repla
                for event, template in LOG_TEMPLATES.items()}
 
 LOG_HEADER = ("rep_id", "time_min", "patient_id", "event", "detail")
+# Records a kept EventLog renders and writes at once. Odd, so that block
+# writes do not all land on the calls perfbench/tracer.py times (one in 32).
+LOG_BLOCK = 1023
+_BLOCK_FIELDS = 3 * LOG_BLOCK
 
 
 class SimulationError(RuntimeError):
@@ -304,18 +308,20 @@ class EventLog:
     """Sink for every state transition of one replication.
 
     A log with a `path` streams to that file: it opens it and writes
-    LOG_HEADER at once, and each `add` renders the record's CSV line and
-    writes it to the file, whose own buffer is the log's only one. The
-    line's `event,detail\r\n` tail depends only on the event and its
-    fields, so the log renders each distinct tail once and keeps it per
-    event, keyed by the `fields` tuple, which must hash (a list field
-    raises TypeError). Rendering checks the event, its field count and that
-    each "{}" field is a str (so equal fields render alike), fills the
-    event's `%` template from _LOG_RENDER and has csv.writer write
-    `(event, detail)`, which quotes a detail that needs it. `write_csv(path)`
-    closes the file, and so does `close`; either way the file then holds
-    every record added. model.Replication.run ends the log of a run. A log
-    without a path keeps nothing: `add` returns at once."""
+    LOG_HEADER at once. `add` queues each record, and every LOG_BLOCK
+    records one `%` renders their CSV lines and one write hands them to the
+    file's own buffer. The line's `event,detail\r\n` tail depends only on
+    the event and its fields, so the log renders each distinct tail once
+    and keeps it per event, keyed by the `fields` tuple, which must hash (a
+    list field raises TypeError). Rendering checks the event, its field
+    count and that each "{}" field is a str (so equal fields render alike),
+    fills the event's `%` template from _LOG_RENDER and has csv.writer
+    write `(event, detail)`, which quotes a detail that needs it; a tail is
+    only a `%s` argument of the block, so a `%` in it stays as it is.
+    `close`, and `write_csv(path)` after its path check, end the log: the
+    file then holds every record added, and a later `add` raises
+    ValueError. model.Replication.run ends the log of a run, also one that
+    raises. A log without a path keeps nothing: `add` returns at once."""
 
     def __init__(self, rep_id: int, path=None) -> None:
         self.rep_id = rep_id
@@ -323,6 +329,9 @@ class EventLog:
         self._file = None
         if path is not None:
             self._tails: dict[str, dict[tuple, str]] = {event: {} for event in _LOG_RENDER}
+            self._pending: list = []  # time_min, patient_id, tail of each queued record
+            self._line = f"{rep_id},%s,%s,%s"
+            self._block = self._line * LOG_BLOCK
             self._file = open(path, "w", newline="")
             csv.writer(self._file).writerow(LOG_HEADER)
 
@@ -331,12 +340,18 @@ class EventLog:
             return
         try:
             tail = self._tails[event][fields]
-        except KeyError:  # a new tail or an unknown event
+        except KeyError:  # a new tail, an unknown event or an ended log
             tail = self._render_tail(event, fields)
-        self._file.write(f"{self.rep_id},{time_min},{patient_id},{tail}")
+        pending = self._pending
+        pending += time_min, patient_id, tail
+        if len(pending) == _BLOCK_FIELDS:
+            self._file.write(self._block % tuple(pending))
+            pending.clear()
 
     def _render_tail(self, event: str, fields: tuple) -> str:
         """`event,detail\r\n` as csv.writer writes it, kept for `fields`."""
+        if self._file.closed:
+            raise ValueError(f"event log of replication {self.rep_id} has ended")
         try:
             template, kinds = _LOG_RENDER[event]
         except KeyError:
@@ -356,18 +371,21 @@ class EventLog:
         return tail
 
     def close(self) -> None:
-        """Close the file, writing out what its buffer holds."""
-        if self._file is not None:
-            self._file.close()
+        """Write the pending records and close the file. Dropping the tails
+        sends a later `add` to `_render_tail`, which refuses it."""
+        if self._file is not None and not self._file.closed:
+            pending, self._tails = self._pending, {}
+            with self._file:
+                self._file.write(self._line * (len(pending) // 3) % tuple(pending))
+            pending.clear()
 
     def write_csv(self, path) -> None:
-        """End the log's file, `path`: close it, if it is still open. The
-        file then holds what csv.writer writes for LOG_HEADER and every
-        record. Any other path, or a log that keeps nothing, raises
-        ValueError."""
+        """End the log's file, `path` (`close`). The file then holds what
+        csv.writer writes for LOG_HEADER and every record. Any other path,
+        or a log that keeps nothing, raises ValueError."""
         if self._file is None:
             raise ValueError(f"event log of replication {self.rep_id} was not kept")
         if os.fspath(path) != os.fspath(self.path):
             raise ValueError(f"event log of replication {self.rep_id} streams to "
                              f"{self.path}, not to {path}")
-        self._file.close()
+        self.close()

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import json
-from html import escape
 from pathlib import Path
 
 from .kpi import HEADLINE_KPIS, KPI_NAMES, Comparison, KpiReport
@@ -37,6 +36,10 @@ def write_comparison_csv(path, rows: list[tuple]) -> None:
         w.writerows(rows)
 
 
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def svg_bar_chart(title: str, labels: list[str], values: list[float]) -> str:
     """Minimal standalone SVG: one bar per labeled value."""
     width, height, margin, axis = max(640, 26 * len(values)), 360, 40, 30
@@ -48,7 +51,7 @@ def svg_bar_chart(title: str, labels: list[str], values: list[float]) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>',
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
         f'<line x1="{margin}" y1="{margin + plot_h}" x2="{width - margin}" '
         f'y2="{margin + plot_h}" stroke="black"/>',
     ]
@@ -64,7 +67,7 @@ def svg_bar_chart(title: str, labels: list[str], values: list[float]) -> str:
                      f'font-family="sans-serif" font-size="10">{value:.1f}</text>')
         parts.append(f'<text x="{x + bar_w / 2:.1f}" y="{margin + plot_h + 14:.1f}" '
                      f'text-anchor="middle" font-family="sans-serif" font-size="10">'
-                     f'{escape(label, quote=False)}</text>')
+                     f'{_escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 

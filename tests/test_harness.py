@@ -173,9 +173,10 @@ def _peak_traced_mb(profile, days, log_dir) -> float:
 
 
 def test_a_logged_replication_grows_by_its_kpi_rows_alone(default_profile, tmp_path):
-    # It holds its in-flight patients, one KPI record per patient and its log
-    # file's own buffer. Holding every patient and every record grows by ~0.47
-    # MB per simulated day; the KPI records alone grow by ~0.009.
+    # It holds its in-flight patients, one KPI record per patient, its log
+    # file's own buffer and at most one pending block of LOG_BLOCK records,
+    # whatever the horizon. Holding every patient and every record grows by
+    # ~0.47 MB per simulated day; the KPI records alone grow by ~0.009.
     short, long = (_peak_traced_mb(default_profile, days, tmp_path) for days in (16, 64))
     assert (long - short) / (64 - 16) < 0.15
 

@@ -1,12 +1,13 @@
 """Start-up loads only what the command needs. No command needs scipy:
 importing the package and the CLI, running a sweep (which compares
 scenarios) and running a calibration (a Nelder-Mead search) load no scipy
-module, and no module imports it. multiprocessing, concurrent.futures and
-logging stay off the path of every run that does not pool: only a run that
-pools imports them, and a pooled sweep writes what a serial one writes. The
-profile is checked without jsonschema, and numpy.random is loaded with the
-CLI, before a sweep forks its workers. Importing edsim starts no BLAS
-thread."""
+module, and no module imports it. No command loads html (and the
+html.entities tables it builds): the sweep's SVG chart escapes its text
+itself. multiprocessing, concurrent.futures and logging stay off the path
+of every run that does not pool: only a run that pools imports them, and a
+pooled sweep writes what a serial one writes. The profile is checked
+without jsonschema, and numpy.random is loaded with the CLI, before a sweep
+forks its workers. Importing edsim starts no BLAS thread."""
 
 import ast
 import os
@@ -22,20 +23,20 @@ PROBE = """
 import sys
 import edsim, edsim.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def unneeded_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "html"))
 
-assert scipy_modules() == [], scipy_modules()
+assert unneeded_modules() == [], unneeded_modules()
 for jobs, out in (("1", sys.argv[1]), ("2", sys.argv[2])):
     code = edsim.cli.main(["sweep", "--scenarios", "C.4", "--replications", "2", "--days", "1",
                            "--jobs", jobs, "--out", out])
     assert code == 0, code
-    assert scipy_modules() == [], scipy_modules()
+    assert unneeded_modules() == [], unneeded_modules()
 # the search misses its bands at this size, which exits 1
 assert edsim.cli.main(["calibrate", "--budget", "2", "--probe-replications", "1",
                        "--probe-days", "1", "--replications", "1", "--days", "1",
                        "--out", sys.argv[3]]) in (0, 1)
-assert scipy_modules() == [], scipy_modules()
+assert unneeded_modules() == [], unneeded_modules()
 """
 
 
@@ -76,6 +77,7 @@ for argv in (["validate", *small], ["run", *small, "--out", out + "/run"],
               *small, "--jobs", "1", "--out", out + "/cal"]):
     assert edsim.cli.main(argv) in (0, 1), argv
     assert loaded(*POOL) == [], (argv, loaded(*POOL))
+    assert loaded("html") == [], (argv, loaded("html"))
 """
 
 

@@ -8,7 +8,7 @@ from collections import defaultdict
 
 import pytest
 
-from edsim.kernel import LOG_HEADER, MINUTES_PER_DAY, EventLog
+from edsim.kernel import LOG_BLOCK, LOG_HEADER, MINUTES_PER_DAY, EventLog
 from edsim.kpi import NO_TIME, ROW, ROW_FIELDS, WARMUP_MIN
 from edsim.model import Patient, Replication, run_replication
 from edsim.scenario import Scenario, parse
@@ -607,15 +607,21 @@ class TestEventLogCsv:
         rep.log.write_csv(path)
         assert path.read_bytes() == ended
 
-    def test_one_quoted_row_among_many_plain_ones(self, tmp_path):
+    @pytest.mark.parametrize("count", [LOG_BLOCK - 1, LOG_BLOCK, LOG_BLOCK + 1, 3 * LOG_BLOCK + 7])
+    def test_one_quoted_row_among_many_plain_ones(self, count, tmp_path):
+        # quoted on the first block's last record, the next block's first
+        # and the last record, which ends the log in a full or partial block
+        quoted = sorted({LOG_BLOCK - 1, LOG_BLOCK, count - 1} & set(range(count)))
         path = tmp_path / "rep_02.csv"
         log = EventLog(2, path)
-        for i in range(20000):
-            log.add(i, i % 97, "START_FIRST", 'OR,"1"' if i == 9000 else "T1", "orthopaedic")
+        for i in range(count):
+            log.add(i, i % 97, "START_FIRST", 'OR,"1"' if i in quoted else "T1", "orthopaedic")
         records = records_of(log)
-        assert [r.time_min for r in records] == list(range(20000))
-        assert records[9000].detail == 'team=OR,"1" pool=orthopaedic'
-        assert records[8999].detail == records[9001].detail == "team=T1 pool=orthopaedic"
+        assert [r.time_min for r in records] == list(range(count))
+        assert [i for i, r in enumerate(records)
+                if r.detail == 'team=OR,"1" pool=orthopaedic'] == quoted
+        assert {r.detail for r in records} == {'team=OR,"1" pool=orthopaedic',
+                                               "team=T1 pool=orthopaedic"}
         assert path.read_bytes() == csv_writer_bytes(records)
 
     def test_write_csv_refuses_a_path_that_is_not_its_own(self, tmp_path):

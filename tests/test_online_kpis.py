@@ -163,6 +163,23 @@ class TestEventLogSink:
         with pytest.raises(ValueError, match="START_FIRST takes 2 fields, got 1"):
             streamed.add(5, 1, "START_FIRST", "T1")
 
+    @pytest.mark.parametrize("end", ["write_csv", "close"])
+    def test_a_record_added_after_the_log_ended_raises(self, end, tmp_path):
+        # the pending block must not quietly keep records it never writes
+        log = EventLog(0, tmp_path / "rep_00.csv")
+        log.add(5, 1, "START_FIRST", "T1", "low_general")
+        if end == "write_csv":
+            log.write_csv(log.path)
+        else:
+            log.close()
+        ended = log.path.read_bytes()
+        for fields in (("T1", "low_general"), ("T2", "low_general")):  # a kept tail, a new one
+            with pytest.raises(ValueError):
+                log.add(6, 1, "START_FIRST", *fields)
+        log.close()
+        assert log.path.read_bytes() == ended
+        assert [r[:4] for r in read_log_csv(log.path)] == [(0, 5, 1, "START_FIRST")]
+
     def test_log_not_kept_returns_at_once(self, monkeypatch):
         refuse_opens(monkeypatch)
         log = EventLog(0)
